@@ -32,13 +32,12 @@ from .monodromy import (
     junction_switch,
 )
 from .representation import (
-    RepresentationVector,
     evaluate_via_formula,
     extendability_check,
     invariance_check,
     representation_vector,
 )
-from .stemtensor import StemValue, TensorValue, star_vector, tensor_from_vector, tensor_mul
+from .stemtensor import StemValue, star_vector
 from .stems import (
     SampledStem,
     StemSystem,

@@ -16,18 +16,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfBall, SymmetrizationZero
-from .monodromy import LogModel, PolynomialModel, SliceFunctionModel, SqrtModel
+from .monodromy import (
+    LogModel,
+    PolynomialModel,
+    SliceFunctionModel,
+    SqrtModel,
+    _poly_derivative,
+    _poly_eval,
+)
 from .paths import NPartPath
 from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse
-from .stemtensor import (
-    apply_real_matrix,
-    sigma_matrix,
-    slot_imaginary,
-    tensor_from_vector,
-    tensor_mul,
-    tensor_one,
-    vector_from_tensor,
-)
+from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, slot_imaginary, star_vector
 from .stems import stem_derivative_family
 
 
@@ -53,11 +52,7 @@ class SliceRegularPoly:
         return len(self.coefficients) - 1
 
     def __call__(self, q) -> Quaternion:
-        q = as_quaternion(q)
-        acc = Quaternion()
-        for a in reversed(self.coefficients):
-            acc = q * acc + a
-        return acc
+        return _poly_eval(self.coefficients, as_quaternion(q))
 
     def __add__(self, other: "SliceRegularPoly") -> "SliceRegularPoly":
         a, b = self.coefficients, other.coefficients
@@ -170,12 +165,7 @@ def slice_derivative(f: SliceRegularPoly, n: int = 1) -> SliceRegularPoly:
     """n-th slice derivative: a_k -> (k+n)!/k! * a_(k+n)."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
-    coeffs = list(f.coefficients)
-    for _ in range(n):
-        coeffs = [coeffs[k] * float(k) for k in range(1, len(coeffs))]
-        if not coeffs:
-            return SliceRegularPoly((Quaternion(),))
-    return SliceRegularPoly(tuple(coeffs))
+    return SliceRegularPoly(_poly_derivative(f.coefficients, n))
 
 
 def leibniz(f: SliceRegularPoly, g: SliceRegularPoly, n: int) -> SliceRegularPoly:
@@ -392,6 +382,10 @@ def taylor_eval(f_model, q0, q, terms: int) -> Quaternion:
 # -- stem / tensor series equivalence -----------------------------------------
 
 
+def _scale_right(v: StemValue, q: Quaternion) -> StemValue:
+    return StemValue(v.N, tuple(c * q for c in v.entries))
+
+
 @dataclass(frozen=True)
 class SeriesReport:
     stem_series_residual: float
@@ -423,9 +417,9 @@ def stem_series_check(
 
     The slice route (closed-form derivatives pushed through the invariant
     vector) supplies the coefficients; the stem route differentiates the
-    vector directly, the tensor route differentiates its image.  The series
-    are then resummed with the matrix substitution x + y*sigma and the tensor
-    substitution x + y * i_slotN respectively.
+    vector directly, the tensor route multiplies by the slot-N imaginary with
+    `star_vector`.  The series are then resummed with the matrix substitution
+    x + y*sigma and the tensor substitution x + y * i_slotN respectively.
     """
     n_parts = path.parts
     vector = stem_derivative_family(model, path, radius)
@@ -443,11 +437,8 @@ def stem_series_check(
         stem_route = [
             (x - s) * 0.5 for x, s in zip(fx, apply_real_matrix(sigma, fy))
         ]
-        tx = tensor_from_vector(fx)
-        ty = tensor_from_vector(fy)
-        tensor_route = vector_from_tensor(
-            (tx - tensor_mul(slot_n, ty)).scale_right(Quaternion(0.5))
-        ).entries
+        tensor_diff = StemValue(n_parts, fx) - star_vector(slot_n, StemValue(n_parts, fy))
+        tensor_route = _scale_right(tensor_diff, Quaternion(0.5)).entries
         slice_route = vector(z0, order)
         route_dev = max(
             route_dev,
@@ -457,7 +448,8 @@ def stem_series_check(
 
     # series resummation on sample points
     coeffs = [vector(z0, n) for n in range(terms)]
-    tensor_coeffs = [tensor_from_vector(c) for c in coeffs]
+    tensor_coeffs = [StemValue(n_parts, c) for c in coeffs]
+    one = StemValue.basis(n_parts, 1)
     stem_res = 0.0
     tensor_res = 0.0
     for k in range(sample_count):
@@ -478,17 +470,16 @@ def stem_series_check(
             acc = [a + t * (1.0 / factorial) for a, t in zip(acc, term)]
         stem_res = max(stem_res, max((a - b).norm() for a, b in zip(acc, direct)))
 
-        z_step = tensor_one(n_parts).scale_right(Quaternion(dx)) + slot_n.scale_right(Quaternion(dy))
-        tacc = tensor_from_vector([Quaternion()] * size)
-        tpow = tensor_one(n_parts)
+        z_step = _scale_right(one, Quaternion(dx)) + _scale_right(slot_n, Quaternion(dy))
+        tacc = StemValue(n_parts, (Quaternion(),) * size)
+        tpow = one
         factorial = 1.0
         for n in range(terms):
             if n > 0:
-                tpow = tensor_mul(tpow, z_step)
+                tpow = star_vector(tpow, z_step)
                 factorial *= n
-            tacc = tacc + tensor_mul(tpow, tensor_coeffs[n]).scale_right(Quaternion(1.0 / factorial))
-        direct_tensor = tensor_from_vector(direct)
-        tensor_res = max(tensor_res, (tacc - direct_tensor).max_norm())
+            tacc = tacc + _scale_right(star_vector(tpow, tensor_coeffs[n]), Quaternion(1.0 / factorial))
+        tensor_res = max(tensor_res, (tacc - StemValue(n_parts, direct)).max_norm())
 
     return SeriesReport(
         stem_series_residual=stem_res,

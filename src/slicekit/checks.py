@@ -212,9 +212,7 @@ def check_structure_identities(rng: np.random.Generator) -> CheckResult:
         slot = stemtensor.slot_imaginary(n, n)
         for m in range(1, (1 << n) + 1):
             basis = StemValue.basis(n, m)
-            via_mul = stemtensor.vector_from_tensor(
-                stemtensor.tensor_mul(slot, stemtensor.tensor_from_vector(basis))
-            )
+            via_mul = star_vector(slot, basis)
             via_sigma = StemValue(n, sigma.apply(basis.entries))
             worst = max(worst, (via_mul - via_sigma).max_norm())
     for n in (1, 2, 3):

@@ -168,10 +168,6 @@ def cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="slicekit", description=__doc__)
-    seed_parent = argparse.ArgumentParser(add_help=False)
-    seed_parent.add_argument(
-        "--seed", type=int, default=None, help=f"sampling seed (default ${SEED_ENV} or 0)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_units=True):
@@ -185,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_units:
             p.add_argument("--units", help='lift units, e.g. "[0,0,1];[0,1,0]"')
 
-    p_mono = sub.add_parser("monodromy", parents=[seed_parent], help="continue a model along a lifted path")
+    p_mono = sub.add_parser("monodromy", help="continue a model along a lifted path")
     common(p_mono)
     p_mono.add_argument("--format", choices=["json", "csv"], default="json")
     p_mono.add_argument(
@@ -195,18 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mono.set_defaults(fn=cmd_monodromy, units_required=True)
 
-    p_rep = sub.add_parser("repformula", parents=[seed_parent], help="invariant vector and formula evaluation")
+    p_rep = sub.add_parser("repformula", help="invariant vector and formula evaluation")
     common(p_rep)
     p_rep.add_argument("--J", help="slice-unit matrix JSON file (default: eta stack over i)")
     p_rep.set_defaults(fn=cmd_repformula)
 
-    p_star = sub.add_parser("starprod", parents=[seed_parent], help="star product / conjugate / symmetrization")
+    p_star = sub.add_parser("starprod", help="star product / conjugate / symmetrization")
     p_star.add_argument("--f", required=True, help="polynomial JSON file or literal")
     p_star.add_argument("--g", help="second polynomial (for op=star)")
     p_star.add_argument("--op", choices=["star", "conj", "sym"], default="star")
     p_star.set_defaults(fn=cmd_starprod)
 
-    p_stem = sub.add_parser("stem", parents=[seed_parent], help="build and validate a stem system")
+    p_stem = sub.add_parser("stem", help="build and validate a stem system")
     p_stem.add_argument("--model", required=True, choices=["sqrt", "log", "poly"])
     p_stem.add_argument("--path", required=True, nargs="+", help="anchor path JSON file(s)")
     p_stem.add_argument("--coeffs", help="polynomial coefficients JSON")
@@ -215,7 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_stem.add_argument("--out", help="write sampled system JSON here")
     p_stem.set_defaults(fn=cmd_stem)
 
-    p_check = sub.add_parser("check", parents=[seed_parent], help="run seeded verification suites")
+    p_check = sub.add_parser("check", help="run seeded verification suites")
+    p_check.add_argument(
+        "--seed", type=int, default=None, help=f"sampling seed (default ${SEED_ENV} or 0)"
+    )
     p_check.add_argument(
         "--suite",
         default="all",

@@ -219,17 +219,6 @@ def random_imaginary_unit(rng: np.random.Generator) -> ImaginaryUnit:
             return ImaginaryUnit(v[0] / n, v[1] / n, v[2] / n)
 
 
-def orthogonal_unit_pair(rng: np.random.Generator) -> tuple[ImaginaryUnit, ImaginaryUnit]:
-    """Two perpendicular imaginary units, uniformly distributed."""
-    u = random_imaginary_unit(rng)
-    while True:
-        v = rng.standard_normal(3)
-        v -= np.dot(v, [u.x, u.y, u.z]) * np.array([u.x, u.y, u.z])
-        n = float(np.linalg.norm(v))
-        if n > 1e-6:
-            return u, ImaginaryUnit(v[0] / n, v[1] / n, v[2] / n)
-
-
 def max_component_distance(a: Iterable[Quaternion], b: Iterable[Quaternion]) -> float:
     """Max norm of entrywise differences of two quaternion sequences."""
     return max((x - y).norm() for x, y in zip(a, b, strict=True))

@@ -25,20 +25,9 @@ from .sliceunits import (
     slice_matrix,
     zeta,
 )
+from .stemtensor import StemValue
 
 VALUE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class RepresentationVector:
-    """Column of 2**N quaternions encoding one germ along a path."""
-
-    N: int
-    entries: tuple[Quaternion, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != 1 << self.N:
-            raise LengthMismatch(f"vector of order {self.N} needs {1 << self.N} entries")
 
 
 def _is_eta_stack(j: SliceUnitMatrix) -> bool:
@@ -60,7 +49,7 @@ def representation_vector(
     j: SliceUnitMatrix,
     x0: float | None = None,
     deriv: int = 0,
-) -> RepresentationVector:
+) -> StemValue:
     """Invariant vector M(J)**-1 applied to the column of lifted values.
 
     With deriv = n the column holds the n-th slice derivative instead, which
@@ -74,10 +63,10 @@ def representation_vector(
         model.derivative_value(final_state(model, path, row, x0), deriv) for row in j.rows
     )
     inverse = _slice_matrix_inverse(j)
-    return RepresentationVector(j.N, inverse.apply_column(column))
+    return StemValue(j.N, inverse.apply_column(column))
 
 
-def evaluate_via_formula(g: RepresentationVector, units: Sequence[Quaternion]) -> Quaternion:
+def evaluate_via_formula(g: StemValue, units: Sequence[Quaternion]) -> Quaternion:
     """zeta(K) contracted against the vector: the value at the K-lift."""
     if len(units) != g.N:
         raise LengthMismatch(f"vector of order {g.N} contracted with {len(units)} units")

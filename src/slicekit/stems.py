@@ -28,7 +28,6 @@ from .monodromy import SliceFunctionModel, continue_segment, final_state
 from .paths import Line, NPartPath, segment_from_json_obj
 from .quat import I as UNIT_I
 from .quat import Quaternion, max_component_distance
-from .representation import RepresentationVector
 from .sliceunits import eta, eta_inverse, zeta
 from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, star_vector
 
@@ -109,42 +108,14 @@ class SampledStem:
         return tuple(out)
 
 
-def stem_from_slice(
-    model: SliceFunctionModel,
-    path: NPartPath,
-    radius: float,
-    grid: tuple[int, int] = DEFAULT_GRID,
-) -> SampledStem:
-    """Stem of a built-in model along a path: invariant vectors of extensions.
-
-    The 2**N reference continuations are carried to the path's endpoint once;
-    each disk point then only costs one closing line per reference lift.
-    """
-    center = path.endpoint
-    if model.is_branched() and radius >= abs(center):
-        raise BranchPointCrossing(f"disk of radius {radius} at {center} meets the branch point")
-    reference = eta(path.parts, UNIT_I)
-    inverse = eta_inverse(reference)
-    end_states = [final_state(model, path, row) for row in reference.rows]
-
-    def evaluate(z: complex) -> Column:
-        if abs(z - center) < 1e-15:
-            column = tuple(model.value(s) for s in end_states)
-        else:
-            closing = Line(center, z)
-            column = tuple(model.value(continue_segment(model, s, closing)) for s in end_states)
-        return inverse.apply_column(column)
-
-    return SampledStem(N=path.parts, center=center, radius=radius, evaluator=evaluate, grid=grid)
-
-
 def stem_derivative_family(
     model: SliceFunctionModel, path: NPartPath, radius: float
 ) -> Callable[[complex, int], Column]:
     """(z, n) -> invariant vector of the n-th slice derivative at z.
 
-    Shares the reference continuations with `stem_from_slice`; n = 0 is the
-    stem itself.
+    The 2**N reference continuations are carried to the path's endpoint once;
+    each disk point then only costs one closing line per reference lift.
+    n = 0, the default, is the stem itself.
     """
     center = path.endpoint
     if model.is_branched() and radius >= abs(center):
@@ -162,6 +133,17 @@ def stem_derivative_family(
         return inverse.apply_column(tuple(model.derivative_value(s, n) for s in states))
 
     return vector
+
+
+def stem_from_slice(
+    model: SliceFunctionModel,
+    path: NPartPath,
+    radius: float,
+    grid: tuple[int, int] = DEFAULT_GRID,
+) -> SampledStem:
+    """Stem of a built-in model along a path: invariant vectors of extensions."""
+    evaluator = stem_derivative_family(model, path, radius)
+    return SampledStem(N=path.parts, center=path.endpoint, radius=radius, evaluator=evaluator, grid=grid)
 
 
 def slice_from_stem(stem: SampledStem, units: Sequence[Quaternion], z: complex) -> Quaternion:
@@ -499,10 +481,6 @@ def stem_star(s1: StemSystem, s2: StemSystem) -> StemSystem:
         return star_vector(StemValue(n, u), StemValue(n, v)).entries
 
     return _combine(s1, s2, op, "star")
-
-
-def representation_to_stem_value(g: RepresentationVector) -> StemValue:
-    return StemValue(g.N, g.entries)
 
 
 # -- JSON interface ----------------------------------------------------------

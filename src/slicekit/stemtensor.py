@@ -1,9 +1,11 @@
 """Stem columns, the tensor algebra C^(x)N (x) H, and the star product.
 
-A stem value is a column of 2**N quaternions.  Mapped through the basis
-isomorphism it becomes an element of the tensor algebra, where the N complex
-slots commute with everything and the single H slot keeps quaternion order.
-Multiplication therefore reduces to structure constants on the basis
+A stem value is a column of 2**N quaternions.  The basis isomorphism onto the
+tensor algebra is the identity on entries: entry m is the H coefficient of
+the basis element b(m), so one `StemValue` serves as stem value, tensor
+element and invariant vector alike.  The N complex slots commute with
+everything and the single H slot keeps quaternion order, so multiplication
+reduces to structure constants on the basis
 
     b(m) = prod_{l=N..1} (i_l * i_{l-1})**m_l,   (m_N ... m_1)_2 = m - 1,
 
@@ -69,7 +71,7 @@ def basis_product(n: int, a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class StemValue:
-    """Column of 2**N quaternions, the value of a stem function at one point."""
+    """Column of 2**N quaternions: a stem value, a tensor element or an invariant vector."""
 
     N: int
     entries: tuple[Quaternion, ...]
@@ -109,53 +111,8 @@ class StemValue:
         return cls(lower.N + 1, lower.entries + zeros)
 
 
-@dataclass(frozen=True)
-class TensorValue:
-    """Element sum_m b(m) * q_m of the tensor algebra, stored by coefficients."""
-
-    N: int
-    coefficients: tuple[Quaternion, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != 1 << self.N:
-            raise ShapeMismatch(f"tensor value of order {self.N} needs {1 << self.N} coefficients")
-        object.__setattr__(self, "coefficients", tuple(as_quaternion(c) for c in self.coefficients))
-
-    def __add__(self, other: "TensorValue") -> "TensorValue":
-        if self.N != other.N:
-            raise ShapeMismatch("tensor values of different order")
-        return TensorValue(self.N, tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other: "TensorValue") -> "TensorValue":
-        if self.N != other.N:
-            raise ShapeMismatch("tensor values of different order")
-        return TensorValue(self.N, tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __mul__(self, other: "TensorValue") -> "TensorValue":
-        return tensor_mul(self, other)
-
-    def scale_left(self, q: Quaternion) -> "TensorValue":
-        return TensorValue(self.N, tuple(q * c for c in self.coefficients))
-
-    def scale_right(self, q: Quaternion) -> "TensorValue":
-        return TensorValue(self.N, tuple(c * q for c in self.coefficients))
-
-    def power(self, n: int) -> "TensorValue":
-        out = tensor_one(self.N)
-        for _ in range(n):
-            out = tensor_mul(out, self)
-        return out
-
-    def max_norm(self) -> float:
-        return max(c.norm() for c in self.coefficients)
-
-
-def tensor_one(n: int) -> TensorValue:
-    return tensor_from_vector(StemValue.basis(n, 1))
-
-
-def slot_imaginary(n: int, slot: int) -> TensorValue:
-    """The slot-`slot` imaginary as a tensor value, e.g. slot N for z**(N)."""
+def slot_imaginary(n: int, slot: int) -> StemValue:
+    """The slot-`slot` imaginary as a stem value, e.g. slot N for z**(N)."""
     if not 1 <= slot <= n:
         raise IndexOutOfRange(f"slot {slot} outside 1..{n}")
     coeffs = [Quaternion() for _ in range(1 << n)]
@@ -163,45 +120,25 @@ def slot_imaginary(n: int, slot: int) -> TensorValue:
     for m in range(1, (1 << n) + 1):
         if _slot_pattern(n, m) == 1 << (slot - 1):
             coeffs[m - 1] = Quaternion(float(_basis_sign(n, m)))
-            return TensorValue(n, tuple(coeffs))
+            return StemValue(n, tuple(coeffs))
     raise IndexOutOfRange(f"no basis element with bare slot {slot}")  # pragma: no cover
 
 
-def tensor_from_vector(a: StemValue | Sequence[Quaternion]) -> TensorValue:
-    """Basis isomorphism: column entry m becomes the coefficient of b(m)."""
-    if not isinstance(a, StemValue):
-        entries = tuple(as_quaternion(e) for e in a)
-        n = (len(entries) - 1).bit_length()
-        a = StemValue(n, entries)
-    return TensorValue(a.N, a.entries)
-
-
-def vector_from_tensor(t: TensorValue) -> StemValue:
-    return StemValue(t.N, t.coefficients)
-
-
-def tensor_mul(a: TensorValue, b: TensorValue) -> TensorValue:
-    """Bilinear extension of the basis law; H coefficients keep order a, b."""
+def star_vector(a: StemValue, b: StemValue) -> StemValue:
+    """Star product: bilinear extension of the basis law, H entries keep order a, b."""
     if a.N != b.N:
-        raise ShapeMismatch("tensor values of different order")
+        raise ShapeMismatch("stem values of different order")
     out = [Quaternion() for _ in range(1 << a.N)]
-    for ma, ca in enumerate(a.coefficients, start=1):
+    for ma, ca in enumerate(a.entries, start=1):
         if ca.norm2() == 0.0:
             continue
-        for mb, cb in enumerate(b.coefficients, start=1):
+        for mb, cb in enumerate(b.entries, start=1):
             if cb.norm2() == 0.0:
                 continue
             c, sign = basis_product(a.N, ma, mb)
             term = ca * cb
             out[c - 1] = out[c - 1] + (term if sign > 0 else -term)
-    return TensorValue(a.N, tuple(out))
-
-
-def star_vector(a: StemValue, b: StemValue) -> StemValue:
-    """Star product of stem columns, pulled through the tensor algebra."""
-    if a.N != b.N:
-        raise ShapeMismatch("stem values of different order")
-    return vector_from_tensor(tensor_mul(tensor_from_vector(a), tensor_from_vector(b)))
+    return StemValue(a.N, tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -258,14 +195,14 @@ def _pattern_matrix(n: int, m: int) -> np.ndarray:
     return out
 
 
-def kron_matrix(t: TensorValue) -> np.ndarray:
-    """Faithful real-matrix image of a tensor value, size 4 * 2**N square."""
-    size = (1 << t.N) * 4
+def kron_matrix(a: StemValue) -> np.ndarray:
+    """Faithful real-matrix image of a stem value, size 4 * 2**N square."""
+    size = (1 << a.N) * 4
     out = np.zeros((size, size))
-    for m, coeff in enumerate(t.coefficients, start=1):
+    for m, coeff in enumerate(a.entries, start=1):
         if coeff.norm2() == 0.0:
             continue
-        out += np.kron(_pattern_matrix(t.N, m), _left_mult_matrix(coeff))
+        out += np.kron(_pattern_matrix(a.N, m), _left_mult_matrix(coeff))
     return out
 
 
@@ -280,11 +217,10 @@ def _kron_basis(n: int) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-def tensor_from_kron(n: int, mat: np.ndarray) -> TensorValue:
+def tensor_from_kron(n: int, mat: np.ndarray) -> StemValue:
     """Invert `kron_matrix` by least squares over the basis matrices."""
     sol, *_ = np.linalg.lstsq(_kron_basis(n), mat.ravel(), rcond=None)
-    coeffs = [Quaternion(*sol[4 * m : 4 * m + 4]) for m in range(1 << n)]
-    return TensorValue(n, tuple(coeffs))
+    return StemValue(n, tuple(Quaternion(*sol[4 * m : 4 * m + 4]) for m in range(1 << n)))
 
 
 def oracle_star(a: StemValue, b: StemValue) -> StemValue:
@@ -294,5 +230,4 @@ def oracle_star(a: StemValue, b: StemValue) -> StemValue:
     """
     if a.N != b.N:
         raise ShapeMismatch("stem values of different order")
-    product = kron_matrix(tensor_from_vector(a)) @ kron_matrix(tensor_from_vector(b))
-    return vector_from_tensor(tensor_from_kron(a.N, product))
+    return tensor_from_kron(a.N, kron_matrix(a) @ kron_matrix(b))

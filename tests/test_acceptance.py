@@ -149,9 +149,7 @@ def test_criterion_08_structure_identities():
         slot = stemtensor.slot_imaginary(n, n)
         for m in range(1, (1 << n) + 1):
             basis = StemValue.basis(n, m)
-            via_mul = stemtensor.vector_from_tensor(
-                stemtensor.tensor_mul(slot, stemtensor.tensor_from_vector(basis))
-            )
+            via_mul = star_vector(slot, basis)
             via_sigma = StemValue(n, sigma.apply(basis.entries))
             assert (via_mul - via_sigma).max_norm() == 0.0, "basis relation must be exact"
     for n in (1, 2, 3):

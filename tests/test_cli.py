@@ -280,6 +280,13 @@ def test_tolerance_flag_gates_exit_code(capsys, beta_file):
     capsys.readouterr()
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, beta_file):
     assert main(["monodromy", "--model", "sqrt"]) == 2
     assert main(["nonsense"]) == 2
+    # only check samples, so only check takes --seed; the rest of each argv is valid
+    seeded = ["--seed", "1"]
+    lifted = ["--model", "sqrt", "--path", beta_file, "--units", "[1,0,0];[0,1,0]"]
+    assert main(["monodromy", *seeded, *lifted]) == 2
+    assert main(["repformula", *seeded, *lifted]) == 2
+    assert main(["starprod", *seeded, "--f", '{"coeffs": [[1,0,0,0]]}', "--op", "conj"]) == 2
+    assert main(["stem", *seeded, "--model", "sqrt", "--path", beta_file]) == 2

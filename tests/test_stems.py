@@ -8,8 +8,9 @@ from slicekit.errors import (
     LengthMismatch,
     OutOfDomain,
 )
-from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel
+from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, final_state
 from slicekit.paths import beta_path, constant_path, half_turns, make_npart_path
+from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
 from slicekit.sliceunits import eta
 from slicekit.stemtensor import apply_real_matrix, sigma_matrix
@@ -55,6 +56,23 @@ class TestStemFromSlice:
         stem = stem_from_slice(SqrtModel(), beta_path(), radius=0.4)
         with pytest.raises(OutOfDomain):
             stem.at(2.0 + 0j)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            SqrtModel(),
+            LogModel(),
+            PolynomialModel((Quaternion(1, 0.5, 0, 0), Quaternion(0, 0, 2, 0), Quaternion(0.25, 0, 0, -1))),
+        ],
+        ids=["sqrt", "log", "poly"],
+    )
+    def test_zeroth_derivative_is_value_exactly(self, model):
+        # the stem evaluator is the n = 0 case of the derivative family
+        up = half_turns(1)
+        for path in (beta_path(), make_npart_path([up, up.reversed(), up])):
+            for row in eta(path.parts, UNIT_I).rows:
+                state = final_state(model, path, row)
+                assert model.derivative_value(state, 0) == model.value(state)
 
 
 class TestSliceFromStem:

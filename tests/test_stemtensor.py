@@ -5,7 +5,6 @@ from slicekit.errors import ShapeMismatch
 from slicekit.quat import Quaternion
 from slicekit.stemtensor import (
     StemValue,
-    TensorValue,
     basis_product,
     kron_matrix,
     oracle_star,
@@ -13,10 +12,6 @@ from slicekit.stemtensor import (
     slot_imaginary,
     star_vector,
     tensor_from_kron,
-    tensor_from_vector,
-    tensor_mul,
-    tensor_one,
-    vector_from_tensor,
 )
 
 
@@ -24,36 +19,15 @@ def _random_stem(n, rng):
     return StemValue(n, tuple(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(1 << n)))
 
 
-def _basis_tensor(n, m):
-    return tensor_from_vector(StemValue.basis(n, m))
-
-
 class TestBasisIsomorphism:
     def test_first_basis_is_one(self):
-        assert tensor_from_vector(StemValue.basis(2, 1)) == tensor_one(2)
-
-    def test_basis_maps_to_basis(self):
-        t = tensor_from_vector(StemValue.basis(2, 3))
-        assert t.coefficients[2] == Quaternion(1)
-        assert sum(c.norm2() for c in t.coefficients) == 1.0
-
-    def test_round_trip(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(1, 4))
-            a = _random_stem(n, rng)
-            assert vector_from_tensor(tensor_from_vector(a)) == a
-
-    def test_additive_and_scalar_equivariant(self, rng):
-        for _ in range(100):
-            a = _random_stem(2, rng)
-            b = _random_stem(2, rng)
-            q = Quaternion(*rng.uniform(-1, 1, 4))
-            left = tensor_from_vector(a) + tensor_from_vector(b)
-            assert vector_from_tensor(left) == a + b
-            scaled = tensor_from_vector(StemValue(2, tuple(q * e for e in a.entries)))
-            assert scaled == tensor_from_vector(a).scale_left(q)
-            scaled_r = tensor_from_vector(StemValue(2, tuple(e * q for e in a.entries)))
-            assert scaled_r == tensor_from_vector(a).scale_right(q)
+        # b(1) is the unit of the tensor algebra: a two-sided identity on every basis element
+        for n in (1, 2, 3):
+            one = StemValue.basis(n, 1)
+            for m in range(1, (1 << n) + 1):
+                e = StemValue.basis(n, m)
+                assert star_vector(one, e) == e
+                assert star_vector(e, one) == e
 
 
 class TestBasisProducts:
@@ -63,25 +37,24 @@ class TestBasisProducts:
 
     def test_identity_element(self, rng):
         b = _random_stem(2, rng)
-        assert tensor_mul(tensor_one(2), tensor_from_vector(b)) == tensor_from_vector(b)
+        assert star_vector(StemValue.basis(2, 1), b) == b
 
     def test_oracle_adjudicated_product(self):
         # slot expansion: b(2) * b(3) = +b(4); confirmed by the Kronecker route
-        direct = tensor_mul(_basis_tensor(2, 2), _basis_tensor(2, 3))
-        assert direct == _basis_tensor(2, 4)
-        left = kron_matrix(_basis_tensor(2, 2))
-        right = kron_matrix(_basis_tensor(2, 3))
+        direct = star_vector(StemValue.basis(2, 2), StemValue.basis(2, 3))
+        assert direct == StemValue.basis(2, 4)
+        left = kron_matrix(StemValue.basis(2, 2))
+        right = kron_matrix(StemValue.basis(2, 3))
         recovered = tensor_from_kron(2, left @ right)
-        assert (recovered - _basis_tensor(2, 4)).max_norm() < 1e-12
+        assert (recovered - StemValue.basis(2, 4)).max_norm() < 1e-12
 
     def test_all_basis_products_match_oracle(self):
         for n in (1, 2):
             for a in range(1, (1 << n) + 1):
                 for b in range(1, (1 << n) + 1):
-                    direct = tensor_mul(_basis_tensor(n, a), _basis_tensor(n, b))
-                    via_kron = tensor_from_kron(
-                        n, kron_matrix(_basis_tensor(n, a)) @ kron_matrix(_basis_tensor(n, b))
-                    )
+                    ea, eb = StemValue.basis(n, a), StemValue.basis(n, b)
+                    direct = star_vector(ea, eb)
+                    via_kron = tensor_from_kron(n, kron_matrix(ea) @ kron_matrix(eb))
                     assert (direct - via_kron).max_norm() < 1e-12
 
 
@@ -147,9 +120,9 @@ class TestSigma:
         slot = slot_imaginary(n, n)
         sigma = sigma_matrix(n)
         for m in range(1, (1 << n) + 1):
-            product = tensor_mul(slot, _basis_tensor(n, m))
+            product = star_vector(slot, StemValue.basis(n, m))
             column = sigma[:, m - 1]
-            expected = TensorValue(n, tuple(Quaternion(float(column[idx])) for idx in range(1 << n)))
+            expected = StemValue(n, tuple(Quaternion(float(column[idx])) for idx in range(1 << n)))
             assert product == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -161,5 +134,5 @@ class TestSigma:
 def test_kron_matrix_is_faithful(rng):
     for _ in range(20):
         a = _random_stem(2, rng)
-        recovered = vector_from_tensor(tensor_from_kron(2, kron_matrix(tensor_from_vector(a))))
+        recovered = tensor_from_kron(2, kron_matrix(a))
         assert (recovered - a).max_norm() < 1e-12
