@@ -14,7 +14,6 @@ from .sliceunits import (
     has_full_slice_rank,
     is_left_slice_linearly_independent,
     slice_matrix,
-    stem_structure_sigma,
     unit_product,
     zeta,
 )
@@ -42,7 +41,6 @@ from .stems import (
     SampledStem,
     StemSystem,
     build_stem_system,
-    slice_from_stem,
     stem_add,
     stem_cr_residual,
     stem_from_slice,

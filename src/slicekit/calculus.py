@@ -27,7 +27,7 @@ from .monodromy import (
 from .paths import NPartPath
 from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse
 from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, slot_imaginary, star_vector
-from .stems import stem_derivative_family
+from .stems import FD_STEP, stem_derivative_family
 
 
 def _trim(coeffs: tuple[Quaternion, ...]) -> tuple[Quaternion, ...]:
@@ -74,15 +74,6 @@ class SliceRegularPoly:
 
     def scale(self, factor: float) -> "SliceRegularPoly":
         return SliceRegularPoly(tuple(c * factor for c in self.coefficients))
-
-    def star_power(self, n: int) -> "SliceRegularPoly":
-        out = SliceRegularPoly((Quaternion(1.0),))
-        for _ in range(n):
-            out = star_product(out, self)
-        return out
-
-    def to_model(self) -> PolynomialModel:
-        return PolynomialModel(self.coefficients)
 
     def to_json_obj(self) -> dict:
         return {"coeffs": [c.to_list() for c in self.coefficients]}
@@ -271,9 +262,12 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def regular_reciprocal(
-    f: SliceRegularPoly, domain: AxSymDomain, shells: int = 8, directions: int = 512
-) -> StarReciprocal:
+#: nested spheres, and Fibonacci directions per sphere, of the reciprocal's zero probe
+_PROBE_SHELLS = 8
+_PROBE_DIRECTIONS = 512
+
+
+def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciprocal:
     """Inverse in the star ring, guarded against symmetrization zeros.
 
     The symmetrization has real coefficients, so its zero spheres come from
@@ -290,9 +284,9 @@ def regular_reciprocal(
             raise SymmetrizationZero(f"symmetrization vanishes at {witness!r}", witness=witness)
     if domain.kind != "whole":
         center = Quaternion(domain.center.real)
-        for shell in range(1, shells + 1):
-            r = domain.radius * shell / shells * 0.999
-            for d in _fibonacci_sphere(directions):
+        for shell in range(1, _PROBE_SHELLS + 1):
+            r = domain.radius * shell / _PROBE_SHELLS * 0.999
+            for d in _fibonacci_sphere(_PROBE_DIRECTIONS):
                 q = center + Quaternion(0.0, *(r * d))
                 if not domain.contains(q):
                     continue
@@ -382,8 +376,8 @@ def taylor_eval(f_model, q0, q, terms: int) -> Quaternion:
 # -- stem / tensor series equivalence -----------------------------------------
 
 
-def _scale_right(v: StemValue, q: Quaternion) -> StemValue:
-    return StemValue(v.N, tuple(c * q for c in v.entries))
+#: points on the circle of radius 0.9 * radius where both series are resummed
+_SERIES_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -409,8 +403,6 @@ def stem_series_check(
     path: NPartPath,
     radius: float,
     terms: int = 30,
-    sample_count: int = 8,
-    h: float = 1e-5,
     max_route_order: int = 2,
 ) -> SeriesReport:
     """Compare the three derivative routes and both series expansions.
@@ -428,63 +420,58 @@ def stem_series_check(
     size = 1 << n_parts
 
     # route agreement at the disk center
+    h = FD_STEP
     route_dev = 0.0
     slot_n = slot_imaginary(n_parts, n_parts)
     for order in range(1, max_route_order + 1):
         base = lambda z: vector(z, order - 1)  # noqa: E731
-        fx = [(a - b) * (0.5 / h) for a, b in zip(base(z0 + h), base(z0 - h))]
-        fy = [(a - b) * (0.5 / h) for a, b in zip(base(z0 + h * 1j), base(z0 - h * 1j))]
-        stem_route = [
-            (x - s) * 0.5 for x, s in zip(fx, apply_real_matrix(sigma, fy))
-        ]
-        tensor_diff = StemValue(n_parts, fx) - star_vector(slot_n, StemValue(n_parts, fy))
-        tensor_route = _scale_right(tensor_diff, Quaternion(0.5)).entries
+        fx = (base(z0 + h) - base(z0 - h)).scale(0.5 / h)
+        fy = (base(z0 + h * 1j) - base(z0 - h * 1j)).scale(0.5 / h)
+        stem_route = (fx - apply_real_matrix(sigma, fy)).scale(0.5)
+        tensor_route = (fx - star_vector(slot_n, fy)).scale(0.5)
         slice_route = vector(z0, order)
         route_dev = max(
-            route_dev,
-            max((a - b).norm() for a, b in zip(stem_route, slice_route)),
-            max((a - b).norm() for a, b in zip(tensor_route, slice_route)),
+            route_dev, (stem_route - slice_route).max_norm(), (tensor_route - slice_route).max_norm()
         )
 
     # series resummation on sample points
     coeffs = [vector(z0, n) for n in range(terms)]
-    tensor_coeffs = [StemValue(n_parts, c) for c in coeffs]
+    zero = StemValue(n_parts, (Quaternion(),) * size)
     one = StemValue.basis(n_parts, 1)
     stem_res = 0.0
     tensor_res = 0.0
-    for k in range(sample_count):
-        phi = 2 * math.pi * k / sample_count
+    for k in range(_SERIES_SAMPLES):
+        phi = 2 * math.pi * k / _SERIES_SAMPLES
         z = z0 + 0.9 * radius * complex(math.cos(phi), math.sin(phi))
         dx, dy = (z - z0).real, (z - z0).imag
         direct = vector(z, 0)
 
         step = dx * np.eye(size) + dy * sigma
-        acc = [Quaternion() for _ in range(size)]
+        acc = zero
         mat = np.eye(size)
         factorial = 1.0
         for n in range(terms):
             if n > 0:
                 mat = mat @ step
                 factorial *= n
-            term = apply_real_matrix(mat, coeffs[n])
-            acc = [a + t * (1.0 / factorial) for a, t in zip(acc, term)]
-        stem_res = max(stem_res, max((a - b).norm() for a, b in zip(acc, direct)))
+            acc = acc + apply_real_matrix(mat, coeffs[n]).scale(1.0 / factorial)
+        stem_res = max(stem_res, (acc - direct).max_norm())
 
-        z_step = _scale_right(one, Quaternion(dx)) + _scale_right(slot_n, Quaternion(dy))
-        tacc = StemValue(n_parts, (Quaternion(),) * size)
+        z_step = one.scale(dx) + slot_n.scale(dy)
+        tacc = zero
         tpow = one
         factorial = 1.0
         for n in range(terms):
             if n > 0:
                 tpow = star_vector(tpow, z_step)
                 factorial *= n
-            tacc = tacc + _scale_right(star_vector(tpow, tensor_coeffs[n]), Quaternion(1.0 / factorial))
-        tensor_res = max(tensor_res, (tacc - StemValue(n_parts, direct)).max_norm())
+            tacc = tacc + star_vector(tpow, coeffs[n]).scale(1.0 / factorial)
+        tensor_res = max(tensor_res, (tacc - direct).max_norm())
 
     return SeriesReport(
         stem_series_residual=stem_res,
         tensor_series_residual=tensor_res,
         route_deviation=route_dev,
         terms=terms,
-        samples=sample_count,
+        samples=_SERIES_SAMPLES,
     )

@@ -28,9 +28,8 @@ from .sliceunits import (
     random_slice_unit_matrix,
     slice_diag,
     slice_matrix,
-    stem_structure_sigma,
 )
-from .stemtensor import StemValue, star_vector
+from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, star_vector
 
 PI = math.pi
 
@@ -205,31 +204,25 @@ def check_zero_padding(rng: np.random.Generator) -> CheckResult:
 def check_structure_identities(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for n in range(1, 5):
-        sigma = stem_structure_sigma(n)
-        if not sigma.squares_to_minus_identity():
+        sigma = sigma_matrix(n)
+        if not np.array_equal(sigma @ sigma, -np.eye(1 << n, dtype=np.int64)):
             worst = max(worst, 1.0)
         # slot-N multiplication against the matrix action, exact on the basis
         slot = stemtensor.slot_imaginary(n, n)
         for m in range(1, (1 << n) + 1):
             basis = StemValue.basis(n, m)
             via_mul = star_vector(slot, basis)
-            via_sigma = StemValue(n, sigma.apply(basis.entries))
-            worst = max(worst, (via_mul - via_sigma).max_norm())
+            worst = max(worst, (via_mul - apply_real_matrix(sigma, basis)).max_norm())
     for n in (1, 2, 3):
         unit = random_imaginary_unit(rng)
         j = eta(n, unit)
         m = slice_matrix(j)
         lhs = qmat_mul(slice_diag(j), m)
+        sigma_t = sigma_matrix(n).T
         rhs = QuaternionMatrix(
             m.rows,
             m.cols,
-            [
-                q
-                for i in range(m.rows)
-                for q in stemtensor.apply_real_matrix(
-                    stem_structure_sigma(n).matrix.T, list(m.row(i))
-                )
-            ],
+            [q for i in range(m.rows) for q in apply_real_matrix(sigma_t, StemValue(n, m.row(i))).entries],
         )
         worst = max(worst, (lhs - rhs).max_norm())
     return _result("structure-identities", "star", worst, 1e-12)
@@ -379,10 +372,10 @@ def check_stem_validator(rng: np.random.Generator) -> CheckResult:
 def _flip_component(system, label, component):
     entry = system.entry(label)
 
-    def transform(_z, column):
-        out = list(column)
+    def transform(_z, value):
+        out = list(value.entries)
         out[component] = -out[component]
-        return tuple(out)
+        return StemValue(value.N, tuple(out))
 
     return system.with_stem(label, entry.stem.map(transform))
 
@@ -391,10 +384,10 @@ def _offset_component(system, label, component):
     entry = system.entry(label)
     offset = Quaternion(0.25)
 
-    def transform(_z, column):
-        out = list(column)
+    def transform(_z, value):
+        out = list(value.entries)
         out[component] = out[component] + offset
-        return tuple(out)
+        return StemValue(value.N, tuple(out))
 
     return system.with_stem(label, entry.stem.map(transform))
 

@@ -35,9 +35,11 @@ SEED_ENV = "SLICEKIT_SEED"
 
 def _read_maybe_file(arg: str) -> str:
     path = Path(arg)
-    if path.exists():
-        return path.read_text()
-    return arg
+    try:
+        exists = path.exists()
+    except (OSError, ValueError):  # too long, or otherwise impossible as a file name
+        return arg
+    return path.read_text() if exists else arg
 
 
 def _parse_units(text: str) -> tuple[ImaginaryUnit, ...]:

@@ -220,11 +220,18 @@ def _step_argument(seg, t0, t1, z0, z1, depth) -> float:
     return _step_argument(seg, t0, tm, z0, zm, depth + 1) + _step_argument(seg, tm, t1, zm, z1, depth + 1)
 
 
+def _require_finite(*values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"path JSON holds a non-finite number in {list(values)}")
+
+
 def segment_from_json_obj(obj: dict) -> PathSegment:
     kind = obj.get("kind")
     if kind == "arc":
+        _require_finite(*obj["center"], obj["radius"], obj["theta0"], obj["theta1"])
         return Arc(complex(*obj["center"]), obj["radius"], obj["theta0"], obj["theta1"])
     if kind == "line":
+        _require_finite(*obj["from"], *obj["to"])
         return Line(complex(*obj["from"]), complex(*obj["to"]))
     if kind == "chain":
         return Chain(tuple(segment_from_json_obj(p) for p in obj["pieces"]))
@@ -302,14 +309,14 @@ class NPartPath:
         return make_npart_path([segment_from_json_obj(o) for o in data["segments"]])
 
 
-def make_npart_path(segments: Sequence[PathSegment], tol: float = JUNCTION_TOL) -> NPartPath:
+def make_npart_path(segments: Sequence[PathSegment]) -> NPartPath:
     """Validate connectivity and real junctions, then freeze the path."""
     if not segments:
         raise ValueError("a path needs at least one segment")
     for a, b in zip(segments, segments[1:]):
-        if abs(a.end - b.start) > tol:
+        if abs(a.end - b.start) > JUNCTION_TOL:
             raise DisconnectedSegments(f"segment ends at {a.end}, next starts at {b.start}")
-        if abs(a.end.imag) > tol:
+        if abs(a.end.imag) > JUNCTION_TOL:
             raise NonRealJunction(f"junction {a.end} is off the real axis")
     return NPartPath(tuple(segments))
 

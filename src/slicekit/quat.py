@@ -9,7 +9,8 @@ unit I spans the complex slice {x + y*I}.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+import numbers
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +21,9 @@ TOL = 1e-12
 
 #: unit inputs are renormalised when within this distance of unit norm
 UNIT_TOL = 1e-9
+
+# int and float first: isinstance against the numbers ABC is the slow path
+_REAL = (int, float, numbers.Real)
 
 
 class Quaternion:
@@ -52,18 +56,20 @@ class Quaternion:
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other) -> "Quaternion":
-        if isinstance(other, (int, float)):
+        if isinstance(other, Quaternion):
+            return hamilton_product(self, other)
+        if isinstance(other, _REAL):
             return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
         return hamilton_product(self, as_quaternion(other))
 
     def __rmul__(self, other) -> "Quaternion":
-        if isinstance(other, (int, float)):
+        if isinstance(other, _REAL):
             return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
         return hamilton_product(as_quaternion(other), self)
 
     def __truediv__(self, other) -> "Quaternion":
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
+        if isinstance(other, _REAL):
+            return self * (1.0 / float(other))
         return self * quat_inverse(as_quaternion(other))
 
     def __eq__(self, other) -> bool:
@@ -124,7 +130,7 @@ class ImaginaryUnit(Quaternion):
 
     def __init__(self, x: float, y: float, z: float):
         n = math.sqrt(x * x + y * y + z * z)
-        if abs(n - 1.0) > UNIT_TOL:
+        if not abs(n - 1.0) <= UNIT_TOL:  # written so that NaN fails too
             raise ValueError(f"imaginary unit must have norm 1 (got {n!r})")
         super().__init__(0.0, x / n, y / n, z / n)
 
@@ -141,8 +147,8 @@ class ImaginaryUnit(Quaternion):
         return cls(*data)
 
     @classmethod
-    def from_quaternion(cls, q: Quaternion, tol: float = UNIT_TOL) -> "ImaginaryUnit":
-        if abs(q.w) > tol:
+    def from_quaternion(cls, q: Quaternion) -> "ImaginaryUnit":
+        if abs(q.w) > UNIT_TOL:
             raise ValueError(f"quaternion {q!r} has a real part; not an imaginary unit")
         return cls(q.x, q.y, q.z)
 
@@ -158,7 +164,7 @@ def as_quaternion(value) -> Quaternion:
     """Coerce reals and 4-sequences to Quaternion; pass quaternions through."""
     if isinstance(value, Quaternion):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, _REAL):
         return Quaternion(value)
     if isinstance(value, complex):
         raise TypeError("complex numbers embed via embed_slice(z, I), not implicitly")
@@ -175,13 +181,13 @@ def hamilton_product(a: Quaternion, b: Quaternion) -> Quaternion:
     )
 
 
-def quat_inverse(q: Quaternion, tol: float = TOL) -> Quaternion:
+def quat_inverse(q: Quaternion) -> Quaternion:
     """Two-sided inverse conj(q)/|q|^2.
 
-    Raises ZeroDivisor when |q| <= tol.
+    Raises ZeroDivisor when |q| <= TOL.
     """
     n2 = q.norm2()
-    if math.sqrt(n2) <= tol:
+    if math.sqrt(n2) <= TOL:
         raise ZeroDivisor(f"cannot invert quaternion with norm {math.sqrt(n2):g}")
     return Quaternion(q.w / n2, -q.x / n2, -q.y / n2, -q.z / n2)
 
@@ -218,7 +224,3 @@ def random_imaginary_unit(rng: np.random.Generator) -> ImaginaryUnit:
         if n > 1e-6:
             return ImaginaryUnit(v[0] / n, v[1] / n, v[2] / n)
 
-
-def max_component_distance(a: Iterable[Quaternion], b: Iterable[Quaternion]) -> float:
-    """Max norm of entrywise differences of two quaternion sequences."""
-    return max((x - y).norm() for x, y in zip(a, b, strict=True))

@@ -16,7 +16,7 @@ from .errors import KeysDiffer, LengthMismatch, NotIndependent
 from .monodromy import GermKey, SliceFunctionModel, final_state, germ_key
 from .paths import NPartPath
 from .qmat import QuaternionMatrix, qmat_inverse
-from .quat import Quaternion, max_component_distance
+from .quat import Quaternion
 from .sliceunits import (
     SliceUnitMatrix,
     eta_inverse,
@@ -28,6 +28,9 @@ from .sliceunits import (
 from .stemtensor import StemValue
 
 VALUE_TOL = 1e-8
+
+#: germ keys of one point of the equivalence domain agree within this
+_KEY_TOL = 1e-9
 
 
 def _is_eta_stack(j: SliceUnitMatrix) -> bool:
@@ -87,7 +90,7 @@ def invariance_check(
     """Max entrywise deviation between the vectors from two unit matrices."""
     g1 = representation_vector(model, path, j1, x0)
     g2 = representation_vector(model, path, j2, x0)
-    return max_component_distance(g1.entries, g2.entries)
+    return (g1 - g2).max_norm()
 
 
 def axial_symmetry_probe(
@@ -129,8 +132,6 @@ def extendability_check(
     model: SliceFunctionModel,
     reached: Sequence[tuple[NPartPath, Sequence[Quaternion]]],
     equivalence_model: SliceFunctionModel,
-    key_tol: float = 1e-9,
-    value_tol: float = VALUE_TOL,
 ) -> ExtendabilityReport:
     """Do several routes to one point of the equivalence domain agree?
 
@@ -146,10 +147,10 @@ def extendability_check(
         keys.append(germ_key(equivalence_model, state))
         values.append(model.value(final_state(model, path, units)))
     for other in keys[1:]:
-        if not keys[0].isclose(other, key_tol):
+        if not keys[0].isclose(other, _KEY_TOL):
             raise KeysDiffer(f"germ keys disagree: {keys[0]} vs {other}")
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            if (values[i] - values[j]).norm() > value_tol:
+            if (values[i] - values[j]).norm() > VALUE_TOL:
                 return ExtendabilityReport("obstructed", tuple(values), tuple(keys), (values[i], values[j]))
     return ExtendabilityReport("extendable", tuple(values), tuple(keys), None)

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import IndexOutOfRange, NotIndependent, ShapeMismatch
 from .qmat import QuaternionMatrix, qmat_rank
 from .quat import ImaginaryUnit, Quaternion, random_imaginary_unit
-from .stemtensor import apply_real_matrix, sigma_matrix
 
 
 def unit_product(units: Sequence[Quaternion], m: int) -> Quaternion:
@@ -170,42 +169,11 @@ def full_slice_rank_permutation(j: SliceUnitMatrix) -> tuple[int, ...]:
     return tuple(order)
 
 
-@dataclass(frozen=True)
-class StemStructureMatrix:
-    """Real square matrix coupling stem components like multiplication by i.
-
-    Defined operationally by its action on the tensor basis; entries are
-    exactly 0 or +-1 and the square is minus the identity.
-    """
-
-    N: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.int64))
-        size = 1 << self.N
-        if self.matrix.shape != (size, size):
-            raise ShapeMismatch(f"structure matrix of order {self.N} must be {size}x{size}")
-
-    def apply(self, column: Sequence[Quaternion]) -> tuple[Quaternion, ...]:
-        return apply_real_matrix(self.matrix, column)
-
-    def squares_to_minus_identity(self) -> bool:
-        size = 1 << self.N
-        return bool(np.array_equal(self.matrix @ self.matrix, -np.eye(size, dtype=np.int64)))
-
-
-def stem_structure_sigma(n: int) -> StemStructureMatrix:
-    """Structure matrix obtained by expanding slot-N multiplication in the basis."""
-    if n < 1:
-        raise ShapeMismatch("structure matrix needs n >= 1")
-    return StemStructureMatrix(n, sigma_matrix(n))
-
-
 def slice_diag(j: SliceUnitMatrix) -> QuaternionMatrix:
     """Diagonal of last-column units; intertwines the slice matrix and sigma.
 
-    For J = eta_N(I) (and in fact for any J):  diag * M(J) = M(J) * sigma_N,
+    For J = eta_N(I) (and in fact for any J):  diag * M(J) = M(J) * sigma_N
+    with sigma_N = `stemtensor.sigma_matrix(N)`,
     because multiplying a zeta row on the left by its last unit permutes the
     unit products exactly as sigma permutes the basis.
     """

@@ -13,28 +13,22 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BranchPointCrossing,
-    IncompatibleSupports,
-    LengthMismatch,
-    OutOfDomain,
-)
+from .errors import BranchPointCrossing, IncompatibleSupports, OutOfDomain
 from .monodromy import SliceFunctionModel, continue_segment, final_state
 from .paths import Line, NPartPath, segment_from_json_obj
 from .quat import I as UNIT_I
-from .quat import Quaternion, max_component_distance
-from .sliceunits import eta, eta_inverse, zeta
+from .quat import Quaternion
+from .sliceunits import eta, eta_inverse
 from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, star_vector
 
 DEFAULT_GRID = (17, 64)
 FD_STEP = 1e-5
-
-Column = tuple[Quaternion, ...]
 
 
 @dataclass(frozen=True)
@@ -49,14 +43,11 @@ class SampledStem:
     N: int
     center: complex
     radius: float
-    evaluator: Callable[[complex], Column] | None = None
+    evaluator: Callable[[complex], StemValue] | None = None
     grid: tuple[int, int] = DEFAULT_GRID
     grid_samples: tuple | None = field(default=None, repr=False)
 
-    def components(self) -> int:
-        return 1 << self.N
-
-    def at(self, z: complex) -> Column:
+    def at(self, z: complex) -> StemValue:
         z = complex(z)
         if abs(z - self.center) > self.radius * (1 + 1e-12):
             raise OutOfDomain(f"{z} outside disk of radius {self.radius} at {self.center}")
@@ -64,14 +55,14 @@ class SampledStem:
             return self.evaluator(z)
         return self._interpolate(z)
 
-    def map(self, transform: Callable[[complex, Column], Column]) -> "SampledStem":
+    def map(self, transform: Callable[[complex, StemValue], StemValue]) -> "SampledStem":
         """Pointwise-transformed stem on the same disk."""
         return replace(self, evaluator=lambda z: transform(z, self.at(z)), grid_samples=None)
 
     # -- grid support -------------------------------------------------------
 
     def sample_grid(self) -> list:
-        """Polar grid of columns: radii x angles, radius 0 row included."""
+        """Polar grid of stem values: radii x angles, radius 0 row included."""
         n_r, n_a = self.grid
         rows = []
         for k in range(n_r):
@@ -83,7 +74,7 @@ class SampledStem:
             rows.append(row)
         return rows
 
-    def _interpolate(self, z: complex) -> Column:
+    def _interpolate(self, z: complex) -> StemValue:
         if self.grid_samples is None:
             raise OutOfDomain("grid-backed stem has no samples")
         n_r, n_a = self.grid
@@ -101,16 +92,15 @@ class SampledStem:
             (self.grid_samples[min(k + 1, n_r - 1)][l], fr * (1 - fp)),
             (self.grid_samples[min(k + 1, n_r - 1)][l2], fr * fp),
         ]
-        out = [Quaternion() for _ in range(self.components())]
+        out = StemValue(self.N, (Quaternion(),) * (1 << self.N))
         for col, weight in corners:
-            for idx in range(len(out)):
-                out[idx] = out[idx] + col[idx] * weight
-        return tuple(out)
+            out = out + StemValue(self.N, col).scale(weight)
+        return out
 
 
 def stem_derivative_family(
     model: SliceFunctionModel, path: NPartPath, radius: float
-) -> Callable[[complex, int], Column]:
+) -> Callable[[complex, int], StemValue]:
     """(z, n) -> invariant vector of the n-th slice derivative at z.
 
     The 2**N reference continuations are carried to the path's endpoint once;
@@ -124,13 +114,13 @@ def stem_derivative_family(
     inverse = eta_inverse(reference)
     end_states = [final_state(model, path, row) for row in reference.rows]
 
-    def vector(z: complex, n: int = 0) -> Column:
+    def vector(z: complex, n: int = 0) -> StemValue:
         if abs(z - center) < 1e-15:
             states = end_states
         else:
             closing = Line(center, z)
             states = [continue_segment(model, s, closing) for s in end_states]
-        return inverse.apply_column(tuple(model.derivative_value(s, n) for s in states))
+        return StemValue(path.parts, inverse.apply_column([model.derivative_value(s, n) for s in states]))
 
     return vector
 
@@ -146,30 +136,23 @@ def stem_from_slice(
     return SampledStem(N=path.parts, center=path.endpoint, radius=radius, evaluator=evaluator, grid=grid)
 
 
-def slice_from_stem(stem: SampledStem, units: Sequence[Quaternion], z: complex) -> Quaternion:
-    """Push a stem value back to one slice: zeta(K) against the column."""
-    if len(units) != stem.N:
-        raise LengthMismatch(f"stem of order {stem.N} lifted with {len(units)} units")
-    row = zeta(units)
-    acc = Quaternion()
-    for coeff, entry in zip(row, stem.at(z)):
-        acc = acc + coeff * entry
-    return acc
-
-
 def stem_cr_residual(stem: SampledStem, z: complex, h: float = FD_STEP) -> float:
     """Max norm of (d/dx + sigma * d/dy) applied by central differences."""
     z = complex(z)
     if abs(z - stem.center) > stem.radius - 2 * h:
         raise OutOfDomain(f"{z} too close to the disk rim for step {h}")
-    fx = [(a - b) * (0.5 / h) for a, b in zip(stem.at(z + h), stem.at(z - h))]
-    fy = [(a - b) * (0.5 / h) for a, b in zip(stem.at(z + h * 1j), stem.at(z - h * 1j))]
-    sigma_fy = apply_real_matrix(sigma_matrix(stem.N), fy)
-    return max((a + b).norm() for a, b in zip(fx, sigma_fy))
+    fx = (stem.at(z + h) - stem.at(z - h)).scale(0.5 / h)
+    fy = (stem.at(z + h * 1j) - stem.at(z - h * 1j)).scale(0.5 / h)
+    return (fx + apply_real_matrix(sigma_matrix(stem.N), fy)).max_norm()
 
 
 def _grid_cr_residual(stem: SampledStem) -> float:
-    """CR residual from polar grid neighbours (grid-backed stems only)."""
+    """CR residual from polar grid neighbours (grid-backed stems only).
+
+    Works on the stored entries, not on `StemValue`s: this loop is most of
+    the time of grid validation, and a wrapper per neighbour and per
+    intermediate would cost more than the quaternion arithmetic itself.
+    """
     n_r, n_a = stem.grid
     samples = stem.grid_samples
     dr = stem.radius / (n_r - 1)
@@ -188,7 +171,7 @@ def _grid_cr_residual(stem: SampledStem) -> float:
             cos_p, sin_p = math.cos(phi), math.sin(phi)
             fx = [a * cos_p - b * (sin_p / r) for a, b in zip(d_r, d_phi)]
             fy = [a * sin_p + b * (cos_p / r) for a, b in zip(d_r, d_phi)]
-            sigma_fy = apply_real_matrix(sigma, fy)
+            sigma_fy = apply_real_matrix(sigma, StemValue(stem.N, fy)).entries
             worst = max(worst, max((a + b).norm() for a, b in zip(fx, sigma_fy)))
     return worst
 
@@ -332,10 +315,6 @@ def _interior_probes(stem: SampledStem, margin: float) -> list[complex]:
     return points
 
 
-def _pad(column: Column, width: int) -> Column:
-    return column + (Quaternion(),) * (width - len(column))
-
-
 def validate_stem_system(system: StemSystem, tol: Tolerances = Tolerances()) -> ValidationReport:
     """Run the four coherence conditions and report per-condition results."""
     results = [
@@ -411,7 +390,7 @@ def _check_local_compatibility(system: StemSystem, tol: Tolerances) -> Condition
                 if not _split_exists(full.path, e1.t, e2.t, disk1, disk2):
                     continue
                 for z in _overlap_points(e1.stem, e2.stem):
-                    worst = max(worst, max_component_distance(e1.stem.at(z), e2.stem.at(z)))
+                    worst = max(worst, (e1.stem.at(z) - e2.stem.at(z)).max_norm())
                     checked += 1
     return ConditionResult("local-compatibility", worst <= tol.overlap, worst, tol.overlap, checked)
 
@@ -431,8 +410,8 @@ def _check_axial_compatibility(system: StemSystem, tol: Tolerances) -> Condition
             center = long_entry.stem.center
             reach = 0.9 * min(long_entry.stem.radius, short_entry.stem.radius)
             for x in np.linspace(center.real - reach, center.real + reach, 9):
-                padded = _pad(short_entry.stem.at(complex(x, 0.0)), long_entry.stem.components())
-                worst = max(worst, max_component_distance(long_entry.stem.at(complex(x, 0.0)), padded))
+                padded = StemValue.padded(short_entry.stem.at(complex(x, 0.0)))
+                worst = max(worst, (long_entry.stem.at(complex(x, 0.0)) - padded).max_norm())
                 checked += 1
     return ConditionResult("axial-compatibility", worst <= tol.axial, worst, tol.axial, checked)
 
@@ -444,7 +423,7 @@ def _check_initial_compatibility(system: StemSystem, tol: Tolerances) -> Conditi
         reach = 0.9 * min(e.stem.radius for e in initial_entries)
         x0 = system.x0
         for x in np.linspace(x0 - reach, x0 + reach, 9):
-            columns = [e.stem.at(complex(x, 0.0)) for e in initial_entries]
+            columns = [e.stem.at(complex(x, 0.0)).entries for e in initial_entries]
             for col in columns:
                 for upper in col[1:]:
                     worst = max(worst, upper.norm())
@@ -472,15 +451,11 @@ def _pointwise(op, a: SampledStem, b: SampledStem):
 
 
 def stem_add(s1: StemSystem, s2: StemSystem) -> StemSystem:
-    return _combine(s1, s2, lambda u, v: tuple(x + y for x, y in zip(u, v)), "add")
+    return _combine(s1, s2, operator.add, "add")
 
 
 def stem_star(s1: StemSystem, s2: StemSystem) -> StemSystem:
-    def op(u: Column, v: Column) -> Column:
-        n = (len(u) - 1).bit_length()
-        return star_vector(StemValue(n, u), StemValue(n, v)).entries
-
-    return _combine(s1, s2, op, "star")
+    return _combine(s1, s2, star_vector, "star")
 
 
 # -- JSON interface ----------------------------------------------------------
@@ -496,7 +471,7 @@ def system_to_json(system: StemSystem) -> str:
         paths.append(obj)
         radii.append(e.stem.radius)
         grid_rows = e.stem.sample_grid()
-        samples.append([[[q.to_list() for q in col] for col in row] for row in grid_rows])
+        samples.append([[[q.to_list() for q in col.entries] for col in row] for row in grid_rows])
     return json.dumps({"x0": system.x0, "paths": paths, "radii": radii, "samples": samples})
 
 

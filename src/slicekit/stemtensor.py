@@ -18,9 +18,9 @@ independent Kronecker matrix representation (see `oracle_star`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -71,7 +71,7 @@ def basis_product(n: int, a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class StemValue:
-    """Column of 2**N quaternions: a stem value, a tensor element or an invariant vector."""
+    """2**N quaternions in one column: a stem value, a tensor element or an invariant vector."""
 
     N: int
     entries: tuple[Quaternion, ...]
@@ -79,17 +79,21 @@ class StemValue:
     def __post_init__(self):
         if len(self.entries) != 1 << self.N:
             raise ShapeMismatch(f"stem value of order {self.N} needs {1 << self.N} entries")
-        object.__setattr__(self, "entries", tuple(as_quaternion(e) for e in self.entries))
+        object.__setattr__(self, "entries", tuple(map(as_quaternion, self.entries)))
 
     def __add__(self, other: "StemValue") -> "StemValue":
         if self.N != other.N:
             raise ShapeMismatch("stem values of different order")
-        return StemValue(self.N, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return StemValue(self.N, tuple(map(operator.add, self.entries, other.entries)))
 
     def __sub__(self, other: "StemValue") -> "StemValue":
         if self.N != other.N:
             raise ShapeMismatch("stem values of different order")
-        return StemValue(self.N, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return StemValue(self.N, tuple(map(operator.sub, self.entries, other.entries)))
+
+    def scale(self, factor: float) -> "StemValue":
+        """Every entry times the real `factor`."""
+        return StemValue(self.N, tuple([e * factor for e in self.entries]))
 
     def star(self, other: "StemValue") -> "StemValue":
         return star_vector(self, other)
@@ -145,7 +149,7 @@ def star_vector(a: StemValue, b: StemValue) -> StemValue:
 def sigma_matrix(n: int) -> np.ndarray:
     """Real 2**n square matrix with slot-N imaginary action on the basis.
 
-    Column m holds the expansion of i_{slot N} * b(m); entries are exactly
+    Its column m holds the expansion of i_{slot N} * b(m); entries are exactly
     0 or +-1, one nonzero per row and column, and the square is -identity.
     """
     size = 1 << n
@@ -157,14 +161,14 @@ def sigma_matrix(n: int) -> np.ndarray:
     return sigma
 
 
-def apply_real_matrix(mat: np.ndarray, column: Sequence[Quaternion]) -> tuple[Quaternion, ...]:
-    """Real matrix acting on a quaternion column (reals commute with H)."""
-    rows, cols = mat.shape
-    if cols != len(column):
-        raise ShapeMismatch(f"{rows}x{cols} matrix against column of length {len(column)}")
-    comps = np.array([[q.w, q.x, q.y, q.z] for q in column], dtype=float)
+def apply_real_matrix(mat: np.ndarray, value: StemValue) -> StemValue:
+    """Real square matrix acting on a stem value (reals commute with H)."""
+    size = len(value.entries)
+    if mat.shape != (size, size):
+        raise ShapeMismatch(f"{mat.shape} matrix against a stem value of {size} entries")
+    comps = np.array([[q.w, q.x, q.y, q.z] for q in value.entries], dtype=float)
     out = mat.astype(float) @ comps
-    return tuple(Quaternion(*out[i]) for i in range(rows))
+    return StemValue(value.N, tuple(Quaternion(*row) for row in out))
 
 
 # -- independent Kronecker representation (oracle) --------------------------

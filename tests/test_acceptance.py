@@ -20,9 +20,8 @@ from slicekit.sliceunits import (
     random_slice_unit_matrix,
     slice_diag,
     slice_matrix,
-    stem_structure_sigma,
 )
-from slicekit.stemtensor import StemValue, star_vector
+from slicekit.stemtensor import StemValue, apply_real_matrix, sigma_matrix, star_vector
 
 PI = math.pi
 SEED = 20260810
@@ -144,20 +143,21 @@ def test_criterion_08_structure_identities():
     rng = _rng()
     worst = 0.0
     for n in range(1, 5):
-        sigma = stem_structure_sigma(n)
-        assert sigma.squares_to_minus_identity(), "sigma squared must be minus identity exactly"
+        sigma = sigma_matrix(n)
+        minus_identity = -np.eye(1 << n, dtype=np.int64)
+        assert np.array_equal(sigma @ sigma, minus_identity), "sigma squared must be minus identity exactly"
         slot = stemtensor.slot_imaginary(n, n)
         for m in range(1, (1 << n) + 1):
             basis = StemValue.basis(n, m)
             via_mul = star_vector(slot, basis)
-            via_sigma = StemValue(n, sigma.apply(basis.entries))
+            via_sigma = apply_real_matrix(sigma, basis)
             assert (via_mul - via_sigma).max_norm() == 0.0, "basis relation must be exact"
     for n in (1, 2, 3):
         j = eta(n, random_imaginary_unit(rng))
         m = slice_matrix(j)
         lhs = qmat_mul(slice_diag(j), m)
-        sigma_t = stem_structure_sigma(n).matrix.T
-        rows = [stemtensor.apply_real_matrix(sigma_t, list(m.row(r))) for r in range(m.rows)]
+        sigma_t = sigma_matrix(n).T
+        rows = [apply_real_matrix(sigma_t, StemValue(n, m.row(r))).entries for r in range(m.rows)]
         rhs = QuaternionMatrix(m.rows, m.cols, [q for row in rows for q in row])
         worst = max(worst, (lhs - rhs).max_norm())
     _report("08-structure-identities", worst, 1e-12)
@@ -260,16 +260,16 @@ def test_criterion_12_stem_validator():
 
     base = stems.build_stem_system(monodromy.SqrtModel(), [("beta", beta_path())], radius=0.8)
 
-    def flip(_z, column):
-        out = list(column)
+    def flip(_z, value):
+        out = list(value.entries)
         out[1] = -out[1]
-        return tuple(out)
+        return StemValue(value.N, tuple(out))
 
     def pollute(index):
-        def transform(_z, column):
-            out = list(column)
+        def transform(_z, value):
+            out = list(value.entries)
             out[index] = out[index] + Quaternion(0.25)
-            return tuple(out)
+            return StemValue(value.N, tuple(out))
 
         return transform
 

@@ -177,6 +177,17 @@ def test_starprod_symmetrization(capsys):
     assert coeffs == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
 
 
+def test_starprod_long_literal_matches_file(capsys, tmp_path):
+    # a literal longer than any file name is still read as JSON
+    literal = json.dumps({"coeffs": [[k, -0.5 * k, 0.25, 1.0 / (k + 1)] for k in range(60)]})
+    target = tmp_path / "f.json"
+    target.write_text(literal)
+    code_literal, via_literal, _ = _run(capsys, ["starprod", "--f", literal, "--op", "conj"])
+    code_file, via_file, _ = _run(capsys, ["starprod", "--f", str(target), "--op", "conj"])
+    assert code_literal == code_file == 0
+    assert via_literal == via_file
+
+
 def test_starprod_product(capsys):
     code, out, _ = _run(
         capsys,
@@ -250,14 +261,14 @@ def test_corrupted_structure_matrix_fails_check(capsys, monkeypatch):
     import numpy as np
 
     from slicekit import checks
-    from slicekit.sliceunits import StemStructureMatrix, stem_structure_sigma
+    from slicekit.stemtensor import sigma_matrix
 
     def corrupted(n):
-        good = stem_structure_sigma(n).matrix.copy()
+        good = sigma_matrix(n).copy()  # never edit the cached array itself
         good[0, :] = -good[0, :]  # sign bug
-        return StemStructureMatrix(n, good)
+        return good
 
-    monkeypatch.setattr(checks, "stem_structure_sigma", corrupted)
+    monkeypatch.setattr(checks, "sigma_matrix", corrupted)
     result = checks.check_structure_identities(np.random.default_rng(0))
     assert not result.passed
     assert result.name == "structure-identities"
@@ -278,6 +289,24 @@ def test_tolerance_flag_gates_exit_code(capsys, beta_file):
     capsys.readouterr()
     assert main(base + ["--tol", "1e-30"]) == 1
     capsys.readouterr()
+
+
+def test_nan_unit_is_usage_error(capsys, beta_file):
+    argv = ["monodromy", "--model", "sqrt", "--path", beta_file, "--units", "[NaN,0,0];[0,1,0]"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_nan_arc_radius_is_usage_error(capsys, tmp_path):
+    obj = json.loads(beta_path().to_json())
+    obj["segments"][0]["radius"] = math.nan
+    target = tmp_path / "nan.json"
+    target.write_text(json.dumps(obj))
+    argv = ["monodromy", "--model", "sqrt", "--path", str(target), "--units", "[1,0,0];[0,1,0]"]
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert "non-finite" in err
 
 
 def test_usage_error_exit_code(capsys, beta_file):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,20 @@ def test_unit_constructor_renormalizes():
         ImaginaryUnit(1.1, 0.0, 0.0)
     with pytest.raises(ValueError):
         ImaginaryUnit.from_quaternion(Quaternion(0.5, 1, 0, 0))
+
+
+def test_unit_rejects_nan():
+    with pytest.raises(ValueError):
+        ImaginaryUnit(math.nan, 0.0, 0.0)
+
+
+def test_numpy_integer_scalars():
+    q = Quaternion(1, 2, 3, 4)
+    two = np.int64(2)
+    assert q * two == Quaternion(2, 4, 6, 8)
+    assert two * q == Quaternion(2, 4, 6, 8)
+    assert q / two == Quaternion(0.5, 1, 1.5, 2)
+    assert q + two == Quaternion(3, 2, 3, 4)
 
 
 def test_unit_exp():

@@ -13,11 +13,10 @@ from slicekit.sliceunits import (
     random_slice_unit_matrix,
     slice_diag,
     slice_matrix,
-    stem_structure_sigma,
     unit_product,
     zeta,
 )
-from slicekit.stemtensor import apply_real_matrix
+from slicekit.stemtensor import StemValue, apply_real_matrix, sigma_matrix
 
 ONE = Quaternion(1)
 
@@ -155,19 +154,20 @@ class TestPermutationAlgorithm:
 
 class TestStructureMatrix:
     def test_order_one(self):
-        assert np.array_equal(stem_structure_sigma(1).matrix, [[0, -1], [1, 0]])
+        assert np.array_equal(sigma_matrix(1), [[0, -1], [1, 0]])
 
     def test_order_two(self):
         expected = [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
-        assert np.array_equal(stem_structure_sigma(2).matrix, expected)
+        assert np.array_equal(sigma_matrix(2), expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_squares_to_minus_identity(self, n):
-        assert stem_structure_sigma(n).squares_to_minus_identity()
+        s = sigma_matrix(n)
+        assert np.array_equal(s @ s, -np.eye(1 << n, dtype=np.int64))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_signed_permutation_shape(self, n):
-        mat = stem_structure_sigma(n).matrix
+        mat = sigma_matrix(n)
         assert set(np.unique(mat)) <= {-1, 0, 1}
         assert (np.abs(mat).sum(axis=0) == 1).all()
         assert (np.abs(mat).sum(axis=1) == 1).all()
@@ -205,8 +205,8 @@ class TestSliceDiag:
 
 
 def _matrix_times_sigma(m: QuaternionMatrix, n: int) -> QuaternionMatrix:
-    sigma = stem_structure_sigma(n).matrix
-    rows = [apply_real_matrix(sigma.T, list(m.row(r))) for r in range(m.rows)]
+    sigma = sigma_matrix(n)
+    rows = [apply_real_matrix(sigma.T, StemValue(n, m.row(r))).entries for r in range(m.rows)]
     return QuaternionMatrix.from_rows(rows)
 
 
