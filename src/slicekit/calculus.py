@@ -95,15 +95,25 @@ ONE_POLY = SliceRegularPoly((Quaternion(1.0),))
 
 
 def star_product(f: SliceRegularPoly, g: SliceRegularPoly) -> SliceRegularPoly:
-    """Coefficient convolution c_n = sum_k a_k * b_(n-k), order preserved."""
+    """Coefficient convolution c_n = sum_k a_k * b_(n-k), order preserved.
+
+    Each c_n sums over k in increasing order, skipping zero a_k; each term is
+    the Hamilton product a_k * b_(n-k) with the float expressions of
+    `hamilton_product`.
+    """
     a, b = f.coefficients, g.coefficients
-    out = [Quaternion() for _ in range(len(a) + len(b) - 1)]
+    acc = [[0.0, 0.0, 0.0, 0.0] for _ in range(len(a) + len(b) - 1)]
+    right = [(q.w, q.x, q.y, q.z) for q in b]
     for i, ai in enumerate(a):
         if ai.norm2() == 0.0:
             continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return SliceRegularPoly(tuple(out))
+        aw, ax, ay, az = ai.w, ai.x, ai.y, ai.z
+        for out, (bw, bx, by, bz) in zip(acc[i:], right):
+            out[0] += aw * bw - ax * bx - ay * by - az * bz
+            out[1] += aw * bx + ax * bw + ay * bz - az * by
+            out[2] += aw * by - ax * bz + ay * bw + az * bx
+            out[3] += aw * bz + ax * by - ay * bx + az * bw
+    return SliceRegularPoly(tuple([Quaternion(*out) for out in acc]))
 
 
 def pointwise_star_check(f: SliceRegularPoly, g: SliceRegularPoly, q: Quaternion) -> float:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import checks
@@ -53,6 +54,16 @@ def _parse_path(arg: str) -> NPartPath:
 
 def _parse_poly(arg: str) -> SliceRegularPoly:
     return SliceRegularPoly.from_json_obj(json.loads(_read_maybe_file(arg)))
+
+
+def _positive_radius(text: str) -> float:
+    try:
+        radius = float(text)
+    except ValueError:
+        radius = math.nan
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return radius
 
 
 def _build_model(args) -> SliceFunctionModel:
@@ -168,7 +179,9 @@ def cmd_check(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every `main` call."""
     parser = argparse.ArgumentParser(prog="slicekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -208,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stem.add_argument("--model", required=True, choices=["sqrt", "log", "poly"])
     p_stem.add_argument("--path", required=True, nargs="+", help="anchor path JSON file(s)")
     p_stem.add_argument("--coeffs", help="polynomial coefficients JSON")
-    p_stem.add_argument("--radius", type=float, default=0.8)
+    p_stem.add_argument("--radius", type=_positive_radius, default=0.8)
     p_stem.add_argument("--extra-truncations", default="", help='comma list, e.g. "0.25,0.75"')
     p_stem.add_argument("--out", help="write sampled system JSON here")
     p_stem.set_defaults(fn=cmd_stem)

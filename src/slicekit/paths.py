@@ -220,21 +220,43 @@ def _step_argument(seg, t0, t1, z0, z1, depth) -> float:
     return _step_argument(seg, t0, tm, z0, zm, depth + 1) + _step_argument(seg, tm, t1, zm, z1, depth + 1)
 
 
-def _require_finite(*values: float) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"path JSON holds a non-finite number in {list(values)}")
+def _json_number(value):
+    """A finite JSON number, passed through unchanged; anything else is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"path JSON expects a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"path JSON holds a non-finite number {value!r}")
+    return value
+
+
+def _json_point(value) -> complex:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"path JSON expects a point [x, y], got {value!r}")
+    return complex(_json_number(value[0]), _json_number(value[1]))
 
 
 def segment_from_json_obj(obj: dict) -> PathSegment:
+    if not isinstance(obj, dict):
+        raise ValueError(f"path JSON expects a segment object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "arc":
-        _require_finite(*obj["center"], obj["radius"], obj["theta0"], obj["theta1"])
-        return Arc(complex(*obj["center"]), obj["radius"], obj["theta0"], obj["theta1"])
+        return Arc(
+            _json_point(obj["center"]),
+            _json_number(obj["radius"]),
+            _json_number(obj["theta0"]),
+            _json_number(obj["theta1"]),
+        )
     if kind == "line":
-        _require_finite(*obj["from"], *obj["to"])
-        return Line(complex(*obj["from"]), complex(*obj["to"]))
+        return Line(_json_point(obj["from"]), _json_point(obj["to"]))
     if kind == "chain":
-        return Chain(tuple(segment_from_json_obj(p) for p in obj["pieces"]))
+        pieces = obj["pieces"]
+        if not isinstance(pieces, list):
+            raise ValueError(f"path JSON expects a list of chain pieces, got {pieces!r}")
+        return Chain(tuple(segment_from_json_obj(p) for p in pieces))
     raise ValueError(f"unknown segment kind {kind!r}")
 
 
@@ -306,7 +328,10 @@ class NPartPath:
     @classmethod
     def from_json(cls, text: str) -> "NPartPath":
         data = json.loads(text)
-        return make_npart_path([segment_from_json_obj(o) for o in data["segments"]])
+        segments = data.get("segments") if isinstance(data, dict) else None
+        if not isinstance(segments, list):
+            raise ValueError('path JSON must be an object with a "segments" list')
+        return make_npart_path([segment_from_json_obj(o) for o in segments])
 
 
 def make_npart_path(segments: Sequence[PathSegment]) -> NPartPath:

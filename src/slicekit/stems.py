@@ -25,7 +25,7 @@ from .paths import Line, NPartPath, segment_from_json_obj
 from .quat import I as UNIT_I
 from .quat import Quaternion
 from .sliceunits import eta, eta_inverse
-from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, star_vector
+from .stemtensor import StemValue, apply_real_matrix, nan_max, sigma_matrix, star_vector
 
 DEFAULT_GRID = (17, 64)
 FD_STEP = 1e-5
@@ -172,7 +172,7 @@ def _grid_cr_residual(stem: SampledStem) -> float:
             fx = [a * cos_p - b * (sin_p / r) for a, b in zip(d_r, d_phi)]
             fy = [a * sin_p + b * (cos_p / r) for a, b in zip(d_r, d_phi)]
             sigma_fy = apply_real_matrix(sigma, StemValue(stem.N, fy)).entries
-            worst = max(worst, max((a + b).norm() for a, b in zip(fx, sigma_fy)))
+            worst = nan_max([worst] + [(a + b).norm() for a, b in zip(fx, sigma_fy)])
     return worst
 
 
@@ -331,11 +331,11 @@ def _check_holomorphy(system: StemSystem, tol: Tolerances) -> ConditionResult:
     for entry in system.entries:
         stem = entry.stem
         if stem.evaluator is None:
-            worst = max(worst, _grid_cr_residual(stem))
+            worst = nan_max([worst, _grid_cr_residual(stem)])
             checked += 1
             continue
         for z in _interior_probes(stem, margin=2 * tol.h):
-            worst = max(worst, stem_cr_residual(stem, z, tol.h))
+            worst = nan_max([worst, stem_cr_residual(stem, z, tol.h)])
             checked += 1
     bound = tol.cr if all(e.stem.evaluator is not None for e in system.entries) else tol.cr_grid
     return ConditionResult("holomorphy", worst <= bound, worst, bound, checked)
@@ -390,7 +390,7 @@ def _check_local_compatibility(system: StemSystem, tol: Tolerances) -> Condition
                 if not _split_exists(full.path, e1.t, e2.t, disk1, disk2):
                     continue
                 for z in _overlap_points(e1.stem, e2.stem):
-                    worst = max(worst, (e1.stem.at(z) - e2.stem.at(z)).max_norm())
+                    worst = nan_max([worst, (e1.stem.at(z) - e2.stem.at(z)).max_norm()])
                     checked += 1
     return ConditionResult("local-compatibility", worst <= tol.overlap, worst, tol.overlap, checked)
 
@@ -411,7 +411,7 @@ def _check_axial_compatibility(system: StemSystem, tol: Tolerances) -> Condition
             reach = 0.9 * min(long_entry.stem.radius, short_entry.stem.radius)
             for x in np.linspace(center.real - reach, center.real + reach, 9):
                 padded = StemValue.padded(short_entry.stem.at(complex(x, 0.0)))
-                worst = max(worst, (long_entry.stem.at(complex(x, 0.0)) - padded).max_norm())
+                worst = nan_max([worst, (long_entry.stem.at(complex(x, 0.0)) - padded).max_norm()])
                 checked += 1
     return ConditionResult("axial-compatibility", worst <= tol.axial, worst, tol.axial, checked)
 
@@ -426,10 +426,10 @@ def _check_initial_compatibility(system: StemSystem, tol: Tolerances) -> Conditi
             columns = [e.stem.at(complex(x, 0.0)).entries for e in initial_entries]
             for col in columns:
                 for upper in col[1:]:
-                    worst = max(worst, upper.norm())
+                    worst = nan_max([worst, upper.norm()])
                 checked += 1
             for col in columns[1:]:
-                worst = max(worst, (col[0] - columns[0][0]).norm())
+                worst = nan_max([worst, (col[0] - columns[0][0]).norm()])
     return ConditionResult("initial-compatibility", worst <= tol.initial, worst, tol.initial, checked)
 
 

@@ -18,6 +18,7 @@ independent Kronecker matrix representation (see `oracle_star`).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,6 +70,15 @@ def basis_product(n: int, a: int, b: int) -> tuple[int, int]:
     return c, sign
 
 
+def nan_max(values: list[float]) -> float:
+    """max(values), but NaN when any value is NaN.
+
+    The builtin keeps a NaN only in first place (NaN > x is false), so a NaN
+    residual would otherwise vanish into a passing worst case.
+    """
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 @dataclass(frozen=True)
 class StemValue:
     """2**N quaternions in one column: a stem value, a tensor element or an invariant vector."""
@@ -99,7 +109,8 @@ class StemValue:
         return star_vector(self, other)
 
     def max_norm(self) -> float:
-        return max(e.norm() for e in self.entries)
+        """Largest entry norm; NaN when any entry holds a NaN."""
+        return nan_max([e.norm() for e in self.entries])
 
     @classmethod
     def basis(cls, n: int, index: int) -> "StemValue":
@@ -128,21 +139,50 @@ def slot_imaginary(n: int, slot: int) -> StemValue:
     raise IndexOutOfRange(f"no basis element with bare slot {slot}")  # pragma: no cover
 
 
+@lru_cache(maxsize=None)
+def _product_table(n: int) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """`basis_product` for every pair: row ma - 1 holds (c - 1, sign < 0) per mb."""
+    size = 1 << n
+    return tuple(
+        tuple((c - 1, sign < 0) for c, sign in (basis_product(n, ma, mb) for mb in range(1, size + 1)))
+        for ma in range(1, size + 1)
+    )
+
+
 def star_vector(a: StemValue, b: StemValue) -> StemValue:
-    """Star product: bilinear extension of the basis law, H entries keep order a, b."""
+    """Star product: bilinear extension of the basis law, H entries keep order a, b.
+
+    Sums run over the nonzero entries of `a`, then of `b`, in index order; each
+    term is the Hamilton product of the two entries (same float expressions as
+    `hamilton_product`), added or subtracted by the sign of `basis_product`.
+    """
     if a.N != b.N:
         raise ShapeMismatch("stem values of different order")
-    out = [Quaternion() for _ in range(1 << a.N)]
-    for ma, ca in enumerate(a.entries, start=1):
-        if ca.norm2() == 0.0:
+    table = _product_table(a.N)
+    acc = [[0.0, 0.0, 0.0, 0.0] for _ in a.entries]
+    right = [(mb, q.w, q.x, q.y, q.z) for mb, q in enumerate(b.entries) if q.norm2() != 0.0]
+    for row, qa in zip(table, a.entries):
+        if qa.norm2() == 0.0:
             continue
-        for mb, cb in enumerate(b.entries, start=1):
-            if cb.norm2() == 0.0:
-                continue
-            c, sign = basis_product(a.N, ma, mb)
-            term = ca * cb
-            out[c - 1] = out[c - 1] + (term if sign > 0 else -term)
-    return StemValue(a.N, tuple(out))
+        aw, ax, ay, az = qa.w, qa.x, qa.y, qa.z
+        for mb, bw, bx, by, bz in right:
+            w = aw * bw - ax * bx - ay * by - az * bz
+            x = aw * bx + ax * bw + ay * bz - az * by
+            y = aw * by - ax * bz + ay * bw + az * bx
+            z = aw * bz + ax * by - ay * bx + az * bw
+            c, negative = row[mb]
+            out = acc[c]
+            if negative:
+                out[0] -= w
+                out[1] -= x
+                out[2] -= y
+                out[3] -= z
+            else:
+                out[0] += w
+                out[1] += x
+                out[2] += y
+                out[3] += z
+    return StemValue(a.N, tuple([Quaternion(*out) for out in acc]))
 
 
 @lru_cache(maxsize=None)

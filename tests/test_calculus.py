@@ -21,7 +21,7 @@ from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_li
 from slicekit.paths import Line, beta_path, make_npart_path
 from slicekit.quat import Quaternion, random_imaginary_unit
 
-from oracles import numeric_slice_derivative
+from oracles import bits, numeric_slice_derivative, per_term_star_product, sparse_quaternions
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -43,6 +43,14 @@ def _coeff_distance(f, g):
 
 
 class TestStarProduct:
+    def test_matches_per_term_loop_bitwise(self, rng):
+        # degrees 0..64 with zero coefficients (signed zeros, underflowing norms) inside
+        for degree in range(65):
+            f = SliceRegularPoly(tuple(sparse_quaternions(degree + 1, rng)))
+            g = SliceRegularPoly(tuple(sparse_quaternions(int(rng.integers(1, 66)), rng)))
+            for x, y in ((f, g), (g, f), (f, regular_conjugate(f))):
+                assert bits(star_product(x, y).coefficients) == bits(per_term_star_product(x, y).coefficients)
+
     def test_left_identity_exact(self, rng):
         f = _random_poly(rng, 4)
         assert star_product(ONE_POLY, f).coefficients == f.coefficients

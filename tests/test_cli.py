@@ -1,9 +1,18 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slicekit.cli import main
+import slicekit
+from slicekit.cli import SEED_ENV, build_parser, main
 from slicekit.paths import Line, beta_path, make_npart_path
 from slicekit.quat import Quaternion
 
@@ -319,3 +328,137 @@ def test_usage_error_exit_code(capsys, beta_file):
     assert main(["repformula", *seeded, *lifted]) == 2
     assert main(["starprod", *seeded, "--f", '{"coeffs": [[1,0,0,0]]}', "--op", "conj"]) == 2
     assert main(["stem", *seeded, "--model", "sqrt", "--path", beta_file]) == 2
+
+
+@pytest.mark.parametrize("radius", ["nan", "-0.5", "inf", "0"])
+def test_stem_radius_must_be_finite_and_positive(capsys, beta_file, radius):
+    code, out, err = _run(capsys, ["stem", "--model", "sqrt", "--path", beta_file, "--radius", radius])
+    assert code == 2
+    assert out == ""
+    assert "--radius" in err
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        '{"segments": 5}',
+        "[1]",
+        "null",
+        '{"segments": [1]}',
+        '{"segments": [{"kind": "line", "from": ["a", 0], "to": [1, 0]}]}',
+        '{"segments": [{"kind": "line", "from": [1, 0, 0], "to": [1, 0]}]}',
+        '{"segments": [{"kind": "arc", "center": [0, 0], "radius": "1", "theta0": 0, "theta1": 1}]}',
+        '{"segments": [{"kind": "arc", "center": [0,0], "radius": 1%s, "theta0": 0, "theta1": 1}]}' % ("0" * 400),
+        '{"segments": [{"kind": "chain", "pieces": 7}]}',
+    ],
+    ids=[
+        "segments-not-a-list",
+        "document-a-list",
+        "document-null",
+        "segment-not-an-object",
+        "string-coordinate",
+        "three-coordinates",
+        "string-radius",
+        "radius-beyond-float-range",
+        "pieces-not-a-list",
+    ],
+)
+def test_malformed_path_json_is_usage_error(capsys, path):
+    code, out, err = _run(capsys, ["monodromy", "--model", "sqrt", "--path", path, "--units", "[1,0,0]"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def _is_point_coordinate(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_NOT_NUMBER = _JSON.filter(lambda v: not _is_point_coordinate(v))
+_NOT_POINT = _JSON.filter(
+    lambda v: not (isinstance(v, list) and len(v) == 2 and all(map(_is_point_coordinate, v)))
+)
+
+
+@st.composite
+def _malformed_path_json(draw) -> str:
+    """The beta path JSON with one defect of shape or type somewhere."""
+    doc = json.loads(beta_path().to_json())
+    segments = doc["segments"]
+    defect = draw(st.sampled_from(["document", "segments", "segment", "chain", "field", "missing"]))
+    idx = draw(st.integers(0, len(segments) - 1))
+    if defect == "document":
+        doc = draw(_JSON.filter(lambda v: not (isinstance(v, dict) and isinstance(v.get("segments"), list))))
+    elif defect == "segments":
+        doc["segments"] = draw(_JSON.filter(lambda v: not isinstance(v, list)))
+    elif defect == "segment":
+        segments[idx] = draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    elif defect == "chain":
+        segments[idx] = {"kind": "chain", "pieces": draw(_JSON.filter(lambda v: not isinstance(v, list)))}
+    else:
+        segment = segments[idx]
+        key = draw(st.sampled_from(sorted(segment)))
+        if defect == "missing":
+            del segment[key]
+        elif key == "kind":
+            segment[key] = draw(_JSON.filter(lambda v: v != "arc"))
+        elif key == "center":
+            segment[key] = draw(_NOT_POINT)
+        else:
+            segment[key] = draw(_NOT_NUMBER)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(path=_malformed_path_json())
+def test_malformed_path_json_fuzz(path):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["monodromy", "--model", "sqrt", "--path", path, "--units", "[1,0,0];[0,1,0]"])
+    assert code in (2, 3)
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    """A usage error, a starprod and two seeded checks in one process, each as a fresh process prints it."""
+    build_parser.cache_clear()
+    f, g = '{"coeffs": [[1,2,0,0],[0,0,1,0]]}', '{"coeffs": [[0,1,0,0],[3,0,0,1]]}'
+    starprod = ["starprod", "--f", f, "--g", g]
+    check = ["check", "--suite", "star", "--format", "json"]
+    runs = [(["starprod", "--op", "bogus", "--f", "{}"], None), (starprod, None), (check, "7"), (check, "11")]
+    in_process = []
+    for argv, seed in runs:
+        if seed is None:
+            monkeypatch.delenv(SEED_ENV, raising=False)
+        else:
+            monkeypatch.setenv(SEED_ENV, seed)
+        in_process.append(_run(capsys, argv))
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0]
+    assert in_process[2][1] != in_process[3][1]
+
+    src = str(Path(slicekit.__file__).resolve().parents[1])
+    for (argv, seed), got in zip(runs, in_process):
+        env = {k: v for k, v in os.environ.items() if k != SEED_ENV}
+        env["PYTHONPATH"] = src
+        if seed is not None:
+            env[SEED_ENV] = seed
+        fresh = subprocess.run(
+            [sys.executable, "-m", "slicekit.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -205,6 +206,33 @@ class TestValidator:
     def test_vacuous_overlaps_pass(self):
         report = validate_stem_system(_sqrt_system())
         assert report.condition("local-compatibility").passed
+
+    def test_nan_residual_fails_holomorphy(self):
+        system = _sqrt_system()
+        entry = system.entry("beta[2/2-]")
+
+        def poison(_z, value):
+            out = list(value.entries)
+            out[1] = Quaternion(math.nan)
+            return StemValue(value.N, tuple(out))
+
+        report = validate_stem_system(system.with_stem("beta[2/2-]", entry.stem.map(poison)))
+        holomorphy = report.condition("holomorphy")
+        assert not holomorphy.passed
+        assert math.isnan(holomorphy.worst)
+
+    def test_nan_grid_sample_fails_holomorphy(self):
+        system = system_from_json(system_to_json(_sqrt_system()))
+        stem = system.entry("beta[2/2-]").stem
+        rows = [list(row) for row in stem.grid_samples]
+        column = list(rows[5][3])
+        column[1] = Quaternion(math.nan)
+        rows[5][3] = tuple(column)
+        poisoned = replace(stem, grid_samples=tuple(tuple(row) for row in rows))
+        assert validate_stem_system(system).condition("holomorphy").passed
+        holomorphy = validate_stem_system(system.with_stem("beta[2/2-]", poisoned)).condition("holomorphy")
+        assert not holomorphy.passed
+        assert math.isnan(holomorphy.worst)
 
 
 class TestSystemAlgebra:

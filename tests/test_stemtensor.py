@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from slicekit.errors import ShapeMismatch
 from slicekit.quat import Quaternion
 from slicekit.stemtensor import (
     StemValue,
+    _product_table,
     basis_product,
     kron_matrix,
     oracle_star,
@@ -13,6 +16,8 @@ from slicekit.stemtensor import (
     star_vector,
     tensor_from_kron,
 )
+
+from oracles import bits, per_term_star_vector, sparse_quaternions
 
 
 def _random_stem(n, rng):
@@ -92,6 +97,10 @@ class TestStarVector:
                 b = _random_stem(n, rng)
                 assert (star_vector(a, b) - oracle_star(a, b)).max_norm() < 1e-12
 
+    def test_max_norm_keeps_nan(self):
+        assert math.isnan(StemValue(1, (Quaternion(1.0), Quaternion(math.nan))).max_norm())
+        assert StemValue(1, (Quaternion(1.0), Quaternion(0, 2, 0, 0))).max_norm() == 2.0
+
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):
             star_vector(_random_stem(1, rng), _random_stem(2, rng))
@@ -136,3 +145,27 @@ def test_kron_matrix_is_faithful(rng):
         a = _random_stem(2, rng)
         recovered = tensor_from_kron(2, kron_matrix(a))
         assert (recovered - a).max_norm() < 1e-12
+
+
+class TestTableKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_table_agrees_with_basis_product(self, n):
+        size = 1 << n
+        table = _product_table(n)
+        assert len(table) == size
+        for ma in range(1, size + 1):
+            assert len(table[ma - 1]) == size
+            for mb in range(1, size + 1):
+                c, sign = basis_product(n, ma, mb)
+                assert table[ma - 1][mb - 1] == (c - 1, sign < 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_term_loop_bitwise(self, n, rng):
+        zero = StemValue(n, (Quaternion(),) * (1 << n))
+        pairs = [(zero, _random_stem(n, rng)), (_random_stem(n, rng), zero)]
+        for _ in range(4):
+            a = StemValue(n, tuple(sparse_quaternions(1 << n, rng)))
+            b = StemValue(n, tuple(sparse_quaternions(1 << n, rng)))
+            pairs += [(a, b), (b, a)]
+        for a, b in pairs:
+            assert bits(star_vector(a, b).entries) == bits(per_term_star_vector(a, b).entries)
