@@ -9,6 +9,7 @@ extension of the pointwise product on the real axis).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,10 +25,11 @@ from .monodromy import (
     _poly_derivative,
     _poly_eval,
 )
-from .paths import NPartPath
+from .paths import NPartPath, _json_number
 from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse
 from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, slot_imaginary, star_vector
-from .stems import FD_STEP, stem_derivative_family
+from .stems import stem_derivative_family
+from .tolerances import FD_STEP, ON_AXIS_TOL, SYMMETRIZATION_ZERO_TOL
 
 
 def _trim(coeffs: tuple[Quaternion, ...]) -> tuple[Quaternion, ...]:
@@ -80,7 +82,15 @@ class SliceRegularPoly:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SliceRegularPoly":
-        return cls(tuple(Quaternion.from_list(c) for c in obj["coeffs"]))
+        coeffs = obj.get("coeffs") if isinstance(obj, dict) else None
+        if not isinstance(coeffs, list) or any(not isinstance(c, list) or len(c) != 4 for c in coeffs):
+            raise ValueError('polynomial JSON must be {"coeffs": [[w, x, y, z], ...]}')
+        numbers = list(itertools.chain.from_iterable(coeffs))
+        # finite floats pass in one sweep at C speed; anything else takes the exact check and its message
+        if not (set(map(type, numbers)) <= {float} and all(map(math.isfinite, numbers))):
+            for value in numbers:
+                _json_number(value)
+        return cls(tuple(Quaternion(*c) for c in coeffs))
 
     @classmethod
     def constant(cls, value) -> "SliceRegularPoly":
@@ -283,10 +293,10 @@ def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciproc
     The symmetrization has real coefficients, so its zero spheres come from
     the complex roots; any root inside the domain aborts.  A deterministic
     shell probe (Fibonacci directions on nested spheres) additionally guards
-    the near-zero case |f^s| < 1e-9 on bounded domains.
+    the near-zero case |f^s| < SYMMETRIZATION_ZERO_TOL on bounded domains.
     """
     sym = symmetrization(f)
-    if max(c.norm() for c in sym.coefficients) < 1e-9:
+    if max(c.norm() for c in sym.coefficients) < SYMMETRIZATION_ZERO_TOL:
         raise SymmetrizationZero("symmetrization is identically zero", witness=Quaternion())
     for root in _symmetrization_roots(sym):
         witness = Quaternion(root.real, abs(root.imag), 0.0, 0.0)
@@ -300,7 +310,7 @@ def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciproc
                 q = center + Quaternion(0.0, *(r * d))
                 if not domain.contains(q):
                     continue
-                if sym(q).norm() < 1e-9:
+                if sym(q).norm() < SYMMETRIZATION_ZERO_TOL:
                     raise SymmetrizationZero(f"symmetrization below 1e-9 at {q!r}", witness=q)
     return StarReciprocal(f, domain)
 
@@ -335,7 +345,7 @@ def _principal_derivative(model: SliceFunctionModel, z0: complex, n: int) -> com
 def _slice_split(q: Quaternion) -> tuple[complex, Quaternion]:
     """Complex coordinate and slice unit of a quaternion (unit i for reals)."""
     y = q.imag_norm()
-    if y < 1e-15:
+    if y < ON_AXIS_TOL:
         return complex(q.w, 0.0), Quaternion(0, 1, 0, 0)
     return complex(q.w, y), Quaternion(0, q.x / y, q.y / y, q.z / y)
 
@@ -357,7 +367,7 @@ def taylor_eval(f_model, q0, q, terms: int) -> Quaternion:
         z0, unit0 = _slice_split(q0)
         if z0.real <= 0:
             raise OutOfBall(f"expansion point {q0!r} outside the principal half plane")
-        r_valid = abs(z0) if abs(z0.imag) < 1e-15 else min(abs(z0), z0.real)
+        r_valid = abs(z0) if abs(z0.imag) < ON_AXIS_TOL else min(abs(z0), z0.real)
         zq, _ = _slice_split(q)
         if abs(zq - z0) >= r_valid or abs(zq.conjugate() - z0) >= r_valid:
             raise OutOfBall(f"{q!r} outside the sigma-ball of radius {r_valid:g} at {q0!r}")
@@ -374,7 +384,7 @@ def taylor_eval(f_model, q0, q, terms: int) -> Quaternion:
     for n in range(1, terms):
         factorial *= n
         size = power.norm()
-        if size < 1e-250:
+        if size < 1e-250:  # 1 / size would overflow, and every later power is zero too
             break
         unit = power * (1.0 / size)  # conjugation only needs the direction
         moved = unit.conjugate() * q * unit if n > 1 else q
@@ -413,7 +423,6 @@ def stem_series_check(
     path: NPartPath,
     radius: float,
     terms: int = 30,
-    max_route_order: int = 2,
 ) -> SeriesReport:
     """Compare the three derivative routes and both series expansions.
 
@@ -429,11 +438,11 @@ def stem_series_check(
     sigma = sigma_matrix(n_parts).astype(float)
     size = 1 << n_parts
 
-    # route agreement at the disk center
+    # route agreement at the disk center, for the first and second derivative
     h = FD_STEP
     route_dev = 0.0
     slot_n = slot_imaginary(n_parts, n_parts)
-    for order in range(1, max_route_order + 1):
+    for order in (1, 2):
         base = lambda z: vector(z, order - 1)  # noqa: E731
         fx = (base(z0 + h) - base(z0 - h)).scale(0.5 / h)
         fy = (base(z0 + h * 1j) - base(z0 - h * 1j)).scale(0.5 / h)

@@ -28,7 +28,7 @@ from .monodromy import (
 from .paths import NPartPath
 from .quat import ImaginaryUnit, Quaternion, quat_inverse
 from .representation import evaluate_via_formula, invariance_check, representation_vector
-from .sliceunits import SliceUnitMatrix, eta
+from .sliceunits import SliceUnitMatrix, eta, unit_from_json
 from .stems import build_stem_system, system_to_json, validate_stem_system
 
 SEED_ENV = "SLICEKIT_SEED"
@@ -45,7 +45,7 @@ def _read_maybe_file(arg: str) -> str:
 
 def _parse_units(text: str) -> tuple[ImaginaryUnit, ...]:
     parts = [p for p in text.split(";") if p.strip()]
-    return tuple(ImaginaryUnit.from_list(json.loads(p)) for p in parts)
+    return tuple(unit_from_json(json.loads(p)) for p in parts)
 
 
 def _parse_path(arg: str) -> NPartPath:
@@ -56,14 +56,22 @@ def _parse_poly(arg: str) -> SliceRegularPoly:
     return SliceRegularPoly.from_json_obj(json.loads(_read_maybe_file(arg)))
 
 
-def _positive_radius(text: str) -> float:
-    try:
-        radius = float(text)
-    except ValueError:
-        radius = math.nan
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return radius
+def _finite_float(admissible, requirement: str):
+    """argparse type: a finite float that `admissible` accepts; anything else is a usage error (exit 2)."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and admissible(value)):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_radius = _finite_float(lambda value: value > 0.0, "a finite positive number")
+_tolerance = _finite_float(lambda value: value >= 0.0, "a finite number >= 0")
+_real_point = _finite_float(lambda value: True, "a finite number")
 
 
 def _build_model(args) -> SliceFunctionModel:
@@ -189,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, choices=["sqrt", "log", "poly"])
         p.add_argument("--path", required=True, help="path JSON file or literal JSON")
         p.add_argument("--coeffs", help="polynomial coefficients JSON (for --model poly)")
-        p.add_argument("--x0", type=float, default=None, help="expected real starting point")
+        p.add_argument("--x0", type=_real_point, default=None, help="expected real starting point")
         p.add_argument(
-            "--tol", type=float, default=None, help="fail (exit 1) when the reported deviation exceeds this"
+            "--tol", type=_tolerance, default=None, help="fail (exit 1) when the reported deviation exceeds this"
         )
         if with_units:
             p.add_argument("--units", help='lift units, e.g. "[0,0,1];[0,1,0]"')

@@ -2,7 +2,11 @@
 
 
 class SliceKitError(Exception):
-    """Base class for all slicekit errors."""
+    """Base class for all slicekit errors; keyword arguments become attributes carrying its context."""
+
+    def __init__(self, *args, **context):
+        super().__init__(*args)
+        vars(self).update(context)
 
 
 class ZeroDivisor(SliceKitError):
@@ -46,7 +50,9 @@ class BranchPoint(SliceKitError):
 
 
 class BranchPointCrossing(SliceKitError):
-    """Continuation segment passes through a branch point."""
+    """Continuation passes through a branch point: `clearance` did not exceed `tolerance`."""
+
+    clearance = tolerance = None
 
 
 class NotAtRealPoint(SliceKitError):
@@ -54,7 +60,9 @@ class NotAtRealPoint(SliceKitError):
 
 
 class KeysDiffer(SliceKitError):
-    """Paths claimed to reach one point have distinct germ keys."""
+    """Paths claimed to reach one point have distinct germ keys, held in `keys`."""
+
+    keys = None
 
 
 class IncompatibleSupports(SliceKitError):
@@ -70,8 +78,6 @@ class OutOfBall(SliceKitError):
 
 
 class SymmetrizationZero(SliceKitError):
-    """Symmetrization vanishes somewhere on the requested domain."""
+    """Symmetrization vanishes somewhere on the requested domain, at `witness`."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    witness = None

@@ -25,14 +25,7 @@ from .errors import (
 )
 from .paths import NPartPath, PathSegment
 from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse, unit_exp
-
-#: segments closer than this to the origin cross the branch locus
-BRANCH_TOL = 1e-9
-
-#: tolerance for "the projected point is real"
-REAL_TOL = 1e-9
-
-GERM_TOL = 1e-9
+from .tolerances import BRANCH_TOL, GERM_TOL, REAL_TOL, SEGMENT_START_TOL, START_TOL
 
 
 @dataclass(frozen=True)
@@ -60,8 +53,8 @@ class GermKey:
     point: Quaternion
     value: Quaternion
 
-    def isclose(self, other: "GermKey", tol: float = GERM_TOL) -> bool:
-        return (self.point - other.point).norm() <= tol and (self.value - other.value).norm() <= tol
+    def isclose(self, other: "GermKey") -> bool:
+        return (self.point - other.point).norm() <= GERM_TOL and (self.value - other.value).norm() <= GERM_TOL
 
 
 def _poly_eval(coeffs: Sequence[Quaternion], q: Quaternion) -> Quaternion:
@@ -218,11 +211,12 @@ def initial_state(model: SliceFunctionModel, x0: float, unit: Quaternion) -> She
 def continue_segment(model: SliceFunctionModel, state: SheetState, seg: PathSegment) -> SheetState:
     """Slide the state along one complex segment inside the current slice."""
     z_here = state.complex_point
-    if abs(seg.start - z_here) > 1e-7 * max(1.0, abs(z_here)):
+    if abs(seg.start - z_here) > SEGMENT_START_TOL * max(1.0, abs(z_here)):
         raise ValueError(f"segment starts at {seg.start}, state sits at {z_here}")
     clearance = seg.min_distance_to_origin()
     if model.is_branched() and clearance <= BRANCH_TOL:
-        raise BranchPointCrossing(f"segment passes within {clearance:g} of the branch point")
+        message = f"segment passes within {clearance:g} of the branch point"
+        raise BranchPointCrossing(message, clearance=clearance, tolerance=BRANCH_TOL)
     if clearance <= BRANCH_TOL:
         # entire model: winding is irrelevant, restart from the principal arg
         z_end = seg.end
@@ -249,7 +243,6 @@ def final_state(
     path: NPartPath,
     units: Sequence[Quaternion],
     x0: float | None = None,
-    initial_unit: Quaternion | None = None,
 ) -> SheetState:
     """Fold continuation and junction switches over the parts of a lift."""
     if len(units) != path.parts:
@@ -257,11 +250,9 @@ def final_state(
     start = path.initial_point
     if abs(start.imag) > REAL_TOL:
         raise BranchPoint(f"path must start on the real axis, got {start}")
-    if x0 is not None and abs(start.real - x0) > 1e-9:
+    if x0 is not None and abs(start.real - x0) > START_TOL:
         raise ValueError(f"path starts at {start.real}, expected {x0}")
-    state = initial_state(model, start.real, initial_unit if initial_unit is not None else units[0])
-    if initial_unit is not None:
-        state = junction_switch(model, state, units[0])
+    state = initial_state(model, start.real, units[0])
     for part, seg in enumerate(path.segments):
         if part > 0:
             state = junction_switch(model, state, units[part])
@@ -274,10 +265,9 @@ def evaluate_lifted(
     path: NPartPath,
     units: Sequence[Quaternion],
     x0: float | None = None,
-    initial_unit: Quaternion | None = None,
 ) -> Quaternion:
     """Value of the continued function at the endpoint of the lifted path."""
-    return model.value(final_state(model, path, units, x0, initial_unit))
+    return model.value(final_state(model, path, units, x0))
 
 
 def germ_key(model: SliceFunctionModel, state: SheetState) -> GermKey:

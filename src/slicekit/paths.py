@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,8 +23,9 @@ from .errors import (
     OutOfRange,
 )
 from .quat import Quaternion, embed_slice
+from .tolerances import JUNCTION_TOL, PARAMETER_TOL
 
-JUNCTION_TOL = 1e-9
+_ARGUMENT_STEPS = 64  # chords per curve in the tracked argument increment, each halved as needed
 
 
 class PathSegment:
@@ -197,7 +199,7 @@ class Chain(PathSegment):
         return {"kind": "chain", "pieces": [p.to_json_obj() for p in self.pieces]}
 
 
-def _tracked_argument_increment(seg: PathSegment, steps: int = 64) -> float:
+def _tracked_argument_increment(seg: PathSegment) -> float:
     """Accumulate principal-argument steps along a finely sampled curve.
 
     Each sub-step is halved until the chord stays well inside the distance to
@@ -205,8 +207,8 @@ def _tracked_argument_increment(seg: PathSegment, steps: int = 64) -> float:
     """
     total = 0.0
     prev = seg.at(0.0)
-    for k in range(steps):
-        t0, t1 = k / steps, (k + 1) / steps
+    for k in range(_ARGUMENT_STEPS):
+        t0, t1 = k / _ARGUMENT_STEPS, (k + 1) / _ARGUMENT_STEPS
         total += _step_argument(seg, t0, t1, prev, seg.at(t1), depth=0)
         prev = seg.at(t1)
     return total
@@ -222,14 +224,12 @@ def _step_argument(seg, t0, t1, z0, z1, depth) -> float:
 
 def _json_number(value):
     """A finite JSON number, passed through unchanged; anything else is a ValueError."""
+    if type(value) is float and math.isfinite(value):  # the common case first: polynomials check every number
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"path JSON expects a number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"path JSON holds a non-finite number {value!r}")
+        raise ValueError(f"JSON expects a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an integer beyond the float range
+        raise ValueError(f"JSON holds a non-finite number {value!r}")
     return value
 
 
@@ -305,7 +305,7 @@ class NPartPath:
             raise OutOfRange(f"parameter {t} outside [0, 1]")
         n = self.parts
         scaled = t * n
-        if t > 0.0 and abs(scaled - round(scaled)) < 1e-12:
+        if t > 0.0 and abs(scaled - round(scaled)) < PARAMETER_TOL:
             return NPartPath(self.segments[: int(round(scaled))])
         return self.truncate(t)
 
@@ -389,9 +389,9 @@ def lift(path: NPartPath, units: Sequence[Quaternion]) -> LiftedPath:
 # -- stock paths used throughout the examples -------------------------------
 
 
-def half_turns(m: int, radius: float = 1.0) -> Arc:
-    """Arc exp(i * m * pi * t) on [0, 1]: m half turns starting at +radius."""
-    return Arc(0j, radius, 0.0, m * math.pi)
+def half_turns(m: int) -> Arc:
+    """Arc exp(i * m * pi * t) on [0, 1]: m half turns of the unit circle from +1."""
+    return Arc(0j, 1.0, 0.0, m * math.pi)
 
 
 def constant_path(x0: complex) -> NPartPath:

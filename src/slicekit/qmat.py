@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import ShapeMismatch, Singular
 from .quat import Quaternion, as_quaternion
-
-#: singular values below RANK_CUTOFF * largest are treated as zero
-RANK_CUTOFF = 1e-10
+from .tolerances import RANK_CUTOFF
 
 
 class QuaternionMatrix:

@@ -15,12 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ZeroDivisor
-
-#: default tolerance for "is effectively zero / unit" decisions
-TOL = 1e-12
-
-#: unit inputs are renormalised when within this distance of unit norm
-UNIT_TOL = 1e-9
+from .tolerances import TOL, UNIT_TOL
 
 # int and float first: isinstance against the numbers ABC is the slow path
 _REAL = (int, float, numbers.Real)
@@ -103,9 +98,6 @@ class Quaternion:
 
     def inverse(self) -> "Quaternion":
         return quat_inverse(self)
-
-    def isclose(self, other, tol: float = TOL) -> bool:
-        return (self - as_quaternion(other)).norm() <= tol
 
     # -- serialization ----------------------------------------------------
 
@@ -203,13 +195,6 @@ def embed_slice(z: complex, unit: Quaternion) -> Quaternion:
     )
 
 
-def is_imaginary_unit(q: Quaternion, tol: float) -> bool:
-    """True iff |Re q| <= tol and ||q| - 1| <= tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return abs(q.w) <= tol and abs(q.norm() - 1.0) <= tol
-
-
 def unit_exp(theta: float, unit: Quaternion) -> Quaternion:
     """exp(theta * unit) = cos(theta) + sin(theta) * unit for a unit imaginary."""
     c, s = math.cos(theta), math.sin(theta)
@@ -221,6 +206,6 @@ def random_imaginary_unit(rng: np.random.Generator) -> ImaginaryUnit:
     while True:
         v = rng.standard_normal(3)
         n = float(np.linalg.norm(v))
-        if n > 1e-6:
+        if n > 1e-6:  # redraw a Gaussian triple too short to normalise accurately
             return ImaginaryUnit(v[0] / n, v[1] / n, v[2] / n)
 

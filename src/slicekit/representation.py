@@ -26,11 +26,7 @@ from .sliceunits import (
     zeta,
 )
 from .stemtensor import StemValue
-
-VALUE_TOL = 1e-8
-
-#: germ keys of one point of the equivalence domain agree within this
-_KEY_TOL = 1e-9
+from .tolerances import VALUE_TOL
 
 
 def _is_eta_stack(j: SliceUnitMatrix) -> bool:
@@ -51,20 +47,13 @@ def representation_vector(
     path: NPartPath,
     j: SliceUnitMatrix,
     x0: float | None = None,
-    deriv: int = 0,
 ) -> StemValue:
-    """Invariant vector M(J)**-1 applied to the column of lifted values.
-
-    With deriv = n the column holds the n-th slice derivative instead, which
-    is the stem of the derivative along the same path.
-    """
+    """Invariant vector M(J)**-1 applied to the column of lifted values."""
     if j.N != path.parts:
         raise LengthMismatch(f"{path.parts}-part path against an order-{j.N} unit matrix")
     if not is_left_slice_linearly_independent(j):
         raise NotIndependent("unit matrix is left slice-linearly dependent")
-    column = tuple(
-        model.derivative_value(final_state(model, path, row, x0), deriv) for row in j.rows
-    )
+    column = tuple(model.value(final_state(model, path, row, x0)) for row in j.rows)
     inverse = _slice_matrix_inverse(j)
     return StemValue(j.N, inverse.apply_column(column))
 
@@ -91,29 +80,6 @@ def invariance_check(
     g1 = representation_vector(model, path, j1, x0)
     g2 = representation_vector(model, path, j2, x0)
     return (g1 - g2).max_norm()
-
-
-def axial_symmetry_probe(
-    model: SliceFunctionModel,
-    path: NPartPath,
-    rng,
-    samples: int = 32,
-) -> bool:
-    """Smoke test that lifts with random unit tuples all continue cleanly.
-
-    The built-in domains admit every lift of an admissible path; this samples
-    that property rather than proving it, and returns False on the first
-    failed continuation.
-    """
-    from .quat import random_imaginary_unit
-
-    for _ in range(samples):
-        units = tuple(random_imaginary_unit(rng) for _ in range(path.parts))
-        try:
-            model.value(final_state(model, path, units))
-        except Exception:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -147,8 +113,8 @@ def extendability_check(
         keys.append(germ_key(equivalence_model, state))
         values.append(model.value(final_state(model, path, units)))
     for other in keys[1:]:
-        if not keys[0].isclose(other, _KEY_TOL):
-            raise KeysDiffer(f"germ keys disagree: {keys[0]} vs {other}")
+        if not keys[0].isclose(other):
+            raise KeysDiffer(f"germ keys disagree: {keys[0]} vs {other}", keys=(keys[0], other))
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             if (values[i] - values[j]).norm() > VALUE_TOL:

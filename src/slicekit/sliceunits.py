@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, NotIndependent, ShapeMismatch
+from .paths import _json_number
 from .qmat import QuaternionMatrix, qmat_rank
 from .quat import ImaginaryUnit, Quaternion, random_imaginary_unit
 
@@ -87,13 +88,24 @@ class SliceUnitMatrix:
     @classmethod
     def from_json(cls, text: str) -> "SliceUnitMatrix":
         data = json.loads(text)
-        rows = tuple(tuple(ImaginaryUnit.from_list(u) for u in row) for row in data["rows"])
-        return cls(int(data["N"]), rows)
+        n, rows = (data.get("N"), data.get("rows")) if isinstance(data, dict) else (None, None)
+        shaped = type(n) is int and n >= 1 and isinstance(rows, list) and rows
+        # every row holds N units, so 1 << N is no larger than the input
+        if not (shaped and all(isinstance(row, list) and len(row) == n for row in rows) and len(rows) == 1 << n):
+            raise ValueError('slice-unit matrix JSON must be {"N": n >= 1, "rows": [...]}: 2**n rows of n units')
+        return cls(n, tuple(tuple(unit_from_json(u) for u in row) for row in rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Quaternion]]) -> "SliceUnitMatrix":
         n = len(rows[0])
         return cls(n, tuple(tuple(r) for r in rows))
+
+
+def unit_from_json(value) -> ImaginaryUnit:
+    """An imaginary unit from a JSON array [x, y, z] of finite numbers; anything else is a ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"a unit must be a JSON array [x, y, z], got {value!r}")
+    return ImaginaryUnit.from_list([float(_json_number(c)) for c in value])
 
 
 def eta_row(n: int, m: int, unit: Quaternion) -> tuple[Quaternion, ...]:
@@ -180,15 +192,16 @@ def slice_diag(j: SliceUnitMatrix) -> QuaternionMatrix:
     return QuaternionMatrix.diagonal(list(j.last_column()))
 
 
-def random_slice_unit_matrix(
-    n: int, rng: np.random.Generator, require_independent: bool = True, max_tries: int = 64
-) -> SliceUnitMatrix:
+_MAX_DRAWS = 64  # draws before random_slice_unit_matrix gives up; a random grid is independent almost surely
+
+
+def random_slice_unit_matrix(n: int, rng: np.random.Generator) -> SliceUnitMatrix:
     """Random unit grid, redrawn until left slice-linearly independent."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         rows = tuple(
             tuple(random_imaginary_unit(rng) for _ in range(n)) for _ in range(1 << n)
         )
         candidate = SliceUnitMatrix(n, rows)
-        if not require_independent or is_left_slice_linearly_independent(candidate):
+        if is_left_slice_linearly_independent(candidate):
             return candidate
-    raise NotIndependent(f"no independent sample found in {max_tries} draws")
+    raise NotIndependent(f"no independent sample found in {_MAX_DRAWS} draws")

@@ -26,9 +26,12 @@ from .quat import I as UNIT_I
 from .quat import Quaternion
 from .sliceunits import eta, eta_inverse
 from .stemtensor import StemValue, apply_real_matrix, nan_max, sigma_matrix, star_vector
+from .tolerances import AT_CENTER_TOL, DISK_RIM_TOL, FD_STEP, PARAMETER_TOL, START_TOL, SUPPORT_TOL
+from .tolerances import AXIAL_TOL, GRID_HOLOMORPHY_TOL, HOLOMORPHY_TOL, INITIAL_TOL, OVERLAP_TOL  # validator bounds
 
 DEFAULT_GRID = (17, 64)
-FD_STEP = 1e-5
+_SPLIT_SAMPLES = 65  # points of the path between two truncations searched for a split between their disks
+_OVERLAP_CAP = 40  # overlap points compared per pair of stems in the local-compatibility check
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class SampledStem:
 
     def at(self, z: complex) -> StemValue:
         z = complex(z)
-        if abs(z - self.center) > self.radius * (1 + 1e-12):
+        if abs(z - self.center) > self.radius * (1 + DISK_RIM_TOL):
             raise OutOfDomain(f"{z} outside disk of radius {self.radius} at {self.center}")
         if self.evaluator is not None:
             return self.evaluator(z)
@@ -81,7 +84,7 @@ class SampledStem:
         w = z - self.center
         r = abs(w)
         phi = math.atan2(w.imag, w.real) % (2 * math.pi)
-        rs = min(r / self.radius * (n_r - 1), n_r - 1 - 1e-12)
+        rs = min(r / self.radius * (n_r - 1), n_r - 1 - 1e-12)  # keeps the rim inside the last grid cell
         ps = phi / (2 * math.pi) * n_a
         k, fr = int(rs), rs - int(rs)
         l, fp = int(ps) % n_a, ps - int(ps)
@@ -109,13 +112,14 @@ def stem_derivative_family(
     """
     center = path.endpoint
     if model.is_branched() and radius >= abs(center):
-        raise BranchPointCrossing(f"disk of radius {radius} at {center} meets the branch point")
+        message = f"disk of radius {radius} at {center} meets the branch point"
+        raise BranchPointCrossing(message, clearance=abs(center) - radius, tolerance=0.0)
     reference = eta(path.parts, UNIT_I)
     inverse = eta_inverse(reference)
     end_states = [final_state(model, path, row) for row in reference.rows]
 
     def vector(z: complex, n: int = 0) -> StemValue:
-        if abs(z - center) < 1e-15:
+        if abs(z - center) < AT_CENTER_TOL:
             states = end_states
         else:
             closing = Line(center, z)
@@ -136,13 +140,13 @@ def stem_from_slice(
     return SampledStem(N=path.parts, center=path.endpoint, radius=radius, evaluator=evaluator, grid=grid)
 
 
-def stem_cr_residual(stem: SampledStem, z: complex, h: float = FD_STEP) -> float:
-    """Max norm of (d/dx + sigma * d/dy) applied by central differences."""
+def stem_cr_residual(stem: SampledStem, z: complex) -> float:
+    """Max norm of (d/dx + sigma * d/dy) applied by central differences of step FD_STEP."""
     z = complex(z)
-    if abs(z - stem.center) > stem.radius - 2 * h:
-        raise OutOfDomain(f"{z} too close to the disk rim for step {h}")
-    fx = (stem.at(z + h) - stem.at(z - h)).scale(0.5 / h)
-    fy = (stem.at(z + h * 1j) - stem.at(z - h * 1j)).scale(0.5 / h)
+    if abs(z - stem.center) > stem.radius - 2 * FD_STEP:
+        raise OutOfDomain(f"{z} too close to the disk rim for step {FD_STEP}")
+    fx = (stem.at(z + FD_STEP) - stem.at(z - FD_STEP)).scale(0.5 / FD_STEP)
+    fy = (stem.at(z + FD_STEP * 1j) - stem.at(z - FD_STEP * 1j)).scale(0.5 / FD_STEP)
     return (fx + apply_real_matrix(sigma_matrix(stem.N), fy)).max_norm()
 
 
@@ -215,7 +219,7 @@ class StemSystem:
 
 def _format_t(t: float, parts: int, closed: bool) -> str:
     scaled = t * parts
-    if abs(scaled - round(scaled)) < 1e-12:
+    if abs(scaled - round(scaled)) < PARAMETER_TOL:
         tag = f"{int(round(scaled))}/{parts}"
     else:
         tag = f"{t:g}"
@@ -238,21 +242,20 @@ def truncation_lattice(parts: int, extra: Sequence[float] = ()) -> list[tuple[fl
 def build_stem_system(
     model: SliceFunctionModel,
     anchors: Sequence[tuple[str, NPartPath]],
-    radius: float | Callable[[NPartPath], float],
+    radius: float,
     grid: tuple[int, int] = DEFAULT_GRID,
     extra_truncations: Sequence[float] = (),
 ) -> StemSystem:
     """Materialise the truncation closure of the anchors and stem each path."""
-    radius_of = radius if callable(radius) else (lambda _path: radius)
     x0 = anchors[0][1].initial_point.real
     entries = []
     for name, path in anchors:
-        if abs(path.initial_point - x0) > 1e-9:
+        if abs(path.initial_point - x0) > START_TOL:
             raise IncompatibleSupports("anchor paths must share one initial point")
         for t, closed in truncation_lattice(path.parts, extra_truncations):
             truncated = path.truncate_closed(t) if closed else path.truncate(t)
             label = f"{name}[{_format_t(t, path.parts, closed)}]"
-            stem = stem_from_slice(model, truncated, radius_of(truncated), grid)
+            stem = stem_from_slice(model, truncated, radius, grid)
             entries.append(StemEntry(label, name, t, closed, truncated, stem))
     return StemSystem(x0=x0, entries=tuple(entries), anchors=tuple(n for n, _ in anchors))
 
@@ -293,16 +296,6 @@ class ValidationReport:
         return {"passed": self.passed, "conditions": [c.to_dict() for c in self.conditions]}
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    cr: float = 1e-6
-    h: float = FD_STEP
-    cr_grid: float = 5e-2
-    overlap: float = 1e-8
-    axial: float = 1e-9
-    initial: float = 1e-9
-
-
 def _interior_probes(stem: SampledStem, margin: float) -> list[complex]:
     points = [stem.center]
     for frac in (0.3, 0.6, 0.85):
@@ -315,18 +308,18 @@ def _interior_probes(stem: SampledStem, margin: float) -> list[complex]:
     return points
 
 
-def validate_stem_system(system: StemSystem, tol: Tolerances = Tolerances()) -> ValidationReport:
+def validate_stem_system(system: StemSystem) -> ValidationReport:
     """Run the four coherence conditions and report per-condition results."""
     results = [
-        _check_holomorphy(system, tol),
-        _check_local_compatibility(system, tol),
-        _check_axial_compatibility(system, tol),
-        _check_initial_compatibility(system, tol),
+        _check_holomorphy(system),
+        _check_local_compatibility(system),
+        _check_axial_compatibility(system),
+        _check_initial_compatibility(system),
     ]
     return ValidationReport(tuple(results))
 
 
-def _check_holomorphy(system: StemSystem, tol: Tolerances) -> ConditionResult:
+def _check_holomorphy(system: StemSystem) -> ConditionResult:
     worst, checked = 0.0, 0
     for entry in system.entries:
         stem = entry.stem
@@ -334,31 +327,31 @@ def _check_holomorphy(system: StemSystem, tol: Tolerances) -> ConditionResult:
             worst = nan_max([worst, _grid_cr_residual(stem)])
             checked += 1
             continue
-        for z in _interior_probes(stem, margin=2 * tol.h):
-            worst = nan_max([worst, stem_cr_residual(stem, z, tol.h)])
+        for z in _interior_probes(stem, margin=2 * FD_STEP):
+            worst = nan_max([worst, stem_cr_residual(stem, z)])
             checked += 1
-    bound = tol.cr if all(e.stem.evaluator is not None for e in system.entries) else tol.cr_grid
+    bound = HOLOMORPHY_TOL if all(e.stem.evaluator is not None for e in system.entries) else GRID_HOLOMORPHY_TOL
     return ConditionResult("holomorphy", worst <= bound, worst, bound, checked)
 
 
-def _split_exists(path: NPartPath, t1: float, t2: float, disk1, disk2, samples: int = 65) -> bool:
+def _split_exists(path: NPartPath, t1: float, t2: float, disk1, disk2) -> bool:
     c1, r1 = disk1
     c2, r2 = disk2
-    pts = [path.at(t1 + (t2 - t1) * k / (samples - 1)) for k in range(samples)]
+    pts = [path.at(t1 + (t2 - t1) * k / (_SPLIT_SAMPLES - 1)) for k in range(_SPLIT_SAMPLES)]
     inside1 = [abs(p - c1) <= r1 for p in pts]
     inside2 = [abs(p - c2) <= r2 for p in pts]
-    for split in range(samples):
+    for split in range(_SPLIT_SAMPLES):
         if all(inside1[: split + 1]) and all(inside2[split:]):
             return True
     return False
 
 
-def _overlap_points(stem1: SampledStem, stem2: SampledStem, cap: int = 40) -> list[complex]:
+def _overlap_points(stem1: SampledStem, stem2: SampledStem) -> list[complex]:
     pts = []
     for z in _interior_probes(stem1, margin=0.05 * stem1.radius):
         if abs(z - stem2.center) <= stem2.radius * 0.98:
             pts.append(z)
-        if len(pts) >= cap:
+        if len(pts) >= _OVERLAP_CAP:
             break
     return pts
 
@@ -367,11 +360,11 @@ def _same_part_interval(t1: float, t2: float, parts: int) -> bool:
     """Both parameters inside one [(m-1)/N, m/N] with t1 < t2."""
     if not t1 < t2:
         return False
-    m = math.ceil(t2 * parts - 1e-12)
-    return t1 >= (m - 1) / parts - 1e-12
+    m = math.ceil(t2 * parts - PARAMETER_TOL)
+    return t1 >= (m - 1) / parts - PARAMETER_TOL
 
 
-def _check_local_compatibility(system: StemSystem, tol: Tolerances) -> ConditionResult:
+def _check_local_compatibility(system: StemSystem) -> ConditionResult:
     worst, checked = 0.0, 0
     for anchor in system.anchors:
         entries = [e for e in system.entries if e.anchor == anchor]
@@ -392,10 +385,10 @@ def _check_local_compatibility(system: StemSystem, tol: Tolerances) -> Condition
                 for z in _overlap_points(e1.stem, e2.stem):
                     worst = nan_max([worst, (e1.stem.at(z) - e2.stem.at(z)).max_norm()])
                     checked += 1
-    return ConditionResult("local-compatibility", worst <= tol.overlap, worst, tol.overlap, checked)
+    return ConditionResult("local-compatibility", worst <= OVERLAP_TOL, worst, OVERLAP_TOL, checked)
 
 
-def _check_axial_compatibility(system: StemSystem, tol: Tolerances) -> ConditionResult:
+def _check_axial_compatibility(system: StemSystem) -> ConditionResult:
     worst, checked = 0.0, 0
     for anchor in system.anchors:
         by_key = {(e.t, e.closed): e for e in system.entries if e.anchor == anchor}
@@ -413,10 +406,10 @@ def _check_axial_compatibility(system: StemSystem, tol: Tolerances) -> Condition
                 padded = StemValue.padded(short_entry.stem.at(complex(x, 0.0)))
                 worst = nan_max([worst, (long_entry.stem.at(complex(x, 0.0)) - padded).max_norm()])
                 checked += 1
-    return ConditionResult("axial-compatibility", worst <= tol.axial, worst, tol.axial, checked)
+    return ConditionResult("axial-compatibility", worst <= AXIAL_TOL, worst, AXIAL_TOL, checked)
 
 
-def _check_initial_compatibility(system: StemSystem, tol: Tolerances) -> ConditionResult:
+def _check_initial_compatibility(system: StemSystem) -> ConditionResult:
     worst, checked = 0.0, 0
     initial_entries = [e for e in system.entries if e.t == 0.0]
     if initial_entries:
@@ -430,11 +423,11 @@ def _check_initial_compatibility(system: StemSystem, tol: Tolerances) -> Conditi
                 checked += 1
             for col in columns[1:]:
                 worst = nan_max([worst, (col[0] - columns[0][0]).norm()])
-    return ConditionResult("initial-compatibility", worst <= tol.initial, worst, tol.initial, checked)
+    return ConditionResult("initial-compatibility", worst <= INITIAL_TOL, worst, INITIAL_TOL, checked)
 
 
 def _combine(s1: StemSystem, s2: StemSystem, op, name: str) -> StemSystem:
-    if s1.labels() != s2.labels() or abs(s1.x0 - s2.x0) > 1e-12:
+    if s1.labels() != s2.labels() or abs(s1.x0 - s2.x0) > SUPPORT_TOL:
         raise IncompatibleSupports(f"cannot {name} systems over different supports")
     entries = []
     for e1, e2 in zip(s1.entries, s2.entries):

@@ -354,7 +354,3 @@ class TestStemSeries:
         assert report.stem_series_residual < 1e-6
         assert report.tensor_series_residual < 1e-6
         assert report.route_deviation < 1e-8
-
-    def test_zeroth_route_trivially_agrees(self):
-        report = stem_series_check(SqrtModel(), beta_path(), radius=0.3, terms=2, max_route_order=1)
-        assert report.route_deviation < 1e-8

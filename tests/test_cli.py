@@ -15,6 +15,7 @@ import slicekit
 from slicekit.cli import SEED_ENV, build_parser, main
 from slicekit.paths import Line, beta_path, make_npart_path
 from slicekit.quat import Quaternion
+from slicekit.sliceunits import eta
 
 
 @pytest.fixture
@@ -370,6 +371,57 @@ def test_malformed_path_json_is_usage_error(capsys, path):
     assert err.startswith("error: ")
 
 
+_BETA = beta_path().to_json()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["monodromy", "--model", "sqrt", "--path", _BETA, "--units", "5"],
+        ["monodromy", "--model", "sqrt", "--path", _BETA, "--units", '[0,0,"x"];[0,1,0]'],
+        ["repformula", "--model", "sqrt", "--path", _BETA, "--J", "5"],
+        ["repformula", "--model", "sqrt", "--path", _BETA, "--J", "[[1]]"],
+        ["repformula", "--model", "sqrt", "--path", _BETA, "--J", '{"N":2,"rows":5}'],
+        ["repformula", "--model", "sqrt", "--path", _BETA, "--J", '{"N":2,"rows":[[[1,0,0],[0,1,0]]]}'],
+        ["starprod", "--f", "5", "--op", "conj"],
+        ["starprod", "--f", '{"coeffs":5}', "--op", "conj"],
+        ["starprod", "--f", '{"coeffs":[5]}', "--op", "conj"],
+        ["starprod", "--f", '{"coeffs":[[1,0,0,NaN]]}', "--op", "conj"],
+        ["monodromy", "--model", "poly", "--coeffs", "5", "--path", _BETA, "--units", "[1,0,0];[0,1,0]"],
+    ],
+    ids=[
+        "units-a-number",
+        "units-string-coordinate",
+        "J-a-number",
+        "J-a-list",
+        "J-rows-a-number",
+        "J-one-row-of-four",
+        "poly-a-number",
+        "coeffs-a-number",
+        "coefficient-a-number",
+        "coefficient-nan",
+        "model-coeffs-a-number",
+    ],
+)
+def test_malformed_units_j_and_polynomial_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--tol", "nan"), ("--tol", "-1e-9"), ("--tol", "inf"), ("--x0", "nan"), ("--x0", "-inf")],
+)
+def test_tol_and_x0_must_be_finite(capsys, beta_file, option, value):
+    argv = ["monodromy", "--model", "sqrt", "--path", beta_file, "--units", "[1,0,0];[0,1,0]", "--check-analytic"]
+    code, out, err = _run(capsys, argv + [f"{option}={value}"])  # "=" keeps "-1e-9" from reading as a flag
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
 def _is_point_coordinate(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
@@ -425,6 +477,70 @@ def test_malformed_path_json_fuzz(path):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["monodromy", "--model", "sqrt", "--path", path, "--units", "[1,0,0];[0,1,0]"])
+    assert code in (2, 3)
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+
+
+_NOT_UNIT = _JSON.filter(
+    lambda v: not (isinstance(v, list) and len(v) == 3 and all(map(_is_point_coordinate, v)))
+)
+
+
+@st.composite
+def _malformed_units_argv(draw) -> list[str]:
+    """Two valid lift units with one replaced by a malformed one."""
+    units = ["[1,0,0]", "[0,1,0]"]
+    units[draw(st.integers(0, 1))] = json.dumps(draw(_NOT_UNIT))
+    return ["monodromy", "--model", "sqrt", "--path", _BETA, "--units", ";".join(units)]
+
+
+@st.composite
+def _malformed_j_argv(draw) -> list[str]:
+    """The eta stack of order 2 as JSON with one defect of shape or type."""
+    doc = json.loads(eta(2, Quaternion(0, 0, 1, 0)).to_json())
+    defect = draw(st.sampled_from(["document", "N", "rows", "row", "unit", "missing"]))
+    row = draw(st.integers(0, 3))
+    if defect == "document":
+        doc = draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    elif defect == "N":
+        doc["N"] = draw(_JSON.filter(lambda v: v != 2))
+    elif defect == "rows":
+        doc["rows"] = draw(_JSON.filter(lambda v: not isinstance(v, list)))
+    elif defect == "row":
+        doc["rows"][row] = draw(_JSON.filter(lambda v: not isinstance(v, list)))
+    elif defect == "unit":
+        doc["rows"][row][draw(st.integers(0, 1))] = draw(_NOT_UNIT)
+    else:
+        del doc[draw(st.sampled_from(["N", "rows"]))]
+    return ["repformula", "--model", "sqrt", "--path", _BETA, "--J", json.dumps(doc)]
+
+
+@st.composite
+def _malformed_poly_argv(draw) -> list[str]:
+    """A two-term polynomial as JSON with one defect of shape or type."""
+    doc = {"coeffs": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+    defect = draw(st.sampled_from(["document", "coeffs", "coefficient", "component"]))
+    idx = draw(st.integers(0, 1))
+    if defect == "document":
+        doc = draw(_JSON.filter(lambda v: not (isinstance(v, dict) and isinstance(v.get("coeffs"), list))))
+    elif defect == "coeffs":
+        doc["coeffs"] = draw(_JSON.filter(lambda v: not isinstance(v, list)))
+    elif defect == "coefficient":
+        doc["coeffs"][idx] = draw(
+            _JSON.filter(lambda v: not (isinstance(v, list) and len(v) == 4 and all(map(_is_point_coordinate, v))))
+        )
+    else:
+        doc["coeffs"][idx][draw(st.integers(0, 3))] = draw(_NOT_NUMBER)
+    return ["starprod", "--f", json.dumps(doc), "--op", "conj"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=st.one_of(_malformed_units_argv(), _malformed_j_argv(), _malformed_poly_argv()))
+def test_malformed_units_j_and_polynomial_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     assert code in (2, 3)
     assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()

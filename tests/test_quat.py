@@ -11,7 +11,6 @@ from slicekit.quat import (
     Quaternion,
     embed_slice,
     hamilton_product,
-    is_imaginary_unit,
     quat_inverse,
     random_imaginary_unit,
     unit_exp,
@@ -91,14 +90,6 @@ def test_embed_slice_is_field_map(rng):
         lhs = embed_slice(z1 * z2, unit)
         rhs = embed_slice(z1, unit) * embed_slice(z2, unit)
         assert (lhs - rhs).norm() < 1e-12 * max(1.0, abs(z1) * abs(z2))
-
-
-def test_is_imaginary_unit():
-    assert is_imaginary_unit(I, 1e-12)
-    assert not is_imaginary_unit(Quaternion(1), 1e-12)
-    assert is_imaginary_unit((4.0 * J + 3.0 * K) * 0.2, 1e-12)
-    with pytest.raises(ValueError):
-        is_imaginary_unit(I, 0.0)
 
 
 def test_random_units_square_to_minus_one(rng):

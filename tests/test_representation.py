@@ -1,14 +1,17 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicekit.errors import KeysDiffer, LengthMismatch, NotIndependent
-from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_lifted
+from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_lifted, final_state, germ_key
 from slicekit.paths import beta_path, constant_path, half_turns, make_npart_path
 from slicekit.qmat import qmat_inverse
+from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
 from slicekit.representation import (
-    axial_symmetry_probe,
     evaluate_via_formula,
     extendability_check,
     invariance_check,
@@ -99,6 +102,16 @@ class TestInvariance:
                 j = random_slice_unit_matrix(2, rng)
                 assert invariance_check(model, beta, reference, j) < 1e-8
 
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([3, 4]), seed=st.integers(0, 2**32 - 1))
+    def test_lift_invariance_beyond_two_parts(self, n, seed):
+        # the N-part loop: out along the upper half circle to -1, back, out again, ...
+        up = half_turns(1)
+        loop = make_npart_path([up if k % 2 == 0 else up.reversed() for k in range(n)])
+        j = random_slice_unit_matrix(n, np.random.default_rng(seed))
+        for model in (SqrtModel(), LogModel()):
+            assert invariance_check(model, loop, eta(n, UNIT_I), j) < 1e-8
+
     def test_eta_inverse_shortcut_agrees(self, rng):
         for n in (1, 2, 3):
             unit = random_imaginary_unit(rng)
@@ -106,11 +119,6 @@ class TestInvariance:
             fast = eta_inverse(j)
             general = qmat_inverse(slice_matrix(j))
             assert (fast - general).max_norm() < 1e-10
-
-
-def test_axial_symmetry_probe(rng):
-    assert axial_symmetry_probe(SqrtModel(), beta_path(), rng)
-    assert axial_symmetry_probe(LogModel(), make_npart_path([half_turns(4), half_turns(3)]), rng)
 
 
 class TestThreePartFormula:
@@ -196,5 +204,8 @@ class TestExtendability:
     def test_distinct_points_rejected(self, unit_i, unit_j):
         _, route1, _ = self._setup(unit_i, unit_j)
         other = (make_npart_path([half_turns(1)]), (unit_i,))
-        with pytest.raises(KeysDiffer):
+        with pytest.raises(KeysDiffer) as differ:
             extendability_check(SqrtModel(), [route1, other], LogModel())
+        model = LogModel()
+        expected = tuple(germ_key(model, final_state(model, path, units)) for path, units in (route1, other))
+        assert differ.value.keys == expected

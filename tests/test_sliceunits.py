@@ -21,6 +21,11 @@ from slicekit.stemtensor import StemValue, apply_real_matrix, sigma_matrix
 ONE = Quaternion(1)
 
 
+def _unchecked_unit_matrix(n: int, rng) -> SliceUnitMatrix:
+    """Random unit grid drawn as random_slice_unit_matrix draws it, without the independence test."""
+    return SliceUnitMatrix(n, tuple(tuple(random_imaginary_unit(rng) for _ in range(n)) for _ in range(1 << n)))
+
+
 class TestUnitProduct:
     def test_first_index_is_one(self, rng):
         units = [random_imaginary_unit(rng) for _ in range(3)]
@@ -97,7 +102,7 @@ class TestIndependence:
 
     def test_random_against_rank(self, rng):
         for _ in range(20):
-            j = random_slice_unit_matrix(2, rng, require_independent=False)
+            j = _unchecked_unit_matrix(2, rng)
             assert is_left_slice_linearly_independent(j) == (qmat_rank(slice_matrix(j)) == 4)
 
     def test_invariant_under_row_permutation(self, rng, unit_i):
@@ -198,7 +203,7 @@ class TestSliceDiag:
         assert (lhs - _matrix_times_sigma(m, n)).max_norm() < 1e-12
 
     def test_intertwines_arbitrary_unit_grid(self, rng):
-        j = random_slice_unit_matrix(2, rng, require_independent=False)
+        j = _unchecked_unit_matrix(2, rng)
         m = slice_matrix(j)
         lhs = qmat_mul(slice_diag(j), m)
         assert (lhs - _matrix_times_sigma(m, 2)).max_norm() < 1e-12

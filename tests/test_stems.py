@@ -18,7 +18,6 @@ from slicekit.sliceunits import eta
 from slicekit.stemtensor import StemValue, apply_real_matrix, sigma_matrix
 from slicekit.stems import (
     SampledStem,
-    Tolerances,
     build_stem_system,
     stem_add,
     stem_cr_residual,
@@ -50,8 +49,11 @@ class TestStemFromSlice:
         assert all((a - b).norm() < 1e-9 for a, b in zip(stem.at(1.0 + 0j).entries, expected))
 
     def test_disk_must_avoid_branch_point(self):
-        with pytest.raises(BranchPointCrossing):
+        with pytest.raises(BranchPointCrossing) as crossing:
             stem_from_slice(SqrtModel(), beta_path(), radius=1.1)
+        # the disk reaches 0.1 past the origin; a disk must clear it by more than 0
+        assert crossing.value.clearance == abs(beta_path().endpoint) - 1.1
+        assert crossing.value.tolerance == 0.0
 
     def test_out_of_domain(self):
         stem = stem_from_slice(SqrtModel(), beta_path(), radius=0.4)
@@ -343,5 +345,14 @@ class TestJsonRoundTrip:
             SqrtModel(), [("beta", beta_path())], radius=0.5, grid=(9, 24)
         )
         restored = system_from_json(system_to_json(system))
-        report = validate_stem_system(restored, Tolerances(cr_grid=5e-2, overlap=5e-3, axial=5e-3, initial=5e-3))
-        assert report.passed
+        report = validate_stem_system(restored)
+        # bilinear interpolation on a 9x24 grid is only so sharp: looser bounds than the closed-form ones
+        bounds = {
+            "holomorphy": 5e-2,
+            "local-compatibility": 5e-3,
+            "axial-compatibility": 5e-3,
+            "initial-compatibility": 5e-3,
+        }
+        assert [c.name for c in report.conditions] == list(bounds)
+        for condition in report.conditions:
+            assert condition.worst <= bounds[condition.name], condition.name
