@@ -43,9 +43,12 @@ def _read_maybe_file(arg: str) -> str:
     return path.read_text() if exists else arg
 
 
-def _parse_units(text: str) -> tuple[ImaginaryUnit, ...]:
-    parts = [p for p in text.split(";") if p.strip()]
-    return tuple(unit_from_json(json.loads(p)) for p in parts)
+def _parse_units(text: str, path: NPartPath) -> tuple[ImaginaryUnit, ...]:
+    """One lift unit per part of `path`; a different count is a usage error (exit 2)."""
+    units = tuple(unit_from_json(json.loads(p)) for p in text.split(";") if p.strip())
+    if len(units) != path.parts:
+        raise ValueError(f"{path.parts}-part path needs {path.parts} units, got {len(units)}")
+    return units
 
 
 def _parse_path(arg: str) -> NPartPath:
@@ -93,7 +96,7 @@ def _seed(args) -> int:
 def cmd_monodromy(args) -> int:
     model = _build_model(args)
     path = _parse_path(args.path)
-    units = _parse_units(args.units)
+    units = _parse_units(args.units, path)
     state = final_state(model, path, units, args.x0)
     key = germ_key(model, state)
     value = model.value(state)
@@ -133,6 +136,7 @@ def cmd_repformula(args) -> int:
         j = SliceUnitMatrix.from_json(_read_maybe_file(args.J))
     else:
         j = eta(path.parts, Quaternion(0, 1, 0, 0))
+    units = _parse_units(args.units, path) if args.units else None
     g = representation_vector(model, path, j, args.x0)
     alt = eta(path.parts, Quaternion(0, 0, 1, 0))
     deviation = invariance_check(model, path, j, alt, args.x0)
@@ -140,8 +144,7 @@ def cmd_repformula(args) -> int:
         "G": [q.to_list() for q in g.entries],
         "invariance_dev": deviation,
     }
-    if args.units:
-        units = _parse_units(args.units)
+    if units:
         payload["value"] = evaluate_via_formula(g, units).to_list()
     print(json.dumps(payload))
     return 1 if args.tol is not None and deviation > args.tol else 0

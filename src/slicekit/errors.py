@@ -18,11 +18,15 @@ class ShapeMismatch(SliceKitError):
 
 
 class Singular(SliceKitError):
-    """Matrix has no two-sided inverse."""
+    """Matrix has no two-sided inverse: `rank` fell short, `margin` s_min/s_max was not above `tolerance`."""
+
+    rank = margin = tolerance = None
 
 
 class NotIndependent(SliceKitError):
-    """Slice-unit matrix is not left slice-linearly independent."""
+    """Slice-unit matrix is not left slice-linearly independent; an inversion sets `rank`, `margin`, `tolerance`."""
+
+    rank = margin = tolerance = None
 
 
 class IndexOutOfRange(SliceKitError):

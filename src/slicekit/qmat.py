@@ -1,9 +1,10 @@
-"""Dense matrix algebra over the quaternions.
+"""Dense matrix algebra over the quaternions, kept as two complex blocks.
 
-Rank and inversion go through the complex adjoint representation
-A = A1 + A2*j  ->  [[A1, A2], [-conj(A2), conj(A1)]], which doubles the
-dimension but sidesteps pivot ordering over a noncommutative ring.  Matrices
-here are small (at most 2**N square for N <= 4), so clarity wins.
+A = A1 + A2*j holds w + x*i + y*j + z*k as (w + x*i) + (y + z*i)*j.  Since
+j*c = conj(c)*j for complex c, products, conjugate transposes and sums are
+numpy operations on the blocks; `Quaternion` entries are built only on read.
+Rank and inversion go through the complex adjoint [[A1, A2], [-conj(A2),
+conj(A1)]], which sidesteps pivot ordering over a noncommutative ring.
 """
 
 from __future__ import annotations
@@ -17,32 +18,46 @@ from .quat import Quaternion, as_quaternion
 from .tolerances import RANK_CUTOFF
 
 
-class QuaternionMatrix:
-    """Row-major dense matrix with Quaternion entries."""
+def _pairs(quaternions: Sequence[Quaternion]) -> np.ndarray:
+    """(n, 2) complex array of the pairs (w + x*i, y + z*i), bit for bit."""
+    return np.array([(q.w, q.x, q.y, q.z) for q in quaternions], dtype=float).view(complex)
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _quaternions(pairs: np.ndarray) -> tuple[Quaternion, ...]:
+    """Quaternions from a C-contiguous (..., 2) array of such pairs, in row-major order, bit for bit."""
+    return tuple(Quaternion(*c) for c in pairs.view(float).reshape(-1, 4).tolist())
+
+
+class QuaternionMatrix:
+    """Dense matrix with Quaternion entries, stored as the complex blocks (a1, a2)."""
+
+    __slots__ = ("a1", "a2")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Quaternion]):
         if rows <= 0 or cols <= 0:
             raise ShapeMismatch(f"matrix dimensions must be positive, got {rows}x{cols}")
-        entries = tuple(as_quaternion(e) for e in entries)
+        entries = [as_quaternion(e) for e in entries]
         if len(entries) != rows * cols:
             raise ShapeMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        pairs = _pairs(entries).reshape(rows, cols, 2)
+        self.a1, self.a2 = pairs[..., 0], pairs[..., 1]
+
+    @classmethod
+    def _of(cls, a1: np.ndarray, a2: np.ndarray) -> "QuaternionMatrix":
+        out = cls.__new__(cls)
+        out.a1, out.a2 = a1, a2
+        return out
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Quaternion]]) -> "QuaternionMatrix":
-        nrows = len(rows)
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ShapeMismatch("ragged rows")
-        return cls(nrows, ncols, [e for r in rows for e in r])
+        return cls(len(rows), ncols, [e for r in rows for e in r])
 
     @classmethod
     def identity(cls, n: int) -> "QuaternionMatrix":
-        return cls(n, n, [Quaternion(1.0 if i == j else 0.0) for i in range(n) for j in range(n)])
+        return cls.diagonal([Quaternion(1.0)] * n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QuaternionMatrix":
@@ -53,47 +68,53 @@ class QuaternionMatrix:
         n = len(diag)
         return cls(n, n, [diag[i] if i == j else Quaternion() for i in range(n) for j in range(n)])
 
+    rows = property(lambda self: self.a1.shape[0])
+    cols = property(lambda self: self.a1.shape[1])
+
+    @property
+    def entries(self) -> tuple[Quaternion, ...]:
+        return _quaternions(np.stack([self.a1, self.a2], axis=-1))
+
     def __getitem__(self, idx: tuple[int, int]) -> Quaternion:
-        i, j = idx
-        return self.entries[i * self.cols + j]
+        return _quaternions(np.array([self.a1[idx], self.a2[idx]]))[0]
 
     def row(self, i: int) -> tuple[Quaternion, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return _quaternions(np.stack([self.a1[i], self.a2[i]], axis=-1))
 
     def __add__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self.a1.shape != other.a1.shape:
             raise ShapeMismatch("matrix addition requires equal shapes")
-        return QuaternionMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return QuaternionMatrix._of(self.a1 + other.a1, self.a2 + other.a2)
 
     def __sub__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self.a1.shape != other.a1.shape:
             raise ShapeMismatch("matrix subtraction requires equal shapes")
-        return QuaternionMatrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __matmul__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
-        return qmat_mul(self, other)
+        return QuaternionMatrix._of(self.a1 - other.a1, self.a2 - other.a2)
 
     def scale(self, factor: float) -> "QuaternionMatrix":
-        return QuaternionMatrix(self.rows, self.cols, [e * factor for e in self.entries])
+        # component by component, as Quaternion scaling: a complex product would turn -0.0 into 0.0
+        pairs = (np.stack([self.a1, self.a2], axis=-1).view(float) * factor).view(complex)
+        return QuaternionMatrix._of(pairs[..., 0], pairs[..., 1])
 
     def conj_transpose(self) -> "QuaternionMatrix":
-        out = [self[i, j].conjugate() for j in range(self.cols) for i in range(self.rows)]
-        return QuaternionMatrix(self.cols, self.rows, out)
+        return QuaternionMatrix._of(self.a1.conj().T, -self.a2.T)
 
     def apply_column(self, column: Sequence[Quaternion]) -> tuple[Quaternion, ...]:
         """Matrix times column vector, entries multiplied in matrix-then-vector order."""
         if len(column) != self.cols:
             raise ShapeMismatch(f"column of length {len(column)} against {self.rows}x{self.cols}")
-        out = []
-        for i in range(self.rows):
-            acc = Quaternion()
-            for k in range(self.cols):
-                acc = acc + self[i, k] * column[k]
-            out.append(acc)
-        return tuple(out)
+        # (a1 + a2*j)(c1 + c2*j) = a1*(c1, c2) + a2*(-conj(c2), conj(c1)), as (first, second) block
+        c = _pairs(column)
+        swapped = c[:, ::-1].conj()
+        swapped[:, 0] = -swapped[:, 0]
+        terms = self.a1[:, :, None] * c + self.a2[:, :, None] * swapped
+        # summed left to right from +0.0 like an entrywise loop, so exact terms (eta stacks) give the same bits
+        return _quaternions(np.add.accumulate(terms, axis=1)[:, -1] + 0.0)
 
     def max_norm(self) -> float:
-        return max(e.norm() for e in self.entries)
+        """Largest entry norm; NaN when any entry holds a NaN."""
+        norm2 = self.a1.real**2 + self.a1.imag**2 + self.a2.real**2 + self.a2.imag**2
+        return float(np.sqrt(norm2).max())
 
     def __repr__(self) -> str:
         return f"QuaternionMatrix({self.rows}x{self.cols})"
@@ -103,62 +124,41 @@ def qmat_mul(a: QuaternionMatrix, b: QuaternionMatrix) -> QuaternionMatrix:
     """Row-column product; Hamilton factors keep left-to-right order."""
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            acc = Quaternion()
-            for k in range(a.cols):
-                acc = acc + a[i, k] * b[k, j]
-            out.append(acc)
-    return QuaternionMatrix(a.rows, b.cols, out)
+    return QuaternionMatrix._of(a.a1 @ b.a1 - a.a2 @ b.a2.conj(), a.a1 @ b.a2 + a.a2 @ b.a1.conj())
 
 
 def complex_adjoint(a: QuaternionMatrix) -> np.ndarray:
-    """Complex (2m x 2n) adjoint of a quaternion matrix.
-
-    Writing each entry as (w + x*i) + (y + z*i)*j, the block layout is
-    [[A1, A2], [-conj(A2), conj(A1)]].  The map is an algebra homomorphism, so
-    rank and inverses transfer back and forth.
-    """
-    a1 = np.empty((a.rows, a.cols), dtype=complex)
-    a2 = np.empty((a.rows, a.cols), dtype=complex)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            q = a[i, j]
-            a1[i, j] = complex(q.w, q.x)
-            a2[i, j] = complex(q.y, q.z)
-    top = np.hstack([a1, a2])
-    bottom = np.hstack([-a2.conj(), a1.conj()])
-    return np.vstack([top, bottom])
+    """Complex (2m x 2n) adjoint [[A1, A2], [-conj(A2), conj(A1)]]: a homomorphism, so rank and inverses transfer."""
+    return np.block([[a.a1, a.a2], [-a.a2.conj(), a.a1.conj()]])
 
 
-def _from_adjoint_blocks(adj: np.ndarray, rows: int, cols: int) -> QuaternionMatrix:
-    a1 = adj[:rows, :cols]
-    a2 = adj[:rows, cols:]
-    entries = []
-    for i in range(rows):
-        for j in range(cols):
-            entries.append(Quaternion(a1[i, j].real, a1[i, j].imag, a2[i, j].real, a2[i, j].imag))
-    return QuaternionMatrix(rows, cols, entries)
+def _rank(s: np.ndarray) -> int:
+    """Quaternionic rank from the adjoint's singular values `s` (descending): the complex rank halved."""
+    return int(np.sum(s > RANK_CUTOFF * s[0])) // 2 if s[0] > 0.0 else 0
 
 
 def qmat_rank(a: QuaternionMatrix) -> int:
     """Quaternionic rank, i.e. complex rank of the adjoint halved."""
-    s = np.linalg.svd(complex_adjoint(a), compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    complex_rank = int(np.sum(s > RANK_CUTOFF * s[0]))
-    return complex_rank // 2
+    return _rank(np.linalg.svd(complex_adjoint(a), compute_uv=False))
 
 
 def qmat_inverse(a: QuaternionMatrix) -> QuaternionMatrix:
-    """Two-sided inverse via the complex adjoint; raises Singular below full rank."""
+    """Two-sided inverse via the complex adjoint.
+
+    Below full rank raises Singular with its `rank`, the `margin` s_min / s_max
+    of the adjoint's singular values and the `tolerance` RANK_CUTOFF.
+    """
     if a.rows != a.cols:
         raise ShapeMismatch("only square matrices can be inverted")
-    if qmat_rank(a) < a.rows:
-        raise Singular(f"matrix of rank {qmat_rank(a)} < {a.rows} has no inverse")
-    adj_inv = np.linalg.inv(complex_adjoint(a))
-    return _from_adjoint_blocks(adj_inv, a.rows, a.cols)
+    adjoint = complex_adjoint(a)
+    s = np.linalg.svd(adjoint, compute_uv=False)
+    rank = _rank(s)
+    if rank < a.rows:
+        margin = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
+        message = f"matrix of rank {rank} < {a.rows} has no inverse"
+        raise Singular(message, rank=rank, margin=margin, tolerance=RANK_CUTOFF)
+    # the top block row of the adjoint's inverse is [A1, A2] of the quaternionic inverse
+    return QuaternionMatrix._of(*np.split(np.linalg.inv(adjoint)[: a.rows], 2, axis=1))
 
 
 def left_linearly_independent(vectors: Sequence[Sequence[Quaternion]]) -> bool:
@@ -168,8 +168,5 @@ def left_linearly_independent(vectors: Sequence[Sequence[Quaternion]]) -> bool:
     """
     if not vectors:
         return True
-    lengths = {len(v) for v in vectors}
-    if len(lengths) != 1:
-        raise ShapeMismatch("vectors must share one length")
     stacked = QuaternionMatrix.from_rows([list(v) for v in vectors])
     return qmat_rank(stacked) == len(vectors)

@@ -12,34 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import KeysDiffer, LengthMismatch, NotIndependent
+from .errors import KeysDiffer, LengthMismatch, NotIndependent, Singular
 from .monodromy import GermKey, SliceFunctionModel, final_state, germ_key
 from .paths import NPartPath
-from .qmat import QuaternionMatrix, qmat_inverse
+from .qmat import qmat_inverse
 from .quat import Quaternion
-from .sliceunits import (
-    SliceUnitMatrix,
-    eta_inverse,
-    eta_row,
-    is_left_slice_linearly_independent,
-    slice_matrix,
-    zeta,
-)
+from .sliceunits import SliceUnitMatrix, slice_matrix, zeta
 from .stemtensor import StemValue
 from .tolerances import VALUE_TOL
-
-
-def _is_eta_stack(j: SliceUnitMatrix) -> bool:
-    unit = j.entries[0][0]
-    return all(
-        j.row(m) == eta_row(j.N, m, unit) for m in range(1, (1 << j.N) + 1)
-    )
-
-
-def _slice_matrix_inverse(j: SliceUnitMatrix) -> QuaternionMatrix:
-    if _is_eta_stack(j):
-        return eta_inverse(j)
-    return qmat_inverse(slice_matrix(j))
 
 
 def representation_vector(
@@ -51,10 +31,12 @@ def representation_vector(
     """Invariant vector M(J)**-1 applied to the column of lifted values."""
     if j.N != path.parts:
         raise LengthMismatch(f"{path.parts}-part path against an order-{j.N} unit matrix")
-    if not is_left_slice_linearly_independent(j):
-        raise NotIndependent("unit matrix is left slice-linearly dependent")
+    try:
+        inverse = qmat_inverse(slice_matrix(j))
+    except Singular as exc:
+        margins = {"rank": exc.rank, "margin": exc.margin, "tolerance": exc.tolerance}
+        raise NotIndependent("unit matrix is left slice-linearly dependent", **margins) from exc
     column = tuple(model.value(final_state(model, path, row, x0)) for row in j.rows)
-    inverse = _slice_matrix_inverse(j)
     return StemValue(j.N, inverse.apply_column(column))
 
 
@@ -62,11 +44,7 @@ def evaluate_via_formula(g: StemValue, units: Sequence[Quaternion]) -> Quaternio
     """zeta(K) contracted against the vector: the value at the K-lift."""
     if len(units) != g.N:
         raise LengthMismatch(f"vector of order {g.N} contracted with {len(units)} units")
-    row = zeta(units)
-    acc = Quaternion()
-    for coeff, entry in zip(row, g.entries):
-        acc = acc + coeff * entry
-    return acc
+    return sum((coeff * entry for coeff, entry in zip(zeta(units), g.entries)), Quaternion())
 
 
 def invariance_check(

@@ -227,15 +227,19 @@ def _format_t(t: float, parts: int, closed: bool) -> str:
 
 
 def truncation_lattice(parts: int, extra: Sequence[float] = ()) -> list[tuple[float, bool]]:
-    """Junction-multiple (open and closed) truncations plus user t values."""
+    """Junction-multiple (open and closed) truncations plus user t values.
+
+    A user t must be finite and strictly inside (0, 1); anything else is a ValueError.
+    """
     ts: list[tuple[float, bool]] = [(0.0, False)]
     for m in range(1, parts + 1):
         ts.append((m / parts, True))
         if m < parts:
             ts.append((m / parts, False))
     for t in extra:
-        if 0.0 < t < 1.0:
-            ts.append((float(t), False))
+        if not 0.0 < t < 1.0:  # written so that NaN fails too
+            raise ValueError(f"extra truncation must lie strictly inside (0, 1), got {t!r}")
+        ts.append((float(t), False))
     return sorted(set(ts))
 
 

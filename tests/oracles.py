@@ -5,15 +5,19 @@ code paths: left-linear independence is decided by the smallest singular
 value of the real linear system over the combination coefficients, and slice
 derivatives by finite differences on a single slice.
 
-The two per-term star loops at the end are references of another kind: they
-do the same arithmetic as the library's table-driven kernels, one
-`Quaternion` product and sum per term, so the kernels must match them bit for
-bit.
+The two per-term star loops are references of another kind: they do the same
+arithmetic as the library's table-driven kernels, one `Quaternion` product
+and sum per term, so the kernels must match them bit for bit.
+
+The two per-entry matrix loops multiply `Quaternion` entries one Hamilton
+product at a time, never touching the complex blocks that `qmat` computes
+with, so they check the block formulas independently.
 """
 
 import numpy as np
 
 from slicekit.calculus import SliceRegularPoly
+from slicekit.qmat import QuaternionMatrix
 from slicekit.quat import Quaternion, embed_slice
 from slicekit.stemtensor import StemValue, basis_product
 
@@ -84,6 +88,29 @@ def per_term_star_product(f: SliceRegularPoly, g: SliceRegularPoly) -> SliceRegu
         for j, bj in enumerate(b):
             out[i + j] = out[i + j] + ai * bj
     return SliceRegularPoly(tuple(out))
+
+
+def per_entry_qmat_mul(a: QuaternionMatrix, b: QuaternionMatrix) -> QuaternionMatrix:
+    """Row-column product, one Hamilton product and sum per term, k increasing."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = Quaternion()
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            out.append(acc)
+    return QuaternionMatrix(a.rows, b.cols, out)
+
+
+def per_entry_apply_column(a: QuaternionMatrix, column) -> tuple[Quaternion, ...]:
+    """Matrix times column, entries multiplied in matrix-then-vector order, k increasing."""
+    out = []
+    for i in range(a.rows):
+        acc = Quaternion()
+        for k in range(a.cols):
+            acc = acc + a[i, k] * column[k]
+        out.append(acc)
+    return tuple(out)
 
 
 def sparse_quaternions(count: int, rng: np.random.Generator) -> list[Quaternion]:

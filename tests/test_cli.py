@@ -331,6 +331,31 @@ def test_usage_error_exit_code(capsys, beta_file):
     assert main(["stem", *seeded, "--model", "sqrt", "--path", beta_file]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, units",
+    [
+        ("monodromy", "[1,0,0]"),
+        ("monodromy", "[1,0,0];[0,1,0];[0,0,1]"),
+        ("repformula", "[1,0,0]"),
+        ("repformula", "[1,0,0];[0,1,0];[0,0,1]"),
+    ],
+)
+def test_unit_count_must_match_path_parts(capsys, beta_file, command, units):
+    code, out, err = _run(capsys, [command, "--model", "sqrt", "--path", beta_file, "--units", units])
+    assert code == 2
+    assert out == ""
+    assert "2-part path needs 2 units" in err
+
+
+@pytest.mark.parametrize("extra", ["nan", "inf", "0", "1", "1.5", "-3", "0.25,nan"])
+def test_stem_extra_truncations_outside_unit_interval_are_usage_errors(capsys, beta_file, extra):
+    argv = ["stem", "--model", "sqrt", "--path", beta_file, "--extra-truncations", extra]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "extra truncation" in err
+
+
 @pytest.mark.parametrize("radius", ["nan", "-0.5", "inf", "0"])
 def test_stem_radius_must_be_finite_and_positive(capsys, beta_file, radius):
     code, out, err = _run(capsys, ["stem", "--model", "sqrt", "--path", beta_file, "--radius", radius])

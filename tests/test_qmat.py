@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,15 @@ from slicekit.qmat import (
 )
 from slicekit.quat import Quaternion
 from slicekit.sliceunits import eta, slice_matrix
+from slicekit.tolerances import RANK_CUTOFF
 
-from oracles import left_combination_min_singular
+from oracles import (
+    bits,
+    left_combination_min_singular,
+    per_entry_apply_column,
+    per_entry_qmat_mul,
+    sparse_quaternions,
+)
 
 ONE = Quaternion(1)
 I = Quaternion(0, 1, 0, 0)
@@ -21,8 +30,25 @@ J = Quaternion(0, 0, 1, 0)
 K = Quaternion(0, 0, 0, 1)
 
 
-def _random_matrix(rng, n):
-    return QuaternionMatrix(n, n, [Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(n * n)])
+def _random_matrix(rng, n, cols=None):
+    cols = n if cols is None else cols
+    return QuaternionMatrix(n, cols, [Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(n * cols)])
+
+
+def _frobenius(entries) -> float:
+    return math.sqrt(sum(q.norm2() for q in entries))
+
+
+# matrices whose Hamilton products are exact: entries 0 and the signed coordinate units
+COORDINATE_UNITS = (ONE, I, J, K, -ONE, -I, -J, -K)
+
+
+def _exact_matrices():
+    for n in (1, 2, 3):
+        for unit in (I, J, K):
+            yield slice_matrix(eta(n, unit))
+        yield QuaternionMatrix.identity(1 << n)
+        yield QuaternionMatrix.diagonal([COORDINATE_UNITS[(3 * m + n) % 8] for m in range(1 << n)])
 
 
 def test_mul_identity():
@@ -64,12 +90,51 @@ def test_adjoint_homomorphism():
 
 
 def test_adjoint_homomorphism_random(rng):
+    # the product comes from the per-entry Hamilton loop, not from the blocks
     for _ in range(25):
         a = _random_matrix(rng, 3)
         b = _random_matrix(rng, 3)
         assert np.allclose(
-            complex_adjoint(qmat_mul(a, b)), complex_adjoint(a) @ complex_adjoint(b), atol=1e-12
+            complex_adjoint(per_entry_qmat_mul(a, b)), complex_adjoint(a) @ complex_adjoint(b), atol=1e-12
         )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_kernels_match_per_entry_reference(rng, n):
+    for _ in range(5):
+        inner, cols = (int(k) for k in rng.integers(1, 9, 2))
+        a = _random_matrix(rng, n, inner)
+        b = _random_matrix(rng, inner, cols)
+        column = [Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(inner)]
+        bound = 1e-14 * _frobenius(a.entries)
+        assert (qmat_mul(a, b) - per_entry_qmat_mul(a, b)).max_norm() <= bound * _frobenius(b.entries)
+        deviation = max((x - y).norm() for x, y in zip(a.apply_column(column), per_entry_apply_column(a, column)))
+        assert deviation <= bound * _frobenius(column)
+
+
+def test_block_kernels_exact_on_eta_identity_and_unit_diagonals(rng):
+    for m in _exact_matrices():
+        for other in (m, m.conj_transpose(), QuaternionMatrix.identity(m.rows)):
+            assert qmat_mul(m, other).entries == per_entry_qmat_mul(m, other).entries
+        for column in (sparse_quaternions(m.cols, rng), [Quaternion(-0.0)] * m.cols):
+            assert bits(m.apply_column(column)) == bits(per_entry_apply_column(m, column))
+
+
+def test_entries_round_trip_bit_exact(rng):
+    for rows, cols in ((1, 1), (2, 3), (4, 4), (8, 5)):
+        entries = sparse_quaternions(rows * cols, rng)
+        m = QuaternionMatrix(rows, cols, entries)
+        assert bits(m.entries) == bits(entries)
+        assert bits(m.row(rows - 1)) == bits(entries[(rows - 1) * cols :])
+        assert bits([m[rows - 1, cols - 1]]) == bits(entries[-1:])
+        conjugates = [entries[i * cols + j].conjugate() for j in range(cols) for i in range(rows)]
+        assert bits(m.conj_transpose().entries) == bits(conjugates)
+
+
+def test_max_norm_keeps_nan_anywhere():
+    assert math.isnan(QuaternionMatrix.from_rows([[ONE, Quaternion(math.nan)]]).max_norm())
+    assert math.isnan(QuaternionMatrix.from_rows([[Quaternion(0, 0, 0, math.nan), ONE]]).max_norm())
+    assert QuaternionMatrix.from_rows([[ONE, -2 * K]]).max_norm() == 2.0
 
 
 def test_rank_examples(unit_i):
@@ -107,8 +172,11 @@ def test_inverse_matches_published_eta2(unit_i):
 
 
 def test_inverse_singular():
-    with pytest.raises(Singular):
+    with pytest.raises(Singular) as info:
         qmat_inverse(QuaternionMatrix.from_rows([[ONE, I], [ONE, I]]))
+    assert info.value.rank == 1
+    assert info.value.tolerance == RANK_CUTOFF
+    assert 0.0 <= info.value.margin <= RANK_CUTOFF
     with pytest.raises(ShapeMismatch):
         qmat_inverse(QuaternionMatrix.zeros(2, 3))
 

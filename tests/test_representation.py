@@ -18,6 +18,7 @@ from slicekit.representation import (
     representation_vector,
 )
 from slicekit.sliceunits import SliceUnitMatrix, eta, eta_inverse, random_slice_unit_matrix, slice_matrix
+from slicekit.tolerances import RANK_CUTOFF
 
 PI = math.pi
 
@@ -44,6 +45,15 @@ class TestRepresentationVector:
         j = SliceUnitMatrix(2, tuple(eta(2, unit_i).rows[:1]) * 4)
         with pytest.raises(NotIndependent):
             representation_vector(SqrtModel(), beta_path(), j)
+
+    def test_dependent_matrix_reports_its_margin(self, rng):
+        rows = list(random_slice_unit_matrix(2, rng).rows)
+        rows[3] = rows[1]  # two equal zeta rows: rank 3 of 4
+        with pytest.raises(NotIndependent) as info:
+            representation_vector(SqrtModel(), beta_path(), SliceUnitMatrix(2, tuple(rows)))
+        assert info.value.rank == 3
+        assert info.value.tolerance == RANK_CUTOFF
+        assert 0.0 <= info.value.margin <= RANK_CUTOFF
 
     def test_rejects_order_mismatch(self, unit_i):
         with pytest.raises(LengthMismatch):

@@ -25,6 +25,7 @@ from slicekit.stems import (
     stem_star,
     system_from_json,
     system_to_json,
+    truncation_lattice,
     validate_stem_system,
 )
 
@@ -142,6 +143,19 @@ class TestCrResidual:
         stem = stem_from_slice(SqrtModel(), beta_path(), radius=0.4)
         with pytest.raises(OutOfDomain):
             stem_cr_residual(stem, 1.39999 + 0j)
+
+
+class TestTruncationLattice:
+    def test_junctions_and_extra_values(self):
+        expected = [(0.0, False), (0.25, False), (0.5, False), (0.5, True), (0.75, False), (1.0, True)]
+        assert truncation_lattice(2, (0.25, 0.75)) == expected
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, 1.0, 1.5, -3.0])
+    def test_extra_value_outside_open_unit_interval_rejected(self, t):
+        with pytest.raises(ValueError, match="extra truncation"):
+            truncation_lattice(2, (0.25, t))
+        with pytest.raises(ValueError, match="extra truncation"):
+            build_stem_system(SqrtModel(), [("beta", beta_path())], radius=0.8, extra_truncations=(t,))
 
 
 def _sqrt_system(extra=()):
