@@ -28,7 +28,7 @@ from .monodromy import (
 from .paths import NPartPath, _json_number
 from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse
 from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, slot_imaginary, star_vector
-from .stems import stem_derivative_family
+from .stems import _stem_values, stem_derivative_family
 from .tolerances import FD_STEP, ON_AXIS_TOL, SYMMETRIZATION_ZERO_TOL
 
 
@@ -433,7 +433,11 @@ def stem_series_check(
     x + y*sigma and the tensor substitution x + y * i_slotN respectively.
     """
     n_parts = path.parts
-    vector = stem_derivative_family(model, path, radius)
+    family = stem_derivative_family(model, path, radius)
+
+    def vectors(points: list[complex], n: int) -> list[StemValue]:
+        return _stem_values(family(points, n), n_parts)
+
     z0 = path.endpoint
     sigma = sigma_matrix(n_parts).astype(float)
     size = 1 << n_parts
@@ -443,27 +447,26 @@ def stem_series_check(
     route_dev = 0.0
     slot_n = slot_imaginary(n_parts, n_parts)
     for order in (1, 2):
-        base = lambda z: vector(z, order - 1)  # noqa: E731
-        fx = (base(z0 + h) - base(z0 - h)).scale(0.5 / h)
-        fy = (base(z0 + h * 1j) - base(z0 - h * 1j)).scale(0.5 / h)
+        east, west, north, south = vectors([z0 + h, z0 - h, z0 + h * 1j, z0 - h * 1j], order - 1)
+        fx = (east - west).scale(0.5 / h)
+        fy = (north - south).scale(0.5 / h)
         stem_route = (fx - apply_real_matrix(sigma, fy)).scale(0.5)
         tensor_route = (fx - star_vector(slot_n, fy)).scale(0.5)
-        slice_route = vector(z0, order)
+        slice_route = vectors([z0], order)[0]
         route_dev = max(
             route_dev, (stem_route - slice_route).max_norm(), (tensor_route - slice_route).max_norm()
         )
 
     # series resummation on sample points
-    coeffs = [vector(z0, n) for n in range(terms)]
+    coeffs = [vectors([z0], n)[0] for n in range(terms)]
     zero = StemValue(n_parts, (Quaternion(),) * size)
     one = StemValue.basis(n_parts, 1)
     stem_res = 0.0
     tensor_res = 0.0
-    for k in range(_SERIES_SAMPLES):
-        phi = 2 * math.pi * k / _SERIES_SAMPLES
-        z = z0 + 0.9 * radius * complex(math.cos(phi), math.sin(phi))
+    angles = [2 * math.pi * k / _SERIES_SAMPLES for k in range(_SERIES_SAMPLES)]
+    points = [z0 + 0.9 * radius * complex(math.cos(phi), math.sin(phi)) for phi in angles]
+    for z, direct in zip(points, vectors(points, 0)):
         dx, dy = (z - z0).real, (z - z0).imag
-        direct = vector(z, 0)
 
         step = dx * np.eye(size) + dy * sigma
         acc = zero

@@ -54,9 +54,13 @@ class BranchPoint(SliceKitError):
 
 
 class BranchPointCrossing(SliceKitError):
-    """Continuation passes through a branch point: `clearance` did not exceed `tolerance`."""
+    """Continuation passes through a branch point: `clearance` did not exceed `tolerance`.
 
-    clearance = tolerance = None
+    `segment` is the part of a continued path that crossed, and `point` the
+    disk point whose closing line crossed; each is None where it does not apply.
+    """
+
+    clearance = tolerance = segment = point = None
 
 
 class NotAtRealPoint(SliceKitError):

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     BranchPoint,
     BranchPointCrossing,
@@ -24,8 +26,8 @@ from .errors import (
     NotAtRealPoint,
 )
 from .paths import NPartPath, PathSegment
-from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse, unit_exp
-from .tolerances import BRANCH_TOL, GERM_TOL, REAL_TOL, SEGMENT_START_TOL, START_TOL
+from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, quat_inverse, unit_exp
+from .tolerances import AT_CENTER_TOL, BRANCH_TOL, GERM_TOL, REAL_TOL, SEGMENT_START_TOL, START_TOL
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,37 @@ def _poly_eval(coeffs: Sequence[Quaternion], q: Quaternion) -> Quaternion:
     return acc
 
 
+def _mapped(fn, values: np.ndarray) -> np.ndarray:
+    """fn of every entry, through Python floats: numpy's power, log and hypot differ in the last bit."""
+    return np.array(list(map(fn, values.ravel().tolist())), dtype=float).reshape(values.shape)
+
+
+def _lift_components(quaternions: Sequence[Quaternion]) -> tuple[np.ndarray, ...]:
+    """(w, x, y, z) of one quaternion per lift, each an (L, 1) column broadcasting over the points."""
+    table = np.array([(q.w, q.x, q.y, q.z) for q in quaternions], dtype=float)
+    return tuple(table[:, k, None] for k in range(4))
+
+
+def _unit_exp_components(angle: np.ndarray, units: Sequence[Quaternion]) -> tuple[np.ndarray, ...]:
+    """`unit_exp` of every angle[l, p] along units[l], as (w, x, y, z) arrays."""
+    c, s = _mapped(math.cos, angle), _mapped(math.sin, angle)
+    _, ux, uy, uz = _lift_components(units)
+    return c, s * ux, s * uy, s * uz
+
+
+def _stacked(components: tuple) -> np.ndarray:
+    """(L, P, 4) array from four (w, x, y, z) arrays of shape (L, P) or broadcasting to it."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
+def _sqrt_factor(n: int) -> tuple[float, float]:
+    """(coefficient, power) of the n-th derivative of the square root: coefficient * r**power."""
+    coeff = 1.0
+    for k in range(n):
+        coeff *= 0.5 - k
+    return coeff, 0.5 - n
+
+
 def _poly_derivative(coeffs: Sequence[Quaternion], n: int) -> tuple[Quaternion, ...]:
     out = list(coeffs)
     for _ in range(n):
@@ -93,6 +126,16 @@ class SliceFunctionModel:
         """Value of the n-th slice derivative continued to the same sheet."""
         raise NotImplementedError
 
+    def derivative_values(
+        self, states: Sequence[SheetState], r: np.ndarray, theta: np.ndarray, n: int
+    ) -> np.ndarray:
+        """`derivative_value` on the sheet of states[l], moved to (r[l, p], theta[l, p]).
+
+        r and theta have shape (L, P) for L states and P points; the result is
+        the (L, P, 4) array of (w, x, y, z), bit for bit the scalar values.
+        """
+        raise NotImplementedError
+
     def datum_for(self, value: Quaternion, r: float, theta: float, unit: Quaternion) -> Quaternion | None:
         """Datum making the state at (r, theta, unit) take the given value."""
         raise NotImplementedError
@@ -117,12 +160,15 @@ class SqrtModel(SliceFunctionModel):
         return self.derivative_value(state, 0)
 
     def derivative_value(self, state: SheetState, n: int) -> Quaternion:
-        coeff = 1.0
-        for k in range(n):
-            coeff *= 0.5 - k
-        power = 0.5 - n
+        coeff, power = _sqrt_factor(n)
         radial = coeff * state.r**power
         return radial * unit_exp(power * state.theta, state.unit) * state.datum
+
+    def derivative_values(self, states, r, theta, n):
+        coeff, power = _sqrt_factor(n)
+        radial = coeff * _mapped(lambda x: x**power, r)
+        rotation = tuple(e * radial for e in _unit_exp_components(power * theta, [s.unit for s in states]))
+        return _stacked(hamilton_components(rotation, _lift_components([s.datum for s in states])))
 
     def datum_for(self, value: Quaternion, r: float, theta: float, unit: Quaternion) -> Quaternion:
         base = math.sqrt(r) * unit_exp(0.5 * theta, unit)
@@ -156,6 +202,19 @@ class LogModel(SliceFunctionModel):
         coeff = (-1.0) ** (n - 1) * math.factorial(n - 1)
         return coeff * state.r ** (-n) * unit_exp(-n * state.theta, state.unit)
 
+    def derivative_values(self, states, r, theta, n):
+        if n == 0:
+            # Quaternion(log r) + theta * unit + datum, component by component
+            uw, ux, uy, uz = _lift_components([s.unit for s in states])
+            dw, dx, dy, dz = _lift_components([s.datum for s in states])
+            log_r = _mapped(math.log, r)
+            return _stacked(
+                (log_r + uw * theta + dw, 0.0 + ux * theta + dx, 0.0 + uy * theta + dy, 0.0 + uz * theta + dz)
+            )
+        coeff = (-1.0) ** (n - 1) * math.factorial(n - 1)
+        radial = coeff * _mapped(lambda x: x ** (-n), r)
+        return _stacked(tuple(e * radial for e in _unit_exp_components(-n * theta, [s.unit for s in states])))
+
     def datum_for(self, value: Quaternion, r: float, theta: float, unit: Quaternion) -> Quaternion:
         return value - (Quaternion(math.log(r)) + theta * unit)
 
@@ -180,6 +239,18 @@ class PolynomialModel(SliceFunctionModel):
 
     def derivative_value(self, state: SheetState, n: int) -> Quaternion:
         return _poly_eval(_poly_derivative(self.coefficients, n), state.projected_point)
+
+    def derivative_values(self, states, r, theta, n):
+        # projected points: the complex point as SheetState computes it, embedded along each unit
+        points = [x * cmath.exp(1j * t) for x, t in zip(r.ravel().tolist(), theta.ravel().tolist())]
+        x = np.array([z.real for z in points], dtype=float).reshape(r.shape)
+        y = np.array([z.imag for z in points], dtype=float).reshape(r.shape)
+        uw, ux, uy, uz = _lift_components([s.unit for s in states])
+        q = (x + y * uw, y * ux, y * uy, y * uz)
+        acc = (0.0, 0.0, 0.0, 0.0)
+        for a in reversed(_poly_derivative(self.coefficients, n)):
+            acc = tuple(h + c for h, c in zip(hamilton_components(q, acc), (a.w, a.x, a.y, a.z)))
+        return _stacked(acc)
 
     def datum_for(self, value: Quaternion, r: float, theta: float, unit: Quaternion) -> None:
         return None
@@ -224,6 +295,54 @@ def continue_segment(model: SliceFunctionModel, state: SheetState, seg: PathSegm
     return replace(state, r=abs(seg.end), theta=state.theta + seg.argument_increment())
 
 
+def _center_plus(center: complex, t, d: np.ndarray) -> np.ndarray:
+    """center + t * d for a real t, in the float operations of Python's complex arithmetic."""
+    out = np.empty(d.shape, dtype=complex)
+    out.real = center.real + (t * d.real - 0.0 * d.imag)
+    out.imag = center.imag + (t * d.imag + 0.0 * d.real)
+    return out
+
+
+def continue_closing_lines(
+    model: SliceFunctionModel, states: Sequence[SheetState], center: complex, points: Sequence[complex]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every state continued along the line from `center` to every point, as `continue_segment` does.
+
+    Returns (r, theta), each of shape (len(states), len(points)).  The states
+    sit at `center`, where every closing line starts; the caller checks that
+    once per state.  A point within AT_CENTER_TOL of the centre keeps the
+    states as they are.  The clearance of every closing line is computed at
+    once, and the first point whose line comes within BRANCH_TOL of the branch
+    point raises BranchPointCrossing with that `point`.  An entire model
+    restarts from the principal argument there instead.
+    """
+    z = np.array(points, dtype=complex).reshape(-1)
+    r = np.repeat(np.array([[s.r] for s in states], dtype=float), len(z), axis=1)
+    theta = np.repeat(np.array([[s.theta] for s in states], dtype=float), len(z), axis=1)
+    d = z - center
+    moved = np.flatnonzero(~(_mapped(abs, d) < AT_CENTER_TOL))  # written so that NaN moves, as in a per-point test
+    if not len(moved):
+        return r, theta
+    d = d[moved]
+    # Line(center, z).min_distance_to_origin() and Line(center, z).end, in the float operations Python does
+    t = -(center.real * d.real + center.imag * d.imag) / _mapped(lambda x: abs(x) ** 2, d)
+    t = np.where(t < 1.0, t, 1.0)  # max(0.0, min(1.0, t)), NaN included
+    t = np.where(t > 0.0, t, 0.0)
+    clearance = _mapped(abs, _center_plus(center, t, d))
+    end = _center_plus(center, 1.0, d)
+    crossing = clearance <= BRANCH_TOL
+    if model.is_branched() and crossing.any():
+        first = int(np.argmax(crossing))
+        nearest = float(clearance[first])
+        message = f"segment passes within {nearest:g} of the branch point"
+        raise BranchPointCrossing(message, clearance=nearest, tolerance=BRANCH_TOL, point=points[moved[first]])
+    r[:, moved] = _mapped(abs, end)
+    turned = moved[~crossing]
+    theta[:, turned] += [cmath.phase(w / center) for w in z[turned].tolist()]
+    theta[:, moved[crossing]] = [cmath.phase(w) if w != 0 else 0.0 for w in end[crossing].tolist()]
+    return r, theta
+
+
 def junction_switch(model: SliceFunctionModel, state: SheetState, new_unit: Quaternion) -> SheetState:
     """Re-anchor the germ at a real point into another slice.
 
@@ -256,7 +375,11 @@ def final_state(
     for part, seg in enumerate(path.segments):
         if part > 0:
             state = junction_switch(model, state, units[part])
-        state = continue_segment(model, state, seg)
+        try:
+            state = continue_segment(model, state, seg)
+        except BranchPointCrossing as crossing:
+            crossing.segment = part
+            raise
     return state
 
 

@@ -17,6 +17,8 @@ from .errors import ShapeMismatch, Singular
 from .quat import Quaternion, as_quaternion
 from .tolerances import RANK_CUTOFF
 
+_TERMS_PER_BLOCK = 1 << 13  # entry products formed at once by a stacked `apply_column`: bounds its temporaries
+
 
 def _pairs(quaternions: Sequence[Quaternion]) -> np.ndarray:
     """(n, 2) complex array of the pairs (w + x*i, y + z*i), bit for bit."""
@@ -99,17 +101,29 @@ class QuaternionMatrix:
     def conj_transpose(self) -> "QuaternionMatrix":
         return QuaternionMatrix._of(self.a1.conj().T, -self.a2.T)
 
-    def apply_column(self, column: Sequence[Quaternion]) -> tuple[Quaternion, ...]:
-        """Matrix times column vector, entries multiplied in matrix-then-vector order."""
-        if len(column) != self.cols:
-            raise ShapeMismatch(f"column of length {len(column)} against {self.rows}x{self.cols}")
+    def apply_column(self, column: Sequence[Quaternion] | np.ndarray) -> tuple[Quaternion, ...] | np.ndarray:
+        """Matrix times column vector, entries multiplied in matrix-then-vector order.
+
+        A stack of P columns, given as a (P, cols, 4) float array of (w, x, y, z)
+        components, gives the (P, rows, 4) array of the P products, each bit for
+        bit the product of its column alone.
+        """
+        stacked = isinstance(column, np.ndarray)
+        c = np.ascontiguousarray(column, dtype=float).view(complex) if stacked else _pairs(column)[None]
+        if c.shape[1:] != (self.cols, 2):
+            raise ShapeMismatch(f"column of length {c.shape[1]} against {self.rows}x{self.cols}")
         # (a1 + a2*j)(c1 + c2*j) = a1*(c1, c2) + a2*(-conj(c2), conj(c1)), as (first, second) block
-        c = _pairs(column)
-        swapped = c[:, ::-1].conj()
-        swapped[:, 0] = -swapped[:, 0]
-        terms = self.a1[:, :, None] * c + self.a2[:, :, None] * swapped
-        # summed left to right from +0.0 like an entrywise loop, so exact terms (eta stacks) give the same bits
-        return _quaternions(np.add.accumulate(terms, axis=1)[:, -1] + 0.0)
+        swapped = c[:, :, ::-1].conj()
+        swapped[:, :, 0] = -swapped[:, :, 0]
+        block = max(1, _TERMS_PER_BLOCK // self.a1.size)  # columns whose terms are formed at once
+        sums = []
+        for start in range(0, max(len(c), 1), block):
+            part, flipped = c[start : start + block, None], swapped[start : start + block, None]
+            terms = self.a1[:, :, None] * part + self.a2[:, :, None] * flipped
+            # summed left to right from +0.0 like an entrywise loop, so exact terms (eta stacks) give the same bits
+            sums.append(np.add.accumulate(terms, axis=2)[:, :, -1] + 0.0)
+        out = sums[0] if len(sums) == 1 else np.concatenate(sums)
+        return out.view(float) if stacked else _quaternions(out[0])
 
     def max_norm(self) -> float:
         """Largest entry norm; NaN when any entry holds a NaN."""

@@ -173,6 +173,22 @@ def hamilton_product(a: Quaternion, b: Quaternion) -> Quaternion:
     )
 
 
+def hamilton_components(a: tuple, b: tuple) -> tuple:
+    """`hamilton_product` on (w, x, y, z) tuples of floats or numpy arrays.
+
+    The same float expressions in the same order, so arrays of components
+    multiply entry by entry bit for bit like the scalar product.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
 def quat_inverse(q: Quaternion) -> Quaternion:
     """Two-sided inverse conj(q)/|q|^2.
 

@@ -7,6 +7,15 @@ validation conditions tie the per-disk functions into a single coherent
 multi-sheet object (annihilated slicewise by the coupled Cauchy-Riemann
 operator, compatible along parts, zero-padded across junctions, and rooted in
 one real germ).
+
+A closed-form stem is evaluated in batches: `stem_derivative_family` carries
+the 2**N reference continuations to the disk centre once, then takes a whole
+array of disk points through one closing-line continuation
+(`continue_closing_lines`), one array pass of the model's derivative formula
+and one stacked product with the inverse reference matrix.  Values are
+(P, 2**N, 4) arrays of quaternion components, bit for bit the values a point
+by point evaluation gives; the export grid and every probe list of the
+validator go through one call.
 """
 
 from __future__ import annotations
@@ -20,13 +29,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BranchPointCrossing, IncompatibleSupports, OutOfDomain
-from .monodromy import SliceFunctionModel, continue_segment, final_state
-from .paths import Line, NPartPath, segment_from_json_obj
+from .monodromy import SliceFunctionModel, continue_closing_lines, continue_segment, final_state
+from .paths import Line, NPartPath, _json_number, segment_from_json_obj
 from .quat import I as UNIT_I
 from .quat import Quaternion
 from .sliceunits import eta, eta_inverse
-from .stemtensor import StemValue, apply_real_matrix, nan_max, sigma_matrix, star_vector
-from .tolerances import AT_CENTER_TOL, DISK_RIM_TOL, FD_STEP, PARAMETER_TOL, START_TOL, SUPPORT_TOL
+from .stemtensor import StemValue, nan_max, sigma_matrix, star_vector
+from .tolerances import DISK_RIM_TOL, FD_STEP, PARAMETER_TOL, START_TOL, SUPPORT_TOL
 from .tolerances import AXIAL_TOL, GRID_HOLOMORPHY_TOL, HOLOMORPHY_TOL, INITIAL_TOL, OVERLAP_TOL  # validator bounds
 
 DEFAULT_GRID = (17, 64)
@@ -34,48 +43,74 @@ _SPLIT_SAMPLES = 65  # points of the path between two truncations searched for a
 _OVERLAP_CAP = 40  # overlap points compared per pair of stems in the local-compatibility check
 
 
+def _components(values: Sequence[StemValue], n: int) -> np.ndarray:
+    """(P, 2**n, 4) array of the (w, x, y, z) of P stem values."""
+    table = [[(q.w, q.x, q.y, q.z) for q in v.entries] for v in values]
+    return np.array(table, dtype=float).reshape(len(table), 1 << n, 4)
+
+
+def _stem_values(values: np.ndarray, n: int) -> list[StemValue]:
+    """The stem values of a (P, 2**n, 4) component array, bit for bit."""
+    return [StemValue(n, tuple(Quaternion(*q) for q in col)) for col in values.tolist()]
+
+
+def _max_norms(values: np.ndarray) -> list[float]:
+    """`StemValue.max_norm` of every column of a (..., 2**N, 4) array, in the same float operations, flattened."""
+    w, x, y, z = np.moveaxis(values, -1, 0)
+    return np.sqrt(w * w + x * x + y * y + z * z).max(axis=-1).ravel().tolist()
+
+
 @dataclass(frozen=True)
 class SampledStem:
-    """Stem function on a disk: an evaluator plus an optional polar grid.
+    """Stem function on a disk: a batched evaluator or a polar grid.
 
     Closed-form-backed stems evaluate anywhere on the disk, which keeps
-    finite differencing honest.  Grid-backed stems (JSON round trips)
-    interpolate bilinearly in polar coordinates.
+    finite differencing honest.  Their evaluator takes a list of P disk points
+    and returns the (P, 2**N, 4) array of the stem values' quaternion
+    components, so a grid or a probe list costs one call; `at` is its one-point
+    case.  Grid-backed stems (JSON round trips) interpolate bilinearly in
+    polar coordinates.
     """
 
     N: int
     center: complex
     radius: float
-    evaluator: Callable[[complex], StemValue] | None = None
+    evaluator: Callable[[list[complex]], np.ndarray] | None = None
     grid: tuple[int, int] = DEFAULT_GRID
     grid_samples: tuple | None = field(default=None, repr=False)
 
-    def at(self, z: complex) -> StemValue:
-        z = complex(z)
-        if abs(z - self.center) > self.radius * (1 + DISK_RIM_TOL):
-            raise OutOfDomain(f"{z} outside disk of radius {self.radius} at {self.center}")
+    def values(self, points: Sequence[complex]) -> np.ndarray:
+        """Stem values at the disk points: the (P, 2**N, 4) array of their (w, x, y, z)."""
+        points = [complex(z) for z in points]
+        bound = self.radius * (1 + DISK_RIM_TOL)
+        for z in points:
+            if abs(z - self.center) > bound:
+                raise OutOfDomain(f"{z} outside disk of radius {self.radius} at {self.center}")
         if self.evaluator is not None:
-            return self.evaluator(z)
-        return self._interpolate(z)
+            return self.evaluator(points)
+        return _components([self._interpolate(z) for z in points], self.N)
+
+    def at(self, z: complex) -> StemValue:
+        """Stem value at one disk point."""
+        return _stem_values(self.values([z]), self.N)[0]
 
     def map(self, transform: Callable[[complex, StemValue], StemValue]) -> "SampledStem":
         """Pointwise-transformed stem on the same disk."""
-        return replace(self, evaluator=lambda z: transform(z, self.at(z)), grid_samples=None)
+
+        def evaluator(points: list[complex]) -> np.ndarray:
+            columns = _stem_values(self.values(points), self.N)
+            return _components([transform(z, v) for z, v in zip(points, columns)], self.N)
+
+        return replace(self, evaluator=evaluator, grid_samples=None)
 
     # -- grid support -------------------------------------------------------
 
-    def sample_grid(self) -> list:
-        """Polar grid of stem values: radii x angles, radius 0 row included."""
+    def sample_grid(self) -> np.ndarray:
+        """Polar grid of stem values, radius 0 row included: an (n_r, n_a, 2**N, 4) array from one call."""
         n_r, n_a = self.grid
-        rows = []
-        for k in range(n_r):
-            r = self.radius * k / (n_r - 1)
-            row = []
-            for l in range(n_a):
-                phi = 2 * math.pi * l / n_a
-                row.append(self.at(self.center + r * complex(math.cos(phi), math.sin(phi))))
-            rows.append(row)
-        return rows
+        directions = [complex(math.cos(phi), math.sin(phi)) for phi in (2 * math.pi * l / n_a for l in range(n_a))]
+        points = [self.center + self.radius * k / (n_r - 1) * w for k in range(n_r) for w in directions]
+        return self.values(points).reshape(n_r, n_a, 1 << self.N, 4)
 
     def _interpolate(self, z: complex) -> StemValue:
         if self.grid_samples is None:
@@ -103,11 +138,12 @@ class SampledStem:
 
 def stem_derivative_family(
     model: SliceFunctionModel, path: NPartPath, radius: float
-) -> Callable[[complex, int], StemValue]:
-    """(z, n) -> invariant vector of the n-th slice derivative at z.
+) -> Callable[[Sequence[complex], int], np.ndarray]:
+    """(points, n) -> invariant vectors of the n-th slice derivative at the points.
 
-    The 2**N reference continuations are carried to the path's endpoint once;
-    each disk point then only costs one closing line per reference lift.
+    The 2**N reference continuations are carried to the path's endpoint once.
+    A call then continues them along the closing lines to all its points at
+    once and returns the (P, 2**N, 4) array of the vectors' components.
     n = 0, the default, is the stem itself.
     """
     center = path.endpoint
@@ -117,16 +153,14 @@ def stem_derivative_family(
     reference = eta(path.parts, UNIT_I)
     inverse = eta_inverse(reference)
     end_states = [final_state(model, path, row) for row in reference.rows]
+    for state in end_states:  # every closing line starts at the centre: a zero-length one checks the start
+        continue_segment(model, state, Line(center, center))
 
-    def vector(z: complex, n: int = 0) -> StemValue:
-        if abs(z - center) < AT_CENTER_TOL:
-            states = end_states
-        else:
-            closing = Line(center, z)
-            states = [continue_segment(model, s, closing) for s in end_states]
-        return StemValue(path.parts, inverse.apply_column([model.derivative_value(s, n) for s in states]))
+    def vectors(points: Sequence[complex], n: int = 0) -> np.ndarray:
+        r, theta = continue_closing_lines(model, end_states, center, points)
+        return inverse.apply_column(model.derivative_values(end_states, r, theta, n).transpose(1, 0, 2))
 
-    return vector
+    return vectors
 
 
 def stem_from_slice(
@@ -142,42 +176,42 @@ def stem_from_slice(
 
 def stem_cr_residual(stem: SampledStem, z: complex) -> float:
     """Max norm of (d/dx + sigma * d/dy) applied by central differences of step FD_STEP."""
-    z = complex(z)
-    if abs(z - stem.center) > stem.radius - 2 * FD_STEP:
-        raise OutOfDomain(f"{z} too close to the disk rim for step {FD_STEP}")
-    fx = (stem.at(z + FD_STEP) - stem.at(z - FD_STEP)).scale(0.5 / FD_STEP)
-    fy = (stem.at(z + FD_STEP * 1j) - stem.at(z - FD_STEP * 1j)).scale(0.5 / FD_STEP)
-    return (fx + apply_real_matrix(sigma_matrix(stem.N), fy)).max_norm()
+    return _cr_residuals(stem, [z])[0]
+
+
+def _cr_residuals(stem: SampledStem, points: Sequence[complex]) -> list[float]:
+    """`stem_cr_residual` at every point, from one call over all their neighbours."""
+    points = [complex(z) for z in points]
+    for z in points:
+        if abs(z - stem.center) > stem.radius - 2 * FD_STEP:
+            raise OutOfDomain(f"{z} too close to the disk rim for step {FD_STEP}")
+    neighbours = [w for z in points for w in (z + FD_STEP, z - FD_STEP, z + FD_STEP * 1j, z - FD_STEP * 1j)]
+    values = stem.values(neighbours).reshape(len(points), 4, 1 << stem.N, 4)
+    fx = (values[:, 0] - values[:, 1]) * (0.5 / FD_STEP)
+    fy = (values[:, 2] - values[:, 3]) * (0.5 / FD_STEP)
+    return _max_norms(fx + sigma_matrix(stem.N).astype(float) @ fy)
 
 
 def _grid_cr_residual(stem: SampledStem) -> float:
     """CR residual from polar grid neighbours (grid-backed stems only).
 
-    Works on the stored entries, not on `StemValue`s: this loop is most of
-    the time of grid validation, and a wrapper per neighbour and per
-    intermediate would cost more than the quaternion arithmetic itself.
+    Central differences in r and phi at every interior grid point, turned
+    into d/dx and d/dy, in array passes over the stored grid; NaN when any
+    residual is NaN.
     """
     n_r, n_a = stem.grid
-    samples = stem.grid_samples
+    samples = np.array([[[(q.w, q.x, q.y, q.z) for q in col] for col in row] for row in stem.grid_samples], dtype=float)
     dr = stem.radius / (n_r - 1)
     dphi = 2 * math.pi / n_a
-    sigma = sigma_matrix(stem.N)
-    worst = 0.0
-    for k in range(1, n_r - 1):
-        r = dr * k
-        for l in range(n_a):
-            phi = dphi * l
-            d_r = [(a - b) * (0.5 / dr) for a, b in zip(samples[k + 1][l], samples[k - 1][l])]
-            d_phi = [
-                (a - b) * (0.5 / dphi)
-                for a, b in zip(samples[k][(l + 1) % n_a], samples[k][(l - 1) % n_a])
-            ]
-            cos_p, sin_p = math.cos(phi), math.sin(phi)
-            fx = [a * cos_p - b * (sin_p / r) for a, b in zip(d_r, d_phi)]
-            fy = [a * sin_p + b * (cos_p / r) for a, b in zip(d_r, d_phi)]
-            sigma_fy = apply_real_matrix(sigma, StemValue(stem.N, fy)).entries
-            worst = nan_max([worst] + [(a + b).norm() for a, b in zip(fx, sigma_fy)])
-    return worst
+    r = np.array([dr * k for k in range(1, n_r - 1)])[:, None, None, None]
+    phi = [dphi * l for l in range(n_a)]
+    cos_p = np.array([math.cos(p) for p in phi])[:, None, None]
+    sin_p = np.array([math.sin(p) for p in phi])[:, None, None]
+    d_r = (samples[2:] - samples[:-2]) * (0.5 / dr)
+    d_phi = (np.roll(samples, -1, axis=1) - np.roll(samples, 1, axis=1))[1:-1] * (0.5 / dphi)
+    fx = d_r * cos_p - d_phi * (sin_p / r)
+    fy = d_r * sin_p + d_phi * (cos_p / r)
+    return nan_max([0.0] + _max_norms(fx + sigma_matrix(stem.N).astype(float) @ fy))
 
 
 # -- systems ----------------------------------------------------------------
@@ -217,19 +251,25 @@ class StemSystem:
         return replace(self, entries=out)
 
 
+def _junction(t: float, parts: int) -> int | None:
+    """m when t * parts lies within PARAMETER_TOL of the whole number m, else None."""
+    m = round(t * parts)
+    return m if abs(t * parts - m) < PARAMETER_TOL else None
+
+
 def _format_t(t: float, parts: int, closed: bool) -> str:
-    scaled = t * parts
-    if abs(scaled - round(scaled)) < PARAMETER_TOL:
-        tag = f"{int(round(scaled))}/{parts}"
-    else:
-        tag = f"{t:g}"
+    """m/N at a junction, else the shortest repr of t, so distinct t give distinct labels."""
+    m = _junction(t, parts)
+    tag = f"{m}/{parts}" if m is not None else repr(t)
     return tag + ("-" if closed else "")
 
 
 def truncation_lattice(parts: int, extra: Sequence[float] = ()) -> list[tuple[float, bool]]:
     """Junction-multiple (open and closed) truncations plus user t values.
 
-    A user t must be finite and strictly inside (0, 1); anything else is a ValueError.
+    A user t must be finite and strictly inside (0, 1); anything else is a
+    ValueError.  A user t on a junction m/N (within PARAMETER_TOL) is that
+    junction's truncation: the open one, or the whole path at m = N.
     """
     ts: list[tuple[float, bool]] = [(0.0, False)]
     for m in range(1, parts + 1):
@@ -239,7 +279,8 @@ def truncation_lattice(parts: int, extra: Sequence[float] = ()) -> list[tuple[fl
     for t in extra:
         if not 0.0 < t < 1.0:  # written so that NaN fails too
             raise ValueError(f"extra truncation must lie strictly inside (0, 1), got {t!r}")
-        ts.append((float(t), False))
+        m = _junction(t, parts)
+        ts.append((float(t), False) if m is None else (m / parts, m == parts))
     return sorted(set(ts))
 
 
@@ -331,9 +372,9 @@ def _check_holomorphy(system: StemSystem) -> ConditionResult:
             worst = nan_max([worst, _grid_cr_residual(stem)])
             checked += 1
             continue
-        for z in _interior_probes(stem, margin=2 * FD_STEP):
-            worst = nan_max([worst, stem_cr_residual(stem, z)])
-            checked += 1
+        residuals = _cr_residuals(stem, _interior_probes(stem, margin=2 * FD_STEP))
+        worst = nan_max([worst] + residuals)
+        checked += len(residuals)
     bound = HOLOMORPHY_TOL if all(e.stem.evaluator is not None for e in system.entries) else GRID_HOLOMORPHY_TOL
     return ConditionResult("holomorphy", worst <= bound, worst, bound, checked)
 
@@ -386,9 +427,10 @@ def _check_local_compatibility(system: StemSystem) -> ConditionResult:
                 disk2 = (e2.stem.center, e2.stem.radius)
                 if not _split_exists(full.path, e1.t, e2.t, disk1, disk2):
                     continue
-                for z in _overlap_points(e1.stem, e2.stem):
-                    worst = nan_max([worst, (e1.stem.at(z) - e2.stem.at(z)).max_norm()])
-                    checked += 1
+                points = _overlap_points(e1.stem, e2.stem)
+                if points:
+                    worst = nan_max([worst] + _max_norms(e1.stem.values(points) - e2.stem.values(points)))
+                    checked += len(points)
     return ConditionResult("local-compatibility", worst <= OVERLAP_TOL, worst, OVERLAP_TOL, checked)
 
 
@@ -406,10 +448,11 @@ def _check_axial_compatibility(system: StemSystem) -> ConditionResult:
                 continue
             center = long_entry.stem.center
             reach = 0.9 * min(long_entry.stem.radius, short_entry.stem.radius)
-            for x in np.linspace(center.real - reach, center.real + reach, 9):
-                padded = StemValue.padded(short_entry.stem.at(complex(x, 0.0)))
-                worst = nan_max([worst, (long_entry.stem.at(complex(x, 0.0)) - padded).max_norm()])
-                checked += 1
+            points = [complex(x, 0.0) for x in np.linspace(center.real - reach, center.real + reach, 9)]
+            short = short_entry.stem.values(points)
+            padded = np.concatenate([short, np.zeros_like(short)], axis=1)  # StemValue.padded
+            worst = nan_max([worst] + _max_norms(long_entry.stem.values(points) - padded))
+            checked += len(points)
     return ConditionResult("axial-compatibility", worst <= AXIAL_TOL, worst, AXIAL_TOL, checked)
 
 
@@ -419,14 +462,13 @@ def _check_initial_compatibility(system: StemSystem) -> ConditionResult:
     if initial_entries:
         reach = 0.9 * min(e.stem.radius for e in initial_entries)
         x0 = system.x0
-        for x in np.linspace(x0 - reach, x0 + reach, 9):
-            columns = [e.stem.at(complex(x, 0.0)).entries for e in initial_entries]
-            for col in columns:
-                for upper in col[1:]:
-                    worst = nan_max([worst, upper.norm()])
-                checked += 1
-            for col in columns[1:]:
-                worst = nan_max([worst, (col[0] - columns[0][0]).norm()])
+        points = [complex(x, 0.0) for x in np.linspace(x0 - reach, x0 + reach, 9)]
+        columns = [e.stem.values(points) for e in initial_entries]
+        for col in columns:
+            worst = nan_max([worst] + _max_norms(col[:, 1:, None]))  # every entry above the first, one by one
+            checked += len(points)
+        for col in columns[1:]:
+            worst = nan_max([worst] + _max_norms(col[:, :1] - columns[0][:, :1]))
     return ConditionResult("initial-compatibility", worst <= INITIAL_TOL, worst, INITIAL_TOL, checked)
 
 
@@ -444,7 +486,11 @@ def _combine(s1: StemSystem, s2: StemSystem, op, name: str) -> StemSystem:
 
 
 def _pointwise(op, a: SampledStem, b: SampledStem):
-    return lambda z: op(a.at(z), b.at(z))
+    def evaluator(points: list[complex]) -> np.ndarray:
+        pairs = zip(_stem_values(a.values(points), a.N), _stem_values(b.values(points), b.N))
+        return _components([op(x, y) for x, y in pairs], a.N)
+
+    return evaluator
 
 
 def stem_add(s1: StemSystem, s2: StemSystem) -> StemSystem:
@@ -467,32 +513,64 @@ def system_to_json(system: StemSystem) -> str:
         obj.update({"label": e.label, "anchor": e.anchor, "t": e.t, "closed": e.closed})
         paths.append(obj)
         radii.append(e.stem.radius)
-        grid_rows = e.stem.sample_grid()
-        samples.append([[[q.to_list() for q in col.entries] for col in row] for row in grid_rows])
+        samples.append(e.stem.sample_grid().tolist())
     return json.dumps({"x0": system.x0, "paths": paths, "radii": radii, "samples": samples})
 
 
+def _json_grid(sample, n: int) -> tuple:
+    """Grid rows of Quaternion columns from a JSON grid; anything but a proper grid is a ValueError.
+
+    A proper grid is a rectangle of at least 3 radii by 3 angles, the fewest
+    with a central difference, whose columns hold 2**n entries of four finite
+    numbers.
+    """
+    try:
+        grid = np.array(sample)
+    except ValueError:  # ragged
+        grid = np.empty(0)
+    shaped = grid.ndim == 4 and min(grid.shape[:2]) >= 3 and grid.shape[2:] == (1 << n, 4)
+    if not (shaped and grid.dtype.kind in "fi" and np.isfinite(grid).all()):  # kind: numbers, not strings or null
+        raise ValueError(f"stem grid must hold at least 3 x 3 columns of {1 << n} finite [w, x, y, z] entries")
+    return tuple(tuple(tuple(Quaternion(*q) for q in col) for col in row) for row in sample)
+
+
 def system_from_json(text: str) -> StemSystem:
+    """The system `system_to_json` wrote, grid-backed; a malformed document is a ValueError.
+
+    paths, radii and samples are lists of one length; every path object
+    holds at least one segment, a string label and anchor, a number t and a
+    boolean closed, and no two share a label; every radius is a finite
+    positive number, and every grid is checked by `_json_grid`.
+    """
     data = json.loads(text)
+    lists = [data.get(key) if isinstance(data, dict) else None for key in ("paths", "radii", "samples")]
+    if not all(isinstance(v, list) for v in lists) or len({len(v) for v in lists}) != 1:
+        raise ValueError("stem system JSON needs lists paths, radii and samples of one length")
     entries = []
     anchors: list[str] = []
-    for obj, radius, sample in zip(data["paths"], data["radii"], data["samples"]):
-        segs = [segment_from_json_obj(o) for o in obj["segments"]]
-        path = NPartPath(tuple(segs))
-        grid_rows = tuple(
-            tuple(tuple(Quaternion.from_list(q) for q in col) for col in row) for row in sample
-        )
-        n_r = len(grid_rows)
-        n_a = len(grid_rows[0])
+    for obj, radius, sample in zip(*lists):
+        kinds = {"segments": list, "label": str, "anchor": str, "closed": bool}
+        typed = isinstance(obj, dict) and all(isinstance(obj.get(k), kind) for k, kind in kinds.items())
+        if not typed or not obj["segments"]:
+            message = f"stem system JSON expects path objects with segments, label, anchor, t and closed, got {obj!r}"
+            raise ValueError(message)
+        path = NPartPath(tuple(segment_from_json_obj(o) for o in obj["segments"]))
+        _json_number(obj.get("t"))
+        if not _json_number(radius) > 0.0:
+            raise ValueError(f"stem radius must be a finite positive number, got {radius!r}")
+        grid_rows = _json_grid(sample, path.parts)
         stem = SampledStem(
             N=path.parts,
             center=path.endpoint,
             radius=radius,
             evaluator=None,
-            grid=(n_r, n_a),
+            grid=(len(grid_rows), len(grid_rows[0])),
             grid_samples=grid_rows,
         )
         entries.append(StemEntry(obj["label"], obj["anchor"], obj["t"], obj["closed"], path, stem))
         if obj["anchor"] not in anchors:
             anchors.append(obj["anchor"])
-    return StemSystem(x0=float(data["x0"]), entries=tuple(entries), anchors=tuple(anchors))
+    labels = [e.label for e in entries]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"stem system JSON repeats a label: {labels}")
+    return StemSystem(x0=float(_json_number(data.get("x0"))), entries=tuple(entries), anchors=tuple(anchors))

@@ -12,14 +12,28 @@ and sum per term, so the kernels must match them bit for bit.
 The two per-entry matrix loops multiply `Quaternion` entries one Hamilton
 product at a time, never touching the complex blocks that `qmat` computes
 with, so they check the block formulas independently.
+
+The per-point stem evaluator and the neighbour loop of the grid residual are
+references of the second kind for the batched stem code: one closing-line
+`continue_segment` per reference lift, the scalar `derivative_value` and one
+`apply_column` per point (with every term of the block product formed at
+once), and one `Quaternion` difference per grid neighbour.  The batched
+evaluator and the array residual must match them bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from slicekit.calculus import SliceRegularPoly
-from slicekit.qmat import QuaternionMatrix
+from slicekit.monodromy import continue_segment, final_state
+from slicekit.paths import Line
+from slicekit.qmat import QuaternionMatrix, _pairs, _quaternions
+from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, embed_slice
-from slicekit.stemtensor import StemValue, basis_product
+from slicekit.sliceunits import eta, eta_inverse
+from slicekit.stemtensor import StemValue, apply_real_matrix, basis_product, nan_max, sigma_matrix
+from slicekit.tolerances import AT_CENTER_TOL
 
 
 def _right_mult_matrix(v: Quaternion) -> np.ndarray:
@@ -111,6 +125,55 @@ def per_entry_apply_column(a: QuaternionMatrix, column) -> tuple[Quaternion, ...
             acc = acc + a[i, k] * column[k]
         out.append(acc)
     return tuple(out)
+
+
+def block_apply_column(a: QuaternionMatrix, column) -> tuple[Quaternion, ...]:
+    """Block product a * column with all terms formed at once, summed left to right, +0.0 added last."""
+    c = _pairs(column)
+    swapped = c[:, ::-1].conj()
+    swapped[:, 0] = -swapped[:, 0]
+    terms = a.a1[:, :, None] * c + a.a2[:, :, None] * swapped
+    return _quaternions(np.add.accumulate(terms, axis=1)[:, -1] + 0.0)
+
+
+def per_point_stem_family(model, path, radius):
+    """(z, n) -> invariant vector of the n-th slice derivative at z, one point at a time."""
+    center = path.endpoint
+    reference = eta(path.parts, UNIT_I)
+    inverse = eta_inverse(reference)
+    end_states = [final_state(model, path, row) for row in reference.rows]
+
+    def vector(z: complex, n: int = 0) -> StemValue:
+        if abs(z - center) < AT_CENTER_TOL:
+            states = end_states
+        else:
+            closing = Line(center, z)
+            states = [continue_segment(model, s, closing) for s in end_states]
+        return StemValue(path.parts, block_apply_column(inverse, [model.derivative_value(s, n) for s in states]))
+
+    return vector
+
+
+def grid_cr_residual_loop(stem) -> float:
+    """CR residual of a grid-backed stem from its polar grid neighbours, one grid point at a time."""
+    n_r, n_a = stem.grid
+    samples = stem.grid_samples
+    dr = stem.radius / (n_r - 1)
+    dphi = 2 * math.pi / n_a
+    sigma = sigma_matrix(stem.N)
+    worst = 0.0
+    for k in range(1, n_r - 1):
+        r = dr * k
+        for l in range(n_a):
+            phi = dphi * l
+            d_r = [(a - b) * (0.5 / dr) for a, b in zip(samples[k + 1][l], samples[k - 1][l])]
+            d_phi = [(a - b) * (0.5 / dphi) for a, b in zip(samples[k][(l + 1) % n_a], samples[k][(l - 1) % n_a])]
+            cos_p, sin_p = math.cos(phi), math.sin(phi)
+            fx = [a * cos_p - b * (sin_p / r) for a, b in zip(d_r, d_phi)]
+            fy = [a * sin_p + b * (cos_p / r) for a, b in zip(d_r, d_phi)]
+            sigma_fy = apply_real_matrix(sigma, StemValue(stem.N, fy)).entries
+            worst = nan_max([worst] + [(a + b).norm() for a, b in zip(fx, sigma_fy)])
+    return worst
 
 
 def sparse_quaternions(count: int, rng: np.random.Generator) -> list[Quaternion]:

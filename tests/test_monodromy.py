@@ -6,7 +6,9 @@ from slicekit.errors import BranchPoint, BranchPointCrossing, NotAtRealPoint
 from slicekit.monodromy import (
     LogModel,
     PolynomialModel,
+    SheetState,
     SqrtModel,
+    continue_closing_lines,
     continue_segment,
     evaluate_lifted,
     final_state,
@@ -17,6 +19,8 @@ from slicekit.monodromy import (
 from slicekit.paths import Arc, Line, beta_path, constant_path, half_turns, make_npart_path
 from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
 from slicekit.tolerances import BRANCH_TOL
+
+from oracles import bits
 
 PI = math.pi
 
@@ -69,6 +73,8 @@ class TestContinuation:
         # the exception carries the measured clearance and the cut-off it missed
         assert (crossing.value.clearance, crossing.value.tolerance) == (0.0, BRANCH_TOL)
         assert str(crossing.value) == "segment passes within 0 of the branch point"
+        # a bare segment belongs to no path part and no disk point
+        assert (crossing.value.segment, crossing.value.point) == (None, None)
 
     def test_segment_must_start_at_state(self, unit_i):
         model = SqrtModel()
@@ -217,3 +223,60 @@ class TestGermKeys:
             )
             assert direct.isclose(detour)
             assert (direct.value - k).norm() < 1e-12
+
+
+_POLY = PolynomialModel((Quaternion(1, 0.5, 0, 0), Quaternion(0, 0, 2, 0), Quaternion(0.25, 0, 0, -1)))
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("model", [SqrtModel(), LogModel(), _POLY], ids=["sqrt", "log", "poly"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_derivative_values_match_derivative_value_bit_for_bit(self, rng, model, n):
+        states = []
+        for _ in range(3):
+            unit = random_imaginary_unit(rng)
+            datum = None if model.datum_kind == "none" else Quaternion(*rng.uniform(-2, 2, 4))
+            states.append(SheetState(r=1.0, theta=0.0, unit=unit, datum=datum))
+        r = rng.uniform(0.05, 3.0, (3, 7))
+        theta = rng.uniform(-9.0, 9.0, (3, 7))
+        theta[0, 0] = -0.0
+        values = model.derivative_values(states, r, theta, n)
+        assert values.shape == (3, 7, 4)
+        for l, state in enumerate(states):
+            for p in range(7):
+                moved = SheetState(r=float(r[l, p]), theta=float(theta[l, p]), unit=state.unit, datum=state.datum)
+                expected = model.derivative_value(moved, n)
+                assert bits([Quaternion(*values[l, p].tolist())]) == bits([expected])
+
+    @pytest.mark.parametrize("model", [SqrtModel(), LogModel(), _POLY], ids=["sqrt", "log", "poly"])
+    def test_closing_lines_match_continue_segment(self, rng, model):
+        path = make_npart_path([half_turns(1), half_turns(1).reversed()])
+        states = [final_state(model, path, (random_imaginary_unit(rng), random_imaginary_unit(rng))) for _ in range(2)]
+        center = path.endpoint
+        points = [center, center + 1e-16j] + [complex(*rng.uniform(-0.9, 0.9, 2)) + center for _ in range(20)]
+        r, theta = continue_closing_lines(model, states, center, points)
+        for l, state in enumerate(states):
+            for p, z in enumerate(points):
+                moved = state if abs(z - center) < 1e-15 else continue_segment(model, state, Line(center, z))
+                assert (r[l, p].hex(), theta[l, p].hex()) == (moved.r.hex(), moved.theta.hex())
+
+    def test_closing_line_crossing_names_the_first_point(self, unit_i):
+        model = SqrtModel()
+        state = initial_state(model, 1.0, unit_i)
+        points = [1.5 + 0.2j, -1.0 + 0j, -2.0 + 0j]
+        with pytest.raises(BranchPointCrossing) as crossing:
+            continue_closing_lines(model, [state], 1.0 + 0j, points)
+        assert crossing.value.point == -1.0 + 0j
+        assert (crossing.value.clearance, crossing.value.tolerance) == (0.0, BRANCH_TOL)
+        assert str(crossing.value) == "segment passes within 0 of the branch point"
+        assert crossing.value.segment is None
+
+
+def test_final_state_crossing_carries_the_segment(unit_i):
+    path = make_npart_path([half_turns(1), Line(-1 + 0j, 1 + 0j)])
+    with pytest.raises(BranchPointCrossing) as crossing:
+        final_state(SqrtModel(), path, (unit_i, unit_i))
+    assert crossing.value.segment == 1
+    assert (crossing.value.clearance, crossing.value.tolerance) == (0.0, BRANCH_TOL)
+    assert str(crossing.value) == "segment passes within 0 of the branch point"
+    assert crossing.value.point is None

@@ -13,11 +13,12 @@ from slicekit.qmat import (
     qmat_rank,
 )
 from slicekit.quat import Quaternion
-from slicekit.sliceunits import eta, slice_matrix
+from slicekit.sliceunits import eta, eta_inverse, slice_matrix
 from slicekit.tolerances import RANK_CUTOFF
 
 from oracles import (
     bits,
+    block_apply_column,
     left_combination_min_singular,
     per_entry_apply_column,
     per_entry_qmat_mul,
@@ -254,3 +255,19 @@ class TestLeftIndependence:
 def _eta_zeta_rows(unit):
     m = slice_matrix(eta(2, unit))
     return [m.row(r) for r in range(4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_columns_match_single_columns_and_block_reference(rng, n):
+    size = 1 << n
+    matrices = [_random_matrix(rng, size), _random_matrix(rng, 3, size), eta_inverse(eta(n, I)), *_exact_matrices()]
+    for m in matrices:
+        columns = [sparse_quaternions(m.cols, rng) for _ in range(6)]
+        out = m.apply_column(np.array([[q.to_list() for q in col] for col in columns]))
+        assert out.shape == (6, m.rows, 4)
+        for row, col in zip(out, columns):
+            single = m.apply_column(col)
+            assert bits([Quaternion(*q) for q in row.tolist()]) == bits(single)
+            assert bits(single) == bits(block_apply_column(m, col))
+    with pytest.raises(ShapeMismatch):
+        _random_matrix(rng, 2, 3).apply_column(np.zeros((5, 2, 4)))

@@ -10,11 +10,14 @@ from slicekit.quat import (
     ImaginaryUnit,
     Quaternion,
     embed_slice,
+    hamilton_components,
     hamilton_product,
     quat_inverse,
     random_imaginary_unit,
     unit_exp,
 )
+
+from oracles import bits, sparse_quaternions
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -133,3 +136,11 @@ def test_serialization_round_trip():
     assert ImaginaryUnit.from_list(u.to_list()) == u
     with pytest.raises(ValueError):
         Quaternion.from_list([1, 2, 3])
+
+
+def test_hamilton_components_match_hamilton_product_bit_for_bit(rng):
+    left, right = sparse_quaternions(40, rng), sparse_quaternions(40, rng)
+    columns = [np.array([[getattr(q, c) for q in side]]) for side in (left, right) for c in "wxyz"]
+    w, x, y, z = hamilton_components(tuple(columns[:4]), tuple(columns[4:]))
+    batched = [Quaternion(*c) for c in zip(w[0].tolist(), x[0].tolist(), y[0].tolist(), z[0].tolist())]
+    assert bits(batched) == bits([a * b for a, b in zip(left, right)])

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ from slicekit.errors import (
     LengthMismatch,
     OutOfDomain,
 )
-from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, final_state
-from slicekit.paths import beta_path, constant_path, half_turns, make_npart_path
+from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, continue_segment, final_state
+from slicekit.paths import Line, beta_path, constant_path, half_turns, make_npart_path
 from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
 from slicekit.representation import evaluate_via_formula
@@ -18,9 +19,12 @@ from slicekit.sliceunits import eta
 from slicekit.stemtensor import StemValue, apply_real_matrix, sigma_matrix
 from slicekit.stems import (
     SampledStem,
+    _grid_cr_residual,
+    _stem_values,
     build_stem_system,
     stem_add,
     stem_cr_residual,
+    stem_derivative_family,
     stem_from_slice,
     stem_star,
     system_from_json,
@@ -28,6 +32,9 @@ from slicekit.stems import (
     truncation_lattice,
     validate_stem_system,
 )
+from slicekit.tolerances import BRANCH_TOL, FD_STEP
+
+from oracles import bits, grid_cr_residual_loop, per_point_stem_family
 
 PI = math.pi
 
@@ -118,8 +125,9 @@ class TestCrResidual:
         sigma = sigma_matrix(2).astype(float)
         import numpy as np
 
-        def linear(z):
-            return apply_real_matrix(z.real * np.eye(4) + z.imag * sigma, c)
+        def linear(points):
+            values = [apply_real_matrix(z.real * np.eye(4) + z.imag * sigma, c) for z in points]
+            return np.array([[q.to_list() for q in v.entries] for v in values])
 
         stem = SampledStem(N=2, center=0j, radius=1.0, evaluator=linear)
         assert stem_cr_residual(stem, 0.2 + 0.1j) < 1e-6
@@ -370,3 +378,191 @@ class TestJsonRoundTrip:
         assert [c.name for c in report.conditions] == list(bounds)
         for condition in report.conditions:
             assert condition.worst <= bounds[condition.name], condition.name
+
+
+# -- batched evaluation against the per-point references -----------------------
+
+_POLY = PolynomialModel((Quaternion(1, 0.5, 0, 0), Quaternion(0, 0, 2, 0), Quaternion(0.25, 0, 0, -1)))
+_MODELS = {"sqrt": SqrtModel(), "log": LogModel(), "poly": _POLY}
+
+
+def _loop3():
+    up = half_turns(1)
+    return make_npart_path([up, up.reversed(), up])
+
+
+def _disk_points(center: complex, radius: float) -> list[complex]:
+    """Centre, a point within AT_CENTER_TOL of it, interior points and points on the rim."""
+    points = [center, center + 1e-16, center + 0.3 * radius * 1j]
+    for frac in (0.45, 1.0):
+        for phi in (0.0, 1.0, math.pi / 2, math.pi, 4.0):
+            points.append(center + frac * radius * complex(math.cos(phi), math.sin(phi)))
+    return points
+
+
+class TestBatchedEvaluator:
+    @pytest.mark.parametrize("name", sorted(_MODELS))
+    @pytest.mark.parametrize("path_name", ["beta", "loop3"])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_family_matches_per_point_reference_bit_for_bit(self, name, path_name, n):
+        model = _MODELS[name]
+        path = beta_path() if path_name == "beta" else _loop3()
+        family = stem_derivative_family(model, path, 0.8)
+        reference = per_point_stem_family(model, path, 0.8)
+        points = _disk_points(path.endpoint, 0.8)
+        batched = family(points, n)
+        assert batched.shape == (len(points), 1 << path.parts, 4)
+        for z, column in zip(points, _stem_values(batched, path.parts)):
+            assert bits(column.entries) == bits(reference(z, n).entries), z
+        # a point's value does not depend on the batch it is evaluated in
+        assert bits(stem_from_slice(model, path, 0.8).at(points[7]).entries) == bits(reference(points[7]).entries)
+
+    def test_polynomial_restart_through_the_origin_matches_reference(self):
+        # a disk of radius 1.5 at 1 holds the origin: closing lines through it restart from the principal argument
+        stem = stem_from_slice(_POLY, beta_path(), 1.5)
+        reference = per_point_stem_family(_POLY, beta_path(), 1.5)
+        rim = 1.0 + 1.0 * complex(math.cos(math.pi), math.sin(math.pi))
+        points = [1.0 - 1.0 + 0j, -0.5 + 0j, complex(-0.5, -0.0), rim]
+        for z, column in zip(points, _stem_values(stem.values(points), 2)):
+            assert bits(column.entries) == bits(reference(z).entries), z
+
+    @pytest.mark.parametrize("name", sorted(_MODELS))
+    def test_export_grid_matches_per_point_reference(self, name):
+        model = _MODELS[name]
+        stem = stem_from_slice(model, _loop3(), 0.8, grid=(5, 12))
+        reference = per_point_stem_family(model, _loop3(), 0.8)
+        grid = stem.sample_grid()
+        assert grid.shape == (5, 12, 8, 4)
+        for k in range(5):
+            r = 0.8 * k / 4
+            for l in range(12):
+                phi = 2 * math.pi * l / 12
+                expected = reference(stem.center + r * complex(math.cos(phi), math.sin(phi)))
+                assert bits(_stem_values(grid[k, l][None], 3)[0].entries) == bits(expected.entries)
+
+    def test_cr_residuals_match_one_point_calls(self):
+        stem = stem_from_slice(LogModel(), _loop3(), 0.8)
+        probes = [stem.center, stem.center + 0.3 + 0.2j, stem.center - 0.5j]
+        one_by_one = []
+        for z in probes:
+            fx = (stem.at(z + FD_STEP) - stem.at(z - FD_STEP)).scale(0.5 / FD_STEP)
+            fy = (stem.at(z + FD_STEP * 1j) - stem.at(z - FD_STEP * 1j)).scale(0.5 / FD_STEP)
+            one_by_one.append((fx + apply_real_matrix(sigma_matrix(3), fy)).max_norm())
+        assert [stem_cr_residual(stem, z) for z in probes] == one_by_one
+
+    def test_disk_within_branch_tol_of_the_origin_raises_at_the_rim(self):
+        # the disk clears the origin by 5e-10 <= BRANCH_TOL: the rim point at angle pi crosses
+        radius = 1.0 - 5e-10
+        stem = stem_from_slice(SqrtModel(), beta_path(), radius, grid=(3, 8))
+        rim = stem.center + radius * complex(math.cos(math.pi), math.sin(math.pi))
+        with pytest.raises(BranchPointCrossing) as crossing:
+            stem.sample_grid()
+        with pytest.raises(BranchPointCrossing) as scalar:
+            state = final_state(SqrtModel(), beta_path(), eta(2, UNIT_I).rows[0])
+            continue_segment(SqrtModel(), state, Line(stem.center, rim))
+        assert 0.0 < abs(stem.center) - radius <= BRANCH_TOL
+        assert crossing.value.point == rim
+        assert (crossing.value.clearance, crossing.value.tolerance) == (scalar.value.clearance, BRANCH_TOL)
+        assert str(crossing.value) == str(scalar.value)
+        with pytest.raises(BranchPointCrossing):
+            stem.at(rim)
+        assert stem.at(stem.center + 0.5 * radius).N == 2  # points whose lines stay clear still evaluate
+
+    def test_empty_batch(self):
+        stem = stem_from_slice(SqrtModel(), beta_path(), 0.8)
+        assert stem.values([]).shape == (0, 4, 4)
+
+
+class TestGridResidual:
+    @pytest.mark.parametrize("name", sorted(_MODELS))
+    @pytest.mark.parametrize("path_name", ["beta", "loop3"])
+    def test_array_residual_matches_neighbour_loop(self, name, path_name):
+        path = beta_path() if path_name == "beta" else _loop3()
+        model = _MODELS[name]
+        system = build_stem_system(model, [(path_name, path)], radius=0.8, grid=(6, 16), extra_truncations=(0.8,))
+        restored = system_from_json(system_to_json(system))
+        for entry in restored.entries:
+            assert _grid_cr_residual(entry.stem).hex() == grid_cr_residual_loop(entry.stem).hex(), entry.label
+
+    def test_nan_sample_poisons_both(self):
+        restored = system_from_json(system_to_json(_sqrt_system()))
+        stem = restored.entry("beta[2/2-]").stem
+        rows = [list(row) for row in stem.grid_samples]
+        column = list(rows[5][3])
+        column[1] = Quaternion(math.nan)
+        rows[5][3] = tuple(column)
+        poisoned = replace(stem, grid_samples=tuple(tuple(row) for row in rows))
+        assert math.isnan(_grid_cr_residual(poisoned)) and math.isnan(grid_cr_residual_loop(poisoned))
+
+
+class TestStemLabels:
+    def test_nearby_extra_truncations_get_distinct_labels(self):
+        system = build_stem_system(
+            SqrtModel(), [("beta", beta_path())], radius=0.8, extra_truncations=(0.25, 0.25000000000000006)
+        )
+        labels = system.labels()
+        assert len(set(labels)) == len(labels)
+        assert "beta[0.25]" in labels and "beta[0.25000000000000006]" in labels
+
+    def test_extra_truncation_on_a_junction_is_that_junction(self):
+        plain = build_stem_system(SqrtModel(), [("beta", beta_path())], radius=0.8)
+        for t in (0.5000000000001, 0.4999999999999):
+            system = build_stem_system(SqrtModel(), [("beta", beta_path())], radius=0.8, extra_truncations=(t,))
+            assert system.labels() == plain.labels()
+        assert truncation_lattice(2, (1 - 1e-13, 1e-13)) == truncation_lattice(2)
+
+    def test_short_labels_unchanged(self):
+        system = build_stem_system(
+            SqrtModel(), [("beta", beta_path())], radius=0.8, extra_truncations=(0.3467, 0.123456, 0.00001234)
+        )
+        assert system.labels() == (
+            "beta[0/2]", "beta[1.234e-05]", "beta[0.123456]", "beta[0.3467]", "beta[1/2]", "beta[1/2-]", "beta[2/2-]",
+        )  # fmt: skip
+
+
+class TestSystemFromJsonBoundary:
+    @staticmethod
+    def _document():
+        system = build_stem_system(SqrtModel(), [("beta", beta_path())], radius=0.5, grid=(3, 4))
+        return json.loads(system_to_json(system))
+
+    def test_document_round_trips(self):
+        data = self._document()
+        restored = system_from_json(json.dumps(data))
+        assert len(restored.entries) == len(data["paths"])
+        assert restored.entries[0].stem.grid == (3, 4)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d["radii"].pop(),
+            lambda d: d["samples"].pop(),
+            lambda d: d["paths"].pop(),
+            lambda d: d.pop("samples"),
+            lambda d: d["radii"].__setitem__(0, math.nan),
+            lambda d: d["radii"].__setitem__(0, -0.5),
+            lambda d: d["radii"].__setitem__(0, "0.5"),
+            lambda d: d["samples"].__setitem__(0, d["samples"][0][:2]),
+            lambda d: d["samples"].__setitem__(0, [row[:2] for row in d["samples"][0]]),
+            lambda d: d["samples"][0][1].pop(),
+            lambda d: d["samples"][0][1][2].pop(),
+            lambda d: d["samples"][0][1][2][0].pop(),
+            lambda d: d["samples"][0][1][2][0].__setitem__(3, None),
+            lambda d: d["samples"][0][1][2][0].__setitem__(3, math.inf),
+            lambda d: d["samples"][0][1][2][0].__setitem__(3, "0.5"),
+            lambda d: d["samples"][0][1][2][0].__setitem__(3, 10**400),
+            lambda d: d["samples"][0][1][2].__setitem__(0, {"w": 1}),
+            lambda d: d["paths"].__setitem__(0, []),
+            lambda d: d["paths"][0].pop("label"),
+            lambda d: d["paths"][0].__setitem__("segments", []),
+            lambda d: d["paths"][0].__setitem__("closed", 0),
+            lambda d: d["paths"][0].__setitem__("t", None),
+            lambda d: d["paths"][1].__setitem__("label", d["paths"][0]["label"]),
+            lambda d: d.pop("x0"),
+        ],
+    )
+    def test_malformed_document_is_a_value_error(self, corrupt):
+        data = self._document()
+        corrupt(data)
+        with pytest.raises(ValueError):
+            system_from_json(json.dumps(data))
