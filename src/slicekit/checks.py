@@ -144,9 +144,11 @@ def check_j_invariance(rng: np.random.Generator) -> CheckResult:
     reference = eta(2, Quaternion(0, 1, 0, 0))
     worst = 0.0
     for model in (monodromy.SqrtModel(), monodromy.LogModel()):
+        # invariance_check(model, beta, reference, j) with the reference vector computed once per model
+        g_ref = representation.representation_vector(model, beta, reference)
         for _ in range(25):
             j = random_slice_unit_matrix(2, rng)
-            worst = max(worst, representation.invariance_check(model, beta, reference, j))
+            worst = max(worst, (g_ref - representation.representation_vector(model, beta, j)).max_norm())
     return _result("j-invariance", "repformula", worst, 1e-8)
 
 

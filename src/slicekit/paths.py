@@ -28,6 +28,12 @@ from .tolerances import JUNCTION_TOL, PARAMETER_TOL
 _ARGUMENT_STEPS = 64  # chords per curve in the tracked argument increment, each halved as needed
 
 
+def _require_finite(segment, *fields) -> None:
+    """ValueError unless every field of `segment` is a finite real or complex number."""
+    if not all(cmath.isfinite(f) for f in fields):
+        raise ValueError(f"path segments need finite fields, got {segment!r}")
+
+
 class PathSegment:
     """Shared interface: a curve [0, 1] -> C with closed-form geometry."""
 
@@ -73,6 +79,7 @@ class Arc(PathSegment):
     theta1: float
 
     def __post_init__(self):
+        _require_finite(self, self.center, self.radius, self.theta0, self.theta1)
         if self.radius <= 0:
             raise ValueError("arc radius must be positive")
 
@@ -122,6 +129,9 @@ class Line(PathSegment):
 
     z0: complex
     z1: complex
+
+    def __post_init__(self):
+        _require_finite(self, self.z0, self.z1)
 
     def at(self, t: float) -> complex:
         return self.z0 + t * (self.z1 - self.z0)

@@ -18,7 +18,9 @@ import numpy as np
 from .errors import IndexOutOfRange, NotIndependent, ShapeMismatch
 from .paths import _json_number
 from .qmat import QuaternionMatrix, qmat_rank
-from .quat import ImaginaryUnit, Quaternion, random_imaginary_unit
+from .quat import ImaginaryUnit, Quaternion, hamilton_components, random_imaginary_unit
+
+_ONE = (1.0, 0.0, 0.0, 0.0)  # components of Quaternion(1.0), which starts every unit product
 
 
 def unit_product(units: Sequence[Quaternion], m: int) -> Quaternion:
@@ -39,12 +41,28 @@ def unit_product(units: Sequence[Quaternion], m: int) -> Quaternion:
     return out
 
 
+def _zeta_components(units: Sequence[Quaternion]) -> list[tuple[float, float, float, float]]:
+    """All unit products of `units` as (w, x, y, z) tuples, bit for bit `unit_product(units, m)` for m = 1..2**N.
+
+    Runs `unit_product`'s loop for every m at once: the pass for l = N..1 keeps
+    each product so far (m_l = 0) and follows it by itself times I_l * I_{l-1}
+    (m_l = 1), so list index m - 1 spells (m_N ... m_1)_2 and each product has
+    the same factors in the same order.  It forms 2**N - 1 products, not about
+    N * 2**(N-1).
+    """
+    components = [(u.w, u.x, u.y, u.z) for u in units]
+    out = [_ONE]
+    for l in range(len(units), 0, -1):
+        pair = hamilton_components(components[l - 1], components[l - 2] if l >= 2 else _ONE)
+        out = [q for o in out for q in (o, hamilton_components(o, pair))]
+    return out
+
+
 def zeta(units: Sequence[Quaternion]) -> tuple[Quaternion, ...]:
     """Row vector (P(1), P(2), ..., P(2**N)) of all unit products."""
-    n = len(units)
-    if n < 1:
+    if len(units) < 1:
         raise ShapeMismatch("zeta needs at least one unit")
-    return tuple(unit_product(units, m) for m in range(1, (1 << n) + 1))
+    return tuple(Quaternion(*q) for q in _zeta_components(units))
 
 
 @dataclass(frozen=True)
@@ -124,8 +142,19 @@ def eta(n: int, unit: Quaternion) -> SliceUnitMatrix:
 
 
 def slice_matrix(j: SliceUnitMatrix) -> QuaternionMatrix:
-    """Square matrix whose row i is zeta of row i of J."""
-    return QuaternionMatrix.from_rows([list(zeta(row)) for row in j.entries])
+    """Square matrix M(J) whose row i is zeta of row i of J.
+
+    Truncations are its leading blocks: zeta(row[:l]) is bit for bit the first
+    2**l entries of zeta(row), so `slice_matrix(j.truncation(l))` is the top
+    left 2**l x 2**l block of `slice_matrix(j)`.
+    """
+    pairs = np.array([_zeta_components(row) for row in j.entries], dtype=float).view(complex)
+    return QuaternionMatrix._of(pairs[..., 0], pairs[..., 1])
+
+
+def _block(m: QuaternionMatrix, rows, width: int) -> QuaternionMatrix:
+    """The given rows of m (0-based, a slice or a list) cut to their first `width` columns."""
+    return QuaternionMatrix._of(m.a1[rows, :width], m.a2[rows, :width])
 
 
 def eta_inverse(j: SliceUnitMatrix) -> QuaternionMatrix:
@@ -144,10 +173,9 @@ def is_left_slice_linearly_independent(j: SliceUnitMatrix) -> bool:
 
 
 def has_full_slice_rank(j: SliceUnitMatrix) -> bool:
-    """True iff every truncation's slice matrix is invertible."""
-    return all(
-        qmat_rank(slice_matrix(j.truncation(l))) == (1 << l) for l in range(1, j.N + 1)
-    )
+    """True iff every truncation's slice matrix, a leading block of M(J), is invertible."""
+    m = slice_matrix(j)
+    return all(qmat_rank(_block(m, slice(0, 1 << l), 1 << l)) == (1 << l) for l in range(1, j.N + 1))
 
 
 def full_slice_rank_permutation(j: SliceUnitMatrix) -> tuple[int, ...]:
@@ -157,9 +185,11 @@ def full_slice_rank_permutation(j: SliceUnitMatrix) -> tuple[int, ...]:
     2**(l+1) rows has independent (l+1)-column zeta rows; among them 2**l rows
     with independent l-column zeta rows exist, and moving those to the front
     preserves every higher level.  Rows are scanned in ascending position and
-    accepted when they raise the rank, so the output is deterministic.
+    accepted when they raise the rank, so the output is deterministic.  The
+    l-column zeta rows of a trial are rows of M(J) cut to 2**l columns.
     """
-    if not is_left_slice_linearly_independent(j):
+    m = slice_matrix(j)
+    if qmat_rank(m) != 1 << j.N:
         raise NotIndependent("rows are left slice-linearly dependent; no permutation can help")
     order = list(range(1, (1 << j.N) + 1))
     for level in range(j.N - 1, 0, -1):
@@ -169,10 +199,7 @@ def full_slice_rank_permutation(j: SliceUnitMatrix) -> tuple[int, ...]:
             if len(selected) == 1 << level:
                 break
             trial = selected + [row_idx]
-            stacked = QuaternionMatrix.from_rows(
-                [list(zeta(j.row(r)[:level])) for r in trial]
-            )
-            if qmat_rank(stacked) == len(trial):
+            if qmat_rank(_block(m, [r - 1 for r in trial], 1 << level)) == len(trial):
                 selected.append(row_idx)
         if len(selected) != 1 << level:  # cannot happen for independent input
             raise NotIndependent(f"could not select {1 << level} independent rows at level {level}")

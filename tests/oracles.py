@@ -13,6 +13,12 @@ The two per-entry matrix loops multiply `Quaternion` entries one Hamilton
 product at a time, never touching the complex blocks that `qmat` computes
 with, so they check the block formulas independently.
 
+The per-entry slice matrix and the per-trial rank decisions are references
+of the same kind for `sliceunits`: one `unit_product` per entry of M(J), and
+each truncation or trial stacked anew through `QuaternionMatrix.from_rows`,
+where the library builds M(J) once from shared prefixes and cuts blocks from
+it.  Both must give the same bits and the same decisions.
+
 The per-point stem evaluator and the neighbour loop of the grid residual are
 references of the second kind for the batched stem code: one closing-line
 `continue_segment` per reference lift, the scalar `derivative_value` and one
@@ -26,12 +32,13 @@ import math
 import numpy as np
 
 from slicekit.calculus import SliceRegularPoly
+from slicekit.errors import NotIndependent
 from slicekit.monodromy import continue_segment, final_state
 from slicekit.paths import Line
-from slicekit.qmat import QuaternionMatrix, _pairs, _quaternions
+from slicekit.qmat import QuaternionMatrix, _pairs, _quaternions, qmat_rank
 from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, embed_slice
-from slicekit.sliceunits import eta, eta_inverse
+from slicekit.sliceunits import eta, eta_inverse, unit_product
 from slicekit.stemtensor import StemValue, apply_real_matrix, basis_product, nan_max, sigma_matrix
 from slicekit.tolerances import AT_CENTER_TOL
 
@@ -134,6 +141,41 @@ def block_apply_column(a: QuaternionMatrix, column) -> tuple[Quaternion, ...]:
     swapped[:, 0] = -swapped[:, 0]
     terms = a.a1[:, :, None] * c + a.a2[:, :, None] * swapped
     return _quaternions(np.add.accumulate(terms, axis=1)[:, -1] + 0.0)
+
+
+def per_entry_zeta(units) -> tuple[Quaternion, ...]:
+    """zeta(units) with one `unit_product` per index."""
+    return tuple(unit_product(units, m) for m in range(1, (1 << len(units)) + 1))
+
+
+def per_entry_slice_matrix(j) -> QuaternionMatrix:
+    """M(J) stacked from the per-entry zeta rows."""
+    return QuaternionMatrix.from_rows([per_entry_zeta(row) for row in j.rows])
+
+
+def per_level_has_full_slice_rank(j) -> bool:
+    """Full slice rank with the slice matrix of every truncation built anew."""
+    return all(qmat_rank(per_entry_slice_matrix(j.truncation(l))) == 1 << l for l in range(1, j.N + 1))
+
+
+def per_trial_full_slice_rank_permutation(j) -> tuple[int, ...]:
+    """The row selection of `full_slice_rank_permutation`, stacking each trial's truncated zeta rows anew."""
+    if qmat_rank(per_entry_slice_matrix(j)) != 1 << j.N:
+        raise NotIndependent("rows are left slice-linearly dependent")
+    order = list(range(1, (1 << j.N) + 1))
+    for level in range(j.N - 1, 0, -1):
+        candidates = order[: 1 << (level + 1)]
+        selected: list[int] = []
+        for row_idx in candidates:
+            if len(selected) == 1 << level:
+                break
+            trial = selected + [row_idx]
+            stacked = QuaternionMatrix.from_rows([per_entry_zeta(j.row(r)[:level]) for r in trial])
+            if qmat_rank(stacked) == len(trial):
+                selected.append(row_idx)
+        rest = [r for r in candidates if r not in selected]
+        order = selected + rest + order[1 << (level + 1) :]
+    return tuple(order)
 
 
 def per_point_stem_family(model, path, radius):

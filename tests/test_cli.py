@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 import slicekit
 from slicekit.cli import SEED_ENV, build_parser, main
-from slicekit.paths import Line, beta_path, make_npart_path
+from slicekit.monodromy import model_by_name
+from slicekit.paths import Line, NPartPath, beta_path, half_turns, make_npart_path
 from slicekit.quat import Quaternion
-from slicekit.sliceunits import eta
+from slicekit.representation import invariance_check, representation_vector
+from slicekit.sliceunits import SliceUnitMatrix, eta, random_slice_unit_matrix
 
 
 @pytest.fixture
@@ -157,6 +159,31 @@ def test_repformula_with_explicit_reference_file(capsys, beta_file, tmp_path):
     g = [Quaternion.from_list(entry) for entry in payload["G"]]
     expected = [Quaternion(), Quaternion(), Quaternion(-1), Quaternion()]
     assert all((a - b).norm() < 1e-9 for a, b in zip(g, expected))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("model", ["sqrt", "log"])
+def test_repformula_computes_each_vector_once(n, model, capsys, monkeypatch, tmp_path, rng):
+    up = half_turns(1)
+    path_file, j_file = tmp_path / "loop.json", tmp_path / "J.json"
+    path_file.write_text(make_npart_path([up if k % 2 == 0 else up.reversed() for k in range(n)]).to_json())
+    j_file.write_text(random_slice_unit_matrix(n, rng).to_json())
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return representation_vector(*args)
+
+    for module in (slicekit.cli, slicekit.representation):  # every binding, so a call through invariance_check counts
+        monkeypatch.setattr(module, "representation_vector", counted)
+    code, out, _ = _run(capsys, ["repformula", "--model", model, "--path", str(path_file), "--J", str(j_file)])
+    assert code == 0 and len(calls) == 2
+    fn = model_by_name(model)
+    path, j = NPartPath.from_json(path_file.read_text()), SliceUnitMatrix.from_json(j_file.read_text())
+    g = representation_vector(fn, path, j)
+    deviation = invariance_check(fn, path, j, eta(n, Quaternion(0, 0, 1, 0)))
+    # float reprs round-trip exactly and tell signed zeros apart, so equal text is equal bits
+    assert out == json.dumps({"G": [q.to_list() for q in g.entries], "invariance_dev": deviation}) + "\n"
 
 
 def test_monodromy_one_part_counterexample(capsys, tmp_path):

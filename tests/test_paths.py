@@ -2,6 +2,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicekit.errors import (
     DisconnectedSegments,
@@ -173,3 +175,40 @@ def test_json_round_trip():
     restored = NPartPath.from_json(beta.to_json())
     for t in (0.0, 0.3, 0.5, 0.9, 1.0):
         assert abs(restored.at(t) - beta.at(t)) < 1e-15
+
+
+_finite = st.floats(-1e6, 1e6)
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _segment_with_a_non_finite_field(draw):
+    """An Arc or a Line with finite fields except one, in the real or the imaginary part of a point."""
+    point = st.builds(complex, _finite, _finite)
+    kind = draw(st.sampled_from([Arc, Line]))
+    if kind is Arc:
+        radius = draw(st.floats(1e-3, 1e3))
+        fields = {"center": draw(point), "radius": radius, "theta0": draw(_finite), "theta1": draw(_finite)}
+    else:
+        fields = {"z0": draw(point), "z1": draw(point)}
+    name = draw(st.sampled_from(sorted(fields)))
+    bad = draw(_non_finite)
+    if isinstance(fields[name], complex):
+        z = fields[name]
+        fields[name] = draw(st.sampled_from([complex(bad, z.imag), complex(z.real, bad)]))
+    else:
+        fields[name] = bad
+    return kind, fields
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(segment=_segment_with_a_non_finite_field())
+def test_segments_reject_non_finite_fields(segment):
+    kind, fields = segment
+    with pytest.raises(ValueError):
+        kind(**fields)
+
+
+def test_non_finite_arc_never_reaches_a_path():
+    with pytest.raises(ValueError, match="finite"):
+        make_npart_path([Arc(0j, math.nan, 0.0, math.pi), half_turns(1).reversed()])

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    bits,
+    per_entry_slice_matrix,
+    per_entry_zeta,
+    per_level_has_full_slice_rank,
+    per_trial_full_slice_rank_permutation,
+)
 from slicekit.errors import IndexOutOfRange, NotIndependent
 from slicekit.qmat import QuaternionMatrix, qmat_mul, qmat_rank
 from slicekit.quat import Quaternion, random_imaginary_unit
@@ -155,6 +162,68 @@ class TestPermutationAlgorithm:
         j = SliceUnitMatrix(1, ((unit_i,), (unit_i,)))
         with pytest.raises(NotIndependent):
             full_slice_rank_permutation(j)
+
+
+def _same_matrix(a: QuaternionMatrix, b: QuaternionMatrix) -> bool:
+    return a.a1.tobytes() == b.a1.tobytes() and a.a2.tobytes() == b.a2.tobytes()
+
+
+def _unit_grids(n: int, rng) -> list[SliceUnitMatrix]:
+    """A random grid and two eta stacks, one over I and one over a random unit."""
+    return [_unchecked_unit_matrix(n, rng), eta(n, Quaternion(0, 1, 0, 0)), eta(n, random_imaginary_unit(rng))]
+
+
+class TestPrefixSharedProducts:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_zeta_is_unit_product_bit_for_bit(self, n, rng):
+        for j in _unit_grids(n, rng):
+            for row in j.rows:
+                assert bits(zeta(row)) == bits(per_entry_zeta(row))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_slice_matrix_is_the_per_entry_matrix(self, n, rng):
+        for j in _unit_grids(n, rng):
+            assert _same_matrix(slice_matrix(j), per_entry_slice_matrix(j))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_truncations_are_leading_blocks(self, n, rng):
+        for j in _unit_grids(n, rng):
+            m = slice_matrix(j)
+            for l in range(1, n + 1):
+                k = 1 << l
+                block = QuaternionMatrix._of(m.a1[:k, :k], m.a2[:k, :k])
+                assert _same_matrix(slice_matrix(j.truncation(l)), block)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rank_decisions_on_shuffled_eta_stacks(self, n, rng):
+        base = eta(n, random_imaginary_unit(rng))
+        for _ in range(20):
+            shuffled = base.permute_rows(list(rng.permutation(1 << n) + 1))
+            assert has_full_slice_rank(shuffled) == per_level_has_full_slice_rank(shuffled)
+            perm = full_slice_rank_permutation(shuffled)
+            assert perm == per_trial_full_slice_rank_permutation(shuffled)
+
+    def test_rank_decisions_on_random_grids_of_order_four(self, rng):
+        for _ in range(4):
+            j = random_slice_unit_matrix(4, rng)
+            for grid in (j, j.permute_rows(list(rng.permutation(16) + 1))):
+                assert has_full_slice_rank(grid) == per_level_has_full_slice_rank(grid)
+                assert full_slice_rank_permutation(grid) == per_trial_full_slice_rank_permutation(grid)
+
+    def test_slice_matrix_builds_no_quaternion(self, rng, monkeypatch):
+        j = random_slice_unit_matrix(4, rng)
+        built = []
+        init = Quaternion.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Quaternion, "__init__", counted)
+        slice_matrix(j)
+        assert built == []
+        zeta(j.row(1))  # the counter does see the scalar layer
+        assert len(built) == 16
 
 
 class TestStructureMatrix:
