@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,11 +23,12 @@ from .monodromy import (
     PolynomialModel,
     SliceFunctionModel,
     SqrtModel,
+    _mapped,
     _poly_derivative,
     _poly_eval,
 )
 from .paths import NPartPath, _json_number
-from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse
+from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, quat_inverse
 from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, slot_imaginary, star_vector
 from .stems import _stem_values, stem_derivative_family
 from .tolerances import FD_STEP, ON_AXIS_TOL, SYMMETRIZATION_ZERO_TOL
@@ -199,6 +201,15 @@ class AxSymDomain:
     center: complex = 0j  # complex representative x + y*i, y >= 0
     radius: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("ball", "sigma_ball", "whole"):
+            raise ValueError(f"domain kind must be 'ball', 'sigma_ball' or 'whole', got {self.kind!r}")
+        if not (isinstance(self.center, numbers.Complex) and cmath.isfinite(self.center)):
+            raise ValueError(f"domain centre must be a finite number, got {self.center!r}")
+        finite_radius = isinstance(self.radius, numbers.Real) and math.isfinite(self.radius) and self.radius > 0
+        if self.kind != "whole" and not finite_radius:
+            raise ValueError(f"{self.kind} radius must be finite and positive, got {self.radius!r}")
+
     @classmethod
     def ball(cls, x0: float, radius: float) -> "AxSymDomain":
         return cls("ball", complex(x0, 0.0), radius)
@@ -287,13 +298,48 @@ _PROBE_SHELLS = 8
 _PROBE_DIRECTIONS = 512
 
 
+def _probe_zero(sym: SliceRegularPoly, domain: AxSymDomain) -> Quaternion | None:
+    """The first shell point of a bounded domain where |sym| < SYMMETRIZATION_ZERO_TOL, or None.
+
+    Shell by shell outward, Fibonacci directions in order, the points are
+    center + Quaternion(0.0, *(r * d)) of a scalar loop.  All of them are
+    formed as arrays in one pass, in the same float operations: containment
+    as `AxSymDomain.contains` decides it (Python's complex `abs`, which numpy's
+    differs from in the last bit), and the Horner sum of `_poly_eval` on
+    their components.
+    """
+    cx, cy = domain.center.real, domain.center.imag
+    radii = np.array([domain.radius * shell / _PROBE_SHELLS * 0.999 for shell in range(1, _PROBE_SHELLS + 1)])
+    x, y, z = (0.0 + radii[:, None, None] * _fibonacci_sphere(_PROBE_DIRECTIONS)).reshape(-1, 3).T
+    w = np.full(len(x), cx + 0.0)
+    imag = np.sqrt(x * x + y * y + z * z)
+    offset = np.empty(len(x), dtype=complex)
+    offset.real = w - cx
+    offset.imag = imag - cy
+    inside = _mapped(abs, offset) < domain.radius
+    if domain.kind == "sigma_ball":  # the conjugate point z.conjugate() lies inside too
+        offset.imag = -imag - cy
+        inside &= _mapped(abs, offset) < domain.radius
+    point = tuple(c[inside] for c in (w, x, y, z))
+    acc = (0.0, 0.0, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow to inf and nan silently too
+        for a in reversed(sym.coefficients):
+            acc = tuple(h + c for h, c in zip(hamilton_components(point, acc), (a.w, a.x, a.y, a.z)))
+        aw, ax, ay, az = acc
+        below = np.flatnonzero(np.sqrt(aw * aw + ax * ax + ay * ay + az * az) < SYMMETRIZATION_ZERO_TOL)
+    return Quaternion(*(float(c[below[0]]) for c in point)) if len(below) else None
+
+
 def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciprocal:
     """Inverse in the star ring, guarded against symmetrization zeros.
 
     The symmetrization has real coefficients, so its zero spheres come from
-    the complex roots; any root inside the domain aborts.  A deterministic
-    shell probe (Fibonacci directions on nested spheres) additionally guards
-    the near-zero case |f^s| < SYMMETRIZATION_ZERO_TOL on bounded domains.
+    the complex roots; any root inside the domain aborts.  On bounded domains
+    a deterministic shell probe additionally guards the near-zero case
+    |f^s| < SYMMETRIZATION_ZERO_TOL: Fibonacci directions on nested spheres
+    about the centre, every point tested and evaluated in one array pass
+    (`_probe_zero`), and the first point below the cut-off in shell-then-
+    direction order is the witness.
     """
     sym = symmetrization(f)
     if max(c.norm() for c in sym.coefficients) < SYMMETRIZATION_ZERO_TOL:
@@ -303,15 +349,9 @@ def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciproc
         if domain.contains(witness):
             raise SymmetrizationZero(f"symmetrization vanishes at {witness!r}", witness=witness)
     if domain.kind != "whole":
-        center = Quaternion(domain.center.real)
-        for shell in range(1, _PROBE_SHELLS + 1):
-            r = domain.radius * shell / _PROBE_SHELLS * 0.999
-            for d in _fibonacci_sphere(_PROBE_DIRECTIONS):
-                q = center + Quaternion(0.0, *(r * d))
-                if not domain.contains(q):
-                    continue
-                if sym(q).norm() < SYMMETRIZATION_ZERO_TOL:
-                    raise SymmetrizationZero(f"symmetrization below 1e-9 at {q!r}", witness=q)
+        witness = _probe_zero(sym, domain)
+        if witness is not None:
+            raise SymmetrizationZero(f"symmetrization below 1e-9 at {witness!r}", witness=witness)
     return StarReciprocal(f, domain)
 
 
@@ -435,37 +475,37 @@ def stem_series_check(
     n_parts = path.parts
     family = stem_derivative_family(model, path, radius)
 
-    def vectors(points: list[complex], n: int) -> list[StemValue]:
-        return _stem_values(family(points, n), n_parts)
-
     z0 = path.endpoint
     sigma = sigma_matrix(n_parts).astype(float)
     size = 1 << n_parts
+    # the derivatives at the disk center, orders 0..terms-1 for the series and 1, 2 for the routes: one continuation
+    at_center = _stem_values(family([z0], range(max(terms, 3)))[:, 0], n_parts)
 
     # route agreement at the disk center, for the first and second derivative
     h = FD_STEP
     route_dev = 0.0
     slot_n = slot_imaginary(n_parts, n_parts)
+    steps = family([z0 + h, z0 - h, z0 + h * 1j, z0 - h * 1j], (0, 1))
     for order in (1, 2):
-        east, west, north, south = vectors([z0 + h, z0 - h, z0 + h * 1j, z0 - h * 1j], order - 1)
+        east, west, north, south = _stem_values(steps[order - 1], n_parts)
         fx = (east - west).scale(0.5 / h)
         fy = (north - south).scale(0.5 / h)
         stem_route = (fx - apply_real_matrix(sigma, fy)).scale(0.5)
         tensor_route = (fx - star_vector(slot_n, fy)).scale(0.5)
-        slice_route = vectors([z0], order)[0]
+        slice_route = at_center[order]
         route_dev = max(
             route_dev, (stem_route - slice_route).max_norm(), (tensor_route - slice_route).max_norm()
         )
 
     # series resummation on sample points
-    coeffs = [vectors([z0], n)[0] for n in range(terms)]
+    coeffs = at_center[:terms]
     zero = StemValue(n_parts, (Quaternion(),) * size)
     one = StemValue.basis(n_parts, 1)
     stem_res = 0.0
     tensor_res = 0.0
     angles = [2 * math.pi * k / _SERIES_SAMPLES for k in range(_SERIES_SAMPLES)]
     points = [z0 + 0.9 * radius * complex(math.cos(phi), math.sin(phi)) for phi in angles]
-    for z, direct in zip(points, vectors(points, 0)):
+    for z, direct in zip(points, _stem_values(family(points), n_parts)):
         dx, dy = (z - z0).real, (z - z0).imag
 
         step = dx * np.eye(size) + dy * sigma

@@ -60,13 +60,17 @@ def _result(name: str, suite: str, deviation: float, tolerance: float) -> CheckR
     return CheckResult(name, suite, float(deviation), tolerance, bool(deviation <= tolerance))
 
 
+def _random_quaternions(rng: np.random.Generator, count: int) -> tuple[Quaternion, ...]:
+    """`count` quaternions with components uniform in [-1, 1): the stream of `count` draws of 4."""
+    return tuple(Quaternion(*q) for q in rng.uniform(-1, 1, (count, 4)).tolist())
+
+
 def _random_stem_value(n: int, rng: np.random.Generator) -> StemValue:
-    return StemValue(n, tuple(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(1 << n)))
+    return StemValue(n, _random_quaternions(rng, 1 << n))
 
 
 def _random_poly(rng: np.random.Generator, degree: int) -> calculus.SliceRegularPoly:
-    coeffs = tuple(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(degree + 1))
-    return calculus.SliceRegularPoly(coeffs)
+    return calculus.SliceRegularPoly(_random_quaternions(rng, degree + 1))
 
 
 # -- unitarity ---------------------------------------------------------------

@@ -143,12 +143,18 @@ def qmat_mul(a: QuaternionMatrix, b: QuaternionMatrix) -> QuaternionMatrix:
 
 def complex_adjoint(a: QuaternionMatrix) -> np.ndarray:
     """Complex (2m x 2n) adjoint [[A1, A2], [-conj(A2), conj(A1)]]: a homomorphism, so rank and inverses transfer."""
-    return np.block([[a.a1, a.a2], [-a.a2.conj(), a.a1.conj()]])
+    m, n = a.a1.shape
+    out = np.empty((2 * m, 2 * n), dtype=complex)
+    out[:m, :n] = a.a1
+    out[:m, n:] = a.a2
+    out[m:, :n] = -a.a2.conj()
+    out[m:, n:] = a.a1.conj()
+    return out
 
 
 def _rank(s: np.ndarray) -> int:
     """Quaternionic rank from the adjoint's singular values `s` (descending): the complex rank halved."""
-    return int(np.sum(s > RANK_CUTOFF * s[0])) // 2 if s[0] > 0.0 else 0
+    return int(np.count_nonzero(s > RANK_CUTOFF * s[0])) // 2 if s[0] > 0.0 else 0
 
 
 def qmat_rank(a: QuaternionMatrix) -> int:

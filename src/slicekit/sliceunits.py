@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NotIndependent, ShapeMismatch
 from .paths import _json_number
-from .qmat import QuaternionMatrix, qmat_rank
+from .qmat import QuaternionMatrix, _rank, complex_adjoint, qmat_rank
 from .quat import ImaginaryUnit, Quaternion, hamilton_components, random_imaginary_unit
 
 _ONE = (1.0, 0.0, 0.0, 0.0)  # components of Quaternion(1.0), which starts every unit product
@@ -152,9 +152,20 @@ def slice_matrix(j: SliceUnitMatrix) -> QuaternionMatrix:
     return QuaternionMatrix._of(pairs[..., 0], pairs[..., 1])
 
 
-def _block(m: QuaternionMatrix, rows, width: int) -> QuaternionMatrix:
-    """The given rows of m (0-based, a slice or a list) cut to their first `width` columns."""
-    return QuaternionMatrix._of(m.a1[rows, :width], m.a2[rows, :width])
+def _leading_columns(adjoint: np.ndarray, width: int) -> np.ndarray:
+    """Columns 0..width-1 and 2**N..2**N+width-1 of the adjoint of M(J): those of M(J)'s first `width` columns."""
+    size = len(adjoint) // 2
+    return np.concatenate([adjoint[:, :width], adjoint[:, size : size + width]], axis=1)
+
+
+def _rows_rank(columns: np.ndarray, rows: Sequence[int]) -> int:
+    """`qmat_rank` of the given rows of M(J) (0-based) cut to the columns of `_leading_columns`.
+
+    The adjoint of that block is, entry for entry, rows R and R + 2**N of
+    `columns`, so its singular values and its rank are the same.
+    """
+    rows = np.asarray(rows)
+    return _rank(np.linalg.svd(columns[np.concatenate([rows, rows + len(columns) // 2])], compute_uv=False))
 
 
 def eta_inverse(j: SliceUnitMatrix) -> QuaternionMatrix:
@@ -174,8 +185,8 @@ def is_left_slice_linearly_independent(j: SliceUnitMatrix) -> bool:
 
 def has_full_slice_rank(j: SliceUnitMatrix) -> bool:
     """True iff every truncation's slice matrix, a leading block of M(J), is invertible."""
-    m = slice_matrix(j)
-    return all(qmat_rank(_block(m, slice(0, 1 << l), 1 << l)) == (1 << l) for l in range(1, j.N + 1))
+    adjoint = complex_adjoint(slice_matrix(j))
+    return all(_rows_rank(_leading_columns(adjoint, 1 << l), range(1 << l)) == 1 << l for l in range(1, j.N + 1))
 
 
 def full_slice_rank_permutation(j: SliceUnitMatrix) -> tuple[int, ...]:
@@ -186,20 +197,22 @@ def full_slice_rank_permutation(j: SliceUnitMatrix) -> tuple[int, ...]:
     with independent l-column zeta rows exist, and moving those to the front
     preserves every higher level.  Rows are scanned in ascending position and
     accepted when they raise the rank, so the output is deterministic.  The
-    l-column zeta rows of a trial are rows of M(J) cut to 2**l columns.
+    l-column zeta rows of a trial are rows of M(J) cut to 2**l columns, and
+    the adjoint of M(J), formed once, gives every trial's adjoint as a subset.
     """
-    m = slice_matrix(j)
-    if qmat_rank(m) != 1 << j.N:
+    adjoint = complex_adjoint(slice_matrix(j))
+    if _rank(np.linalg.svd(adjoint, compute_uv=False)) != 1 << j.N:
         raise NotIndependent("rows are left slice-linearly dependent; no permutation can help")
     order = list(range(1, (1 << j.N) + 1))
     for level in range(j.N - 1, 0, -1):
         candidates = order[: 1 << (level + 1)]
+        columns = _leading_columns(adjoint, 1 << level)
         selected: list[int] = []
         for row_idx in candidates:
             if len(selected) == 1 << level:
                 break
             trial = selected + [row_idx]
-            if qmat_rank(_block(m, [r - 1 for r in trial], 1 << level)) == len(trial):
+            if _rows_rank(columns, [r - 1 for r in trial]) == len(trial):
                 selected.append(row_idx)
         if len(selected) != 1 << level:  # cannot happen for independent input
             raise NotIndependent(f"could not select {1 << level} independent rows at level {level}")

@@ -138,13 +138,15 @@ class SampledStem:
 
 def stem_derivative_family(
     model: SliceFunctionModel, path: NPartPath, radius: float
-) -> Callable[[Sequence[complex], int], np.ndarray]:
+) -> Callable[..., np.ndarray]:
     """(points, n) -> invariant vectors of the n-th slice derivative at the points.
 
     The 2**N reference continuations are carried to the path's endpoint once.
     A call then continues them along the closing lines to all its points at
     once and returns the (P, 2**N, 4) array of the vectors' components.
-    n = 0, the default, is the stem itself.
+    n = 0, the default, is the stem itself.  A sequence of K orders shares
+    that one continuation and one stacked product and returns the
+    (K, P, 2**N, 4) array, each order bit for bit its own call.
     """
     center = path.endpoint
     if model.is_branched() and radius >= abs(center):
@@ -156,9 +158,13 @@ def stem_derivative_family(
     for state in end_states:  # every closing line starts at the centre: a zero-length one checks the start
         continue_segment(model, state, Line(center, center))
 
-    def vectors(points: Sequence[complex], n: int = 0) -> np.ndarray:
+    def vectors(points: Sequence[complex], n: int | Sequence[int] = 0) -> np.ndarray:
         r, theta = continue_closing_lines(model, end_states, center, points)
-        return inverse.apply_column(model.derivative_values(end_states, r, theta, n).transpose(1, 0, 2))
+        single = np.ndim(n) == 0
+        orders = [n] if single else list(n)
+        columns = [model.derivative_values(end_states, r, theta, k).transpose(1, 0, 2) for k in orders]
+        out = inverse.apply_column(np.concatenate(columns))
+        return out if single else out.reshape(len(orders), r.shape[1], *out.shape[1:])
 
     return vectors
 

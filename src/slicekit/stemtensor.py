@@ -217,16 +217,15 @@ _C_ONE = np.eye(2)
 _C_I = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+#: L(q), the matrix of p -> q*p in the basis (1, i, j, k), is [[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x],
+#: [z, -y, x, w]]: the components (w, x, y, z) at _LEFT_INDEX times _LEFT_SIGN
+_LEFT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
+
+
 def _left_mult_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 real matrix of p -> q*p in the basis (1, i, j, k)."""
-    return np.array(
-        [
-            [q.w, -q.x, -q.y, -q.z],
-            [q.x, q.w, -q.z, q.y],
-            [q.y, q.z, q.w, -q.x],
-            [q.z, -q.y, q.x, q.w],
-        ]
-    )
+    """4x4 real matrix L(q) of p -> q*p in the basis (1, i, j, k)."""
+    return np.array([q.w, q.x, q.y, q.z])[_LEFT_INDEX] * _LEFT_SIGN
 
 
 @lru_cache(maxsize=None)
@@ -239,15 +238,39 @@ def _pattern_matrix(n: int, m: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _kron_scatter(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(block row, block col, m - 1, sign) of every nonzero of the pattern matrices, one array each."""
+    parts = []
+    for m in range(1, (1 << n) + 1):
+        pattern = _pattern_matrix(n, m)
+        rows, cols = np.nonzero(pattern)
+        parts.append((rows, cols, np.full(len(rows), m - 1), pattern[rows, cols]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def kron_matrix(a: StemValue) -> np.ndarray:
-    """Faithful real-matrix image of a stem value, size 4 * 2**N square."""
-    size = (1 << a.N) * 4
-    out = np.zeros((size, size))
-    for m, coeff in enumerate(a.entries, start=1):
-        if coeff.norm2() == 0.0:
-            continue
-        out += np.kron(_pattern_matrix(a.N, m), _left_mult_matrix(coeff))
-    return out
+    """Faithful real-matrix image of a stem value, size 4 * 2**N square: sum_m kron(P_m, L(a_m)).
+
+    P_m, the pattern matrix of b(m), is a signed permutation whose nonzeros
+    sit where block row XOR block column spells the slot pattern of m; the
+    patterns are the Gray code of m - 1, so distinct m have disjoint supports
+    and each 4x4 block receives at most one term +-L(a_m).  Those are
+    scattered into place at once; `+ 0.0` turns -0.0 into 0.0, as summing
+    the terms onto a zero matrix did.  Entries with a_m.norm2() == 0 are
+    skipped, so their blocks stay 0.0, and a non-finite a_m reaches only its
+    own blocks.
+    """
+    size = 1 << a.N
+    comps = np.array([(q.w, q.x, q.y, q.z) for q in a.entries], dtype=float)
+    w, x, y, z = comps.T
+    rows, cols, ms, signs = _kron_scatter(a.N)
+    live = (w * w + x * x + y * y + z * z != 0.0)[ms]
+    ms = ms[live]
+    out = np.zeros((size, 4, size, 4))
+    # sign * L(a_m) for every term at once; products of +-1 are exact
+    out[rows[live], :, cols[live], :] = (signs[live, None, None] * _LEFT_SIGN) * comps[ms][:, _LEFT_INDEX] + 0.0
+    return out.reshape(4 * size, 4 * size)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,13 @@ each truncation or trial stacked anew through `QuaternionMatrix.from_rows`,
 where the library builds M(J) once from shared prefixes and cuts blocks from
 it.  Both must give the same bits and the same decisions.
 
+The per-point zero probe, the per-term Kronecker matrix and the block
+adjoint are the scalar and per-entry forms of the reciprocal's shell probe,
+`kron_matrix` and `complex_adjoint`: one `Quaternion` point, containment test
+and Horner evaluation at a time; one `np.kron` per nonzero entry summed onto
+a zero matrix; and `np.block` of the four complex blocks.  The array forms
+must give the same witness and the same bits.
+
 The per-point stem evaluator and the neighbour loop of the grid residual are
 references of the second kind for the batched stem code: one closing-line
 `continue_segment` per reference lift, the scalar `derivative_value` and one
@@ -31,6 +38,7 @@ import math
 
 import numpy as np
 
+from slicekit import calculus
 from slicekit.calculus import SliceRegularPoly
 from slicekit.errors import NotIndependent
 from slicekit.monodromy import continue_segment, final_state
@@ -39,7 +47,14 @@ from slicekit.qmat import QuaternionMatrix, _pairs, _quaternions, qmat_rank
 from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, embed_slice
 from slicekit.sliceunits import eta, eta_inverse, unit_product
-from slicekit.stemtensor import StemValue, apply_real_matrix, basis_product, nan_max, sigma_matrix
+from slicekit.stemtensor import (
+    StemValue,
+    _pattern_matrix,
+    apply_real_matrix,
+    basis_product,
+    nan_max,
+    sigma_matrix,
+)
 from slicekit.tolerances import AT_CENTER_TOL
 
 
@@ -141,6 +156,35 @@ def block_apply_column(a: QuaternionMatrix, column) -> tuple[Quaternion, ...]:
     swapped[:, 0] = -swapped[:, 0]
     terms = a.a1[:, :, None] * c + a.a2[:, :, None] * swapped
     return _quaternions(np.add.accumulate(terms, axis=1)[:, -1] + 0.0)
+
+
+def block_complex_adjoint(a: QuaternionMatrix) -> np.ndarray:
+    """[[A1, A2], [-conj(A2), conj(A1)]] assembled by `np.block`."""
+    return np.block([[a.a1, a.a2], [-a.a2.conj(), a.a1.conj()]])
+
+
+def per_term_kron_matrix(a: StemValue) -> np.ndarray:
+    """sum_m kron(P_m, L(a_m)) over the entries with nonzero norm2, added one term at a time onto zeros."""
+    size = (1 << a.N) * 4
+    out = np.zeros((size, size))
+    for m, q in enumerate(a.entries, start=1):
+        if q.norm2() == 0.0:
+            continue
+        left = np.array([[q.w, -q.x, -q.y, -q.z], [q.x, q.w, -q.z, q.y], [q.y, q.z, q.w, -q.x], [q.z, -q.y, q.x, q.w]])
+        out += np.kron(_pattern_matrix(a.N, m), left)
+    return out
+
+
+def per_point_zero_probe(sym: SliceRegularPoly, domain) -> Quaternion | None:
+    """The reciprocal's shell probe one point at a time: the first point below the cut-off, or None."""
+    center = Quaternion(domain.center.real)
+    for shell in range(1, calculus._PROBE_SHELLS + 1):
+        r = domain.radius * shell / calculus._PROBE_SHELLS * 0.999
+        for d in calculus._fibonacci_sphere(calculus._PROBE_DIRECTIONS):
+            q = center + Quaternion(0.0, *(r * d))
+            if domain.contains(q) and sym(q).norm() < calculus.SYMMETRIZATION_ZERO_TOL:
+                return q
+    return None
 
 
 def per_entry_zeta(units) -> tuple[Quaternion, ...]:

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from slicekit import calculus, stems
 from slicekit.calculus import (
     ONE_POLY,
     AxSymDomain,
@@ -21,7 +24,7 @@ from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_li
 from slicekit.paths import Line, beta_path, make_npart_path
 from slicekit.quat import Quaternion, random_imaginary_unit
 
-from oracles import bits, numeric_slice_derivative, per_term_star_product, sparse_quaternions
+from oracles import bits, numeric_slice_derivative, per_point_zero_probe, per_term_star_product, sparse_quaternions
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -231,6 +234,62 @@ class TestReciprocal:
             regular_reciprocal(SliceRegularPoly((Quaternion(),)), AxSymDomain.whole())
 
 
+class TestZeroProbe:
+    # q - 3 - i: f^s = (q - 3)**2 + 1 vanishes on the sphere 3 + S, just outside ball(3, 1), so |f^s| falls
+    # from 1 at the centre towards 0 at the rim, and a raised cut-off moves the first point below it
+    NEAR_RIM = SliceRegularPoly((Quaternion(-3, -1, 0, 0), Quaternion(1)))
+    DOMAINS = [
+        AxSymDomain.ball(3.0, 1.0),
+        AxSymDomain.ball(-0.5, 2.5),
+        AxSymDomain.ball(-0.0, 1.5),  # the probe points' real part is -0.0 + 0.0 = 0.0
+        AxSymDomain.sigma_ball(Quaternion(3, 0.3, 0, 0), 1.0),  # holds |imaginary part| < 0.7: outer shells lie out
+        AxSymDomain.sigma_ball(Quaternion(0.2, 0.1, 0.4, 0), 1.9),
+    ]
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+    @pytest.mark.parametrize("cutoff", [None, 0.3, 0.5, 0.8, 2.0])
+    def test_matches_per_point_probe(self, domain, cutoff, rng, monkeypatch):
+        if cutoff is not None:
+            monkeypatch.setattr(calculus, "SYMMETRIZATION_ZERO_TOL", cutoff)
+        polys = [self.NEAR_RIM] + [_random_poly(rng, int(rng.integers(0, 4))) for _ in range(3)]
+        for f in polys:
+            sym = symmetrization(f)
+            got, expected = calculus._probe_zero(sym, domain), per_point_zero_probe(sym, domain)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert bits([got]) == bits([expected])
+
+    def test_raised_cutoff_raises_with_the_per_point_witness(self, monkeypatch):
+        monkeypatch.setattr(calculus, "SYMMETRIZATION_ZERO_TOL", 0.5)
+        sym = symmetrization(self.NEAR_RIM)
+        for domain in (AxSymDomain.ball(3.0, 1.0), AxSymDomain.sigma_ball(Quaternion(3, 0.1, 0, 0), 1.0)):
+            expected = per_point_zero_probe(sym, domain)
+            assert expected is not None
+            with pytest.raises(SymmetrizationZero) as excinfo:
+                regular_reciprocal(self.NEAR_RIM, domain)
+            assert bits([excinfo.value.witness]) == bits([expected])
+            assert repr(expected) in str(excinfo.value)
+
+    def test_points_outside_a_sigma_ball_are_skipped(self, monkeypatch):
+        # below 0.5 only where |imaginary part| > 0.71, which this sigma-ball (|imaginary part| < 0.7) never reaches
+        monkeypatch.setattr(calculus, "SYMMETRIZATION_ZERO_TOL", 0.5)
+        domain = AxSymDomain.sigma_ball(Quaternion(3, 0.3, 0, 0), 1.0)
+        assert per_point_zero_probe(symmetrization(self.NEAR_RIM), domain) is None
+        regular_reciprocal(self.NEAR_RIM, domain)
+
+    def test_reciprocal_probe_builds_few_quaternions(self, monkeypatch):
+        built = []
+        init = Quaternion.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Quaternion, "__init__", counted)
+        regular_reciprocal(SliceRegularPoly((-I, Quaternion(1))), AxSymDomain.ball(3.0, 1.0))
+        assert len(built) < 100
+
+
 class TestDerivatives:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_monomial_rule(self, n):
@@ -332,6 +391,45 @@ class TestAxSymDomain:
         with pytest.raises(ValueError):
             dom.sample(rng, 1)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bogus", 0j, 1.0),
+            ("Ball", 0j, 1.0),
+            ("ball", 0j, math.nan),
+            ("ball", 0j, math.inf),
+            ("ball", 0j, -1.0),
+            ("ball", 0j, 0.0),
+            ("sigma_ball", complex(1, 0.2), -0.5),
+            ("sigma_ball", complex(1, 0.2), "0.5"),
+            ("ball", complex(math.inf, 0), 1.0),
+            ("sigma_ball", complex(0, math.nan), 1.0),
+            ("whole", complex(math.nan, 0), 0.0),
+            ("ball", "3", 1.0),
+        ],
+        ids=repr,
+    )
+    def test_invalid_domains_rejected(self, args):
+        with pytest.raises(ValueError):
+            AxSymDomain(*args)
+
+    def test_constructors_validate(self):
+        with pytest.raises(ValueError):
+            AxSymDomain.ball(0.0, math.nan)
+        with pytest.raises(ValueError):
+            AxSymDomain.ball(math.inf, 1.0)
+        with pytest.raises(ValueError):
+            AxSymDomain.sigma_ball(Quaternion(1, 0.2, 0, 0), -0.5)
+        with pytest.raises(ValueError):
+            AxSymDomain.sigma_ball(Quaternion(1, math.nan, 0, 0), 0.5)
+        assert AxSymDomain.whole().kind == "whole"
+        assert AxSymDomain.ball(3, 1).radius == 1
+
+    def test_nan_radius_no_longer_yields_a_reciprocal(self):
+        # a NaN radius used to exclude every probe point, so q - i got a reciprocal on a "ball" about its zero
+        with pytest.raises(ValueError):
+            regular_reciprocal(SliceRegularPoly((-I, Quaternion(1))), AxSymDomain.ball(0.0, math.nan))
+
     def test_samples_lie_inside(self, rng):
         for dom in (
             AxSymDomain.ball(1.0, 2.0),
@@ -348,6 +446,29 @@ class TestStemSeries:
         assert report.route_deviation < 1e-8
         assert report.stem_series_residual < 1e-9
         assert report.tensor_series_residual < 1e-9
+
+    @pytest.mark.parametrize("model", [SqrtModel(), LogModel(), PolynomialModel((J, Quaternion(1), I))], ids=repr)
+    def test_stacked_orders_match_single_orders(self, model):
+        family = stems.stem_derivative_family(model, beta_path(), 0.3)
+        z0 = beta_path().endpoint
+        for points in ([z0], [z0 + 1e-6, z0 - 1e-6j, z0 + 0.2 + 0.1j], []):
+            stacked = family(points, range(6))
+            assert stacked.shape == (6, len(points), 4, 4)
+            for n in range(6):
+                assert stacked[n].tobytes() == family(points, n).tobytes()
+
+    def test_one_center_continuation_for_all_orders(self, monkeypatch):
+        continued = []
+        closing = stems.continue_closing_lines
+
+        def counted(model, states, center, points):
+            continued.append(len(points))
+            return closing(model, states, center, points)
+
+        monkeypatch.setattr(stems, "continue_closing_lines", counted)
+        stem_series_check(SqrtModel(), beta_path(), radius=0.3, terms=30)
+        # the centre (all 30 orders), the four finite-difference neighbours (orders 0 and 1), the 8 samples
+        assert continued == [1, 4, 8]
 
     def test_sqrt_series_on_disk(self):
         report = stem_series_check(SqrtModel(), beta_path(), radius=0.3, terms=30)

@@ -19,6 +19,7 @@ from slicekit.tolerances import RANK_CUTOFF
 from oracles import (
     bits,
     block_apply_column,
+    block_complex_adjoint,
     left_combination_min_singular,
     per_entry_apply_column,
     per_entry_qmat_mul,
@@ -119,6 +120,18 @@ def test_block_kernels_exact_on_eta_identity_and_unit_diagonals(rng):
             assert qmat_mul(m, other).entries == per_entry_qmat_mul(m, other).entries
         for column in (sparse_quaternions(m.cols, rng), [Quaternion(-0.0)] * m.cols):
             assert bits(m.apply_column(column)) == bits(per_entry_apply_column(m, column))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 5), (5, 2), (4, 4), (8, 3)])
+def test_complex_adjoint_matches_block_assembly_bit_for_bit(rng, shape):
+    count = shape[0] * shape[1]
+    for entries in (sparse_quaternions(count, rng), [Quaternion(-0.0, 0.0, -0.0, -0.0)] * count):
+        m = QuaternionMatrix(*shape, entries)
+        adjoint = complex_adjoint(m)
+        reference = block_complex_adjoint(m)
+        assert adjoint.shape == reference.shape == (2 * shape[0], 2 * shape[1])
+        assert adjoint.dtype == reference.dtype
+        assert adjoint.tobytes() == reference.tobytes()
 
 
 def test_entries_round_trip_bit_exact(rng):

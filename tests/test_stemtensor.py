@@ -17,7 +17,7 @@ from slicekit.stemtensor import (
     tensor_from_kron,
 )
 
-from oracles import bits, per_term_star_vector, sparse_quaternions
+from oracles import bits, per_term_kron_matrix, per_term_star_vector, sparse_quaternions
 
 
 def _random_stem(n, rng):
@@ -145,6 +145,21 @@ def test_kron_matrix_is_faithful(rng):
         a = _random_stem(2, rng)
         recovered = tensor_from_kron(2, kron_matrix(a))
         assert (recovered - a).max_norm() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kron_matrix_matches_per_term_sum_bit_for_bit(n, rng):
+    size = 1 << n
+    columns = [
+        (Quaternion(),) * size,
+        (Quaternion(-0.0, -0.0, -0.0, -0.0),) * size,
+        tuple(Quaternion(0.0, -0.0, 1.5, -0.0) if m % 2 else Quaternion() for m in range(size)),
+        tuple(_random_stem(n, rng).entries),
+    ]
+    columns += [tuple(sparse_quaternions(size, rng)) for _ in range(6)]
+    for entries in columns:
+        a = StemValue(n, entries)
+        assert kron_matrix(a).tobytes() == per_term_kron_matrix(a).tobytes()
 
 
 class TestTableKernel:
