@@ -4,6 +4,11 @@ Polynomials sum q**n * a_n with coefficients on the right; they are entire,
 so every construction here lives on axially symmetric schlicht domains where
 the star product is just coefficient convolution (the unique regular
 extension of the pointwise product on the real axis).
+
+`star_product` has two paths that agree bit for bit: a per-term loop below
+`stemtensor.ARRAY_KERNEL_PAIRS` (256) live pairs, nonzero left coefficients
+times right coefficients, and `stemtensor.star_kernel` on the diagonal table
+n - k from there on.  The measured crossover lies near degree 12 (169 pairs).
 """
 
 from __future__ import annotations
@@ -29,7 +34,15 @@ from .monodromy import (
 )
 from .paths import NPartPath, _json_number
 from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, quat_inverse
-from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, slot_imaginary, star_vector
+from .stemtensor import (
+    ARRAY_KERNEL_PAIRS,
+    StemValue,
+    apply_real_matrix,
+    sigma_matrix,
+    slot_imaginary,
+    star_kernel,
+    star_vector,
+)
 from .stems import _stem_values, stem_derivative_family
 from .tolerances import FD_STEP, ON_AXIS_TOL, SYMMETRIZATION_ZERO_TOL
 
@@ -109,22 +122,29 @@ ONE_POLY = SliceRegularPoly((Quaternion(1.0),))
 def star_product(f: SliceRegularPoly, g: SliceRegularPoly) -> SliceRegularPoly:
     """Coefficient convolution c_n = sum_k a_k * b_(n-k), order preserved.
 
-    Each c_n sums over k in increasing order, skipping zero a_k; each term is
-    the Hamilton product a_k * b_(n-k) with the float expressions of
-    `hamilton_product`.
+    Each c_n sums over k in increasing order, skipping zero a_k (but not zero
+    b_(n-k)); each term is the Hamilton product a_k * b_(n-k) with the float
+    expressions of `hamilton_product`.  From `ARRAY_KERNEL_PAIRS` live pairs
+    (nonzero a_k times all b) on, `star_kernel` forms the same sums in one
+    array pass, reading b_(n-k) off the diagonal table n - k.
     """
     a, b = f.coefficients, g.coefficients
-    acc = [[0.0, 0.0, 0.0, 0.0] for _ in range(len(a) + len(b) - 1)]
-    right = [(q.w, q.x, q.y, q.z) for q in b]
-    for i, ai in enumerate(a):
-        if ai.norm2() == 0.0:
-            continue
-        aw, ax, ay, az = ai.w, ai.x, ai.y, ai.z
-        for out, (bw, bx, by, bz) in zip(acc[i:], right):
-            out[0] += aw * bw - ax * bx - ay * by - az * bz
-            out[1] += aw * bx + ax * bw + ay * bz - az * by
-            out[2] += aw * by - ax * bz + ay * bw + az * bx
-            out[3] += aw * bz + ax * by - ay * bx + az * bw
+    live = [k for k, ak in enumerate(a) if ak.norm2() != 0.0]
+    if len(live) * len(b) >= ARRAY_KERNEL_PAIRS:
+        shift = np.arange(len(a) + len(b) - 1) - np.array(live)[:, None]  # n - k
+        index = np.where((shift >= 0) & (shift < len(b)), shift, -1)
+        acc = star_kernel([a[k] for k in live], b, index)
+    else:
+        acc = [[0.0, 0.0, 0.0, 0.0] for _ in range(len(a) + len(b) - 1)]
+        right = [(q.w, q.x, q.y, q.z) for q in b]
+        for k in live:
+            ak = a[k]
+            aw, ax, ay, az = ak.w, ak.x, ak.y, ak.z
+            for out, (bw, bx, by, bz) in zip(acc[k:], right):
+                out[0] += aw * bw - ax * bx - ay * by - az * bz
+                out[1] += aw * bx + ax * bw + ay * bz - az * by
+                out[2] += aw * by - ax * bz + ay * bw + az * bx
+                out[3] += aw * bz + ax * by - ay * bx + az * bw
     return SliceRegularPoly(tuple([Quaternion(*out) for out in acc]))
 
 

@@ -9,6 +9,7 @@ error (branch-point crossing and friends).  Output is JSON by default;
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import checks
 from .calculus import SliceRegularPoly, regular_conjugate, star_product, symmetrization
-from .errors import SliceKitError
+from .errors import NonFiniteResult, SliceKitError
 from .monodromy import (
     SliceFunctionModel,
     final_state,
@@ -163,7 +164,13 @@ def cmd_starprod(args) -> int:
         out = symmetrization(f)
     else:
         raise ValueError(f"unknown op {args.op!r}")
-    print(json.dumps(out.to_json_obj()))
+    payload = out.to_json_obj()
+    coeffs = payload["coeffs"]
+    # JSON has no inf or NaN: an overflowed product is a domain error (exit 3), not output
+    if not all(map(math.isfinite, itertools.chain.from_iterable(coeffs))):
+        index = next(k for k, c in enumerate(coeffs) if not all(map(math.isfinite, c)))
+        raise NonFiniteResult(f"op={args.op} overflowed: coefficient {index} is {coeffs[index]}", index=index)
+    print(json.dumps(payload))
     return 0
 
 

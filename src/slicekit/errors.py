@@ -85,6 +85,12 @@ class OutOfBall(SliceKitError):
     """Series evaluation outside its ball of validity."""
 
 
+class NonFiniteResult(SliceKitError):
+    """Finite input gave a non-finite result (overflow to inf or NaN); `index` is its first non-finite coefficient."""
+
+    index = None
+
+
 class SymmetrizationZero(SliceKitError):
     """Symmetrization vanishes somewhere on the requested domain, at `witness`."""
 

@@ -276,6 +276,13 @@ def sparse_quaternions(count: int, rng: np.random.Generator) -> list[Quaternion]
     return out
 
 
+def quaternions_with_live(count: int, live: int, rng: np.random.Generator) -> list[Quaternion]:
+    """`count` entries of which exactly `live`, the last among them, have norm2 != 0; the rest are signed zeros or underflow."""
+    positions = set(rng.choice(count - 1, live - 1, replace=False).tolist()) | {count - 1}
+    dead = [Quaternion(0.0, -0.0, -0.0, 0.0), Quaternion(*rng.uniform(-1e-170, 1e-170, 4))]
+    return [Quaternion(*rng.uniform(-1, 1, 4)) if m in positions else dead[m % 2] for m in range(count)]
+
+
 def bits(quaternions) -> list[tuple[str, ...]]:
     """Exact components, signed zeros told apart (0.0 == -0.0 would hide them)."""
     return [(q.w.hex(), q.x.hex(), q.y.hex(), q.z.hex()) for q in quaternions]

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from slicekit import calculus, stems
@@ -23,8 +25,16 @@ from slicekit.errors import OutOfBall, SymmetrizationZero, ZeroDivisor
 from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_lifted
 from slicekit.paths import Line, beta_path, make_npart_path
 from slicekit.quat import Quaternion, random_imaginary_unit
+from slicekit.stemtensor import ARRAY_KERNEL_PAIRS, star_kernel
 
-from oracles import bits, numeric_slice_derivative, per_point_zero_probe, per_term_star_product, sparse_quaternions
+from oracles import (
+    bits,
+    numeric_slice_derivative,
+    per_point_zero_probe,
+    per_term_star_product,
+    quaternions_with_live,
+    sparse_quaternions,
+)
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -53,6 +63,59 @@ class TestStarProduct:
             g = SliceRegularPoly(tuple(sparse_quaternions(int(rng.integers(1, 66)), rng)))
             for x, y in ((f, g), (g, f), (f, regular_conjugate(f))):
                 assert bits(star_product(x, y).coefficients) == bits(per_term_star_product(x, y).coefficients)
+
+    def test_kernel_matches_per_term_loop_below_threshold(self, rng):
+        # the convolution through `star_kernel` alone: the diagonal table n - k, dead a_k rows at -1
+        huge = [Quaternion(*(rng.choice([-1.0, 1.0], 4) * 1e200)) for _ in range(3)]
+        polys = [SliceRegularPoly(tuple(sparse_quaternions(length, rng))) for length in (1, 1, 2, 5, 9, 12)]
+        polys += [SliceRegularPoly(tuple(huge)), SliceRegularPoly((Quaternion(1e200), Quaternion(-0.0, 1.0)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in polys:
+                for g in polys:
+                    a, b = f.coefficients, g.coefficients
+                    shift = np.arange(len(a) + len(b) - 1) - np.arange(len(a))[:, None]
+                    dead = np.array([q.norm2() == 0.0 for q in a])[:, None]
+                    index = np.where(dead | (shift < 0) | (shift >= len(b)), -1, shift)
+                    got = SliceRegularPoly(tuple(Quaternion(*out) for out in star_kernel(a, b, index)))
+                    assert bits(got.coefficients) == bits(per_term_star_product(f, g).coefficients)
+
+    def test_switches_at_threshold(self, monkeypatch, rng):
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return star_kernel(*args)
+
+        monkeypatch.setattr(calculus, "star_kernel", spy)
+        for pairs in (ARRAY_KERNEL_PAIRS - 1, ARRAY_KERNEL_PAIRS):
+            divisor = max(d for d in range(1, math.isqrt(pairs) + 1) if pairs % d == 0)
+            # (live a_k, len(b)): balanced, unbalanced both ways
+            for live, length in ((divisor, pairs // divisor), (pairs // divisor, divisor), (1, pairs), (pairs, 1)):
+                calls.clear()
+                f = SliceRegularPoly(tuple(quaternions_with_live(live + 3, live, rng)))
+                g = SliceRegularPoly(tuple(quaternions_with_live(length, max(1, length // 2), rng)))
+                assert len(g.coefficients) == length
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = star_product(f, g)
+                assert bits(got.coefficients) == bits(per_term_star_product(f, g).coefficients)
+                assert calls == ([live] if pairs >= ARRAY_KERNEL_PAIRS else [])
+
+    def test_overflow_matches_per_term_loop(self, rng):
+        # zero b_(n-k) are not skipped: inf * 0 is NaN in both forms
+        huge = SliceRegularPoly(tuple(Quaternion(*(rng.choice([-1.0, 1.0], 4) * 1e200)) for _ in range(20)))
+        real = SliceRegularPoly((Quaternion(1e200),) + tuple(sparse_quaternions(19, rng)))
+        sparse = SliceRegularPoly(tuple(sparse_quaternions(30, rng)) + (Quaternion(1.0),))
+        inf_entry = SliceRegularPoly((Quaternion(math.inf, 0.0, -0.0, 1.0),) + tuple(sparse_quaternions(29, rng)))
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, g in ((huge, huge), (huge, sparse), (sparse, huge), (real, huge), (inf_entry, sparse)):
+                got = star_product(f, g).coefficients
+                assert bits(got) == bits(per_term_star_product(f, g).coefficients)
+                seen.update(c.hex() for q in got for c in q.to_list())
+        assert {"nan", "inf", "-inf"} <= seen
 
     def test_left_identity_exact(self, rng):
         f = _random_poly(rng, 4)

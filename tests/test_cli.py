@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import slicekit
 from slicekit.cli import SEED_ENV, build_parser, main
+from slicekit.errors import NonFiniteResult
 from slicekit.monodromy import model_by_name
 from slicekit.paths import Line, NPartPath, beta_path, half_turns, make_npart_path
 from slicekit.quat import Quaternion
@@ -239,6 +240,57 @@ def test_starprod_product(capsys):
     assert code == 0
     coeffs = json.loads(out)["coeffs"]
     assert coeffs == [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+
+
+def _poly_json(coeffs) -> str:
+    return json.dumps({"coeffs": coeffs})
+
+
+@pytest.mark.parametrize("length", [1, 17])  # 17 * 17 = 289 live pairs: the array kernel runs
+def test_starprod_overflow_is_domain_error(capsys, length):
+    small = [[0.5, -0.25, 0.125, 0.0]] * length
+    # star: f_5 * g_3 = 1e600 first lands in coefficient 8; sym: f_k * conj(f_k) = |f_k|^2 in 2k, x = -inf + inf
+    f, g, k = list(small), list(small), min(5, length - 1)
+    f[k], g[min(3, length - 1)] = [1e300, 0.0, 0.0, 0.0], [1e300, 0.0, 0.0, 0.0]
+    star_index = k + min(3, length - 1)
+    code, out, err = _run(capsys, ["starprod", "--f", _poly_json(f), "--g", _poly_json(g), "--op", "star"])
+    assert (code, out) == (3, "")
+    assert f"op=star overflowed: coefficient {star_index} is [inf, " in err
+    f[k] = [1e300, 1e300, 0.0, 0.0]
+    code, out, err = _run(capsys, ["starprod", "--f", _poly_json(f), "--op", "sym"])
+    assert (code, out) == (3, "")
+    assert f"op=sym overflowed: coefficient {2 * k} is [inf, nan, " in err
+
+
+def test_starprod_overflow_carries_the_index():
+    f = [[0.5, 0.0, 0.0, 0.0]] * 17
+    f[9] = [1e300, 0.0, 0.0, 0.0]
+    args = build_parser().parse_args(["starprod", "--f", _poly_json(f), "--g", _poly_json(f)])
+    with pytest.raises(NonFiniteResult) as caught:
+        args.fn(args)
+    assert caught.value.index == 18
+
+
+def test_starprod_large_finite_product_is_printed(capsys):
+    # near the overflow line but finite: output as before
+    f = [[2.0**500, 0.0, 0.0, 0.0]] * 17
+    code, out, _ = _run(capsys, ["starprod", "--f", _poly_json(f), "--g", _poly_json(f)])
+    assert code == 0
+    assert json.loads(out)["coeffs"][16] == [17 * 2.0**1000, 0.0, 0.0, 0.0]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(slicekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "slicekit", "starprod", "--f", _poly_json([[1, 2, 3, 4]]), "--op", "conj"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"coeffs": [[1.0, -2.0, -3.0, -4.0]]}
 
 
 def test_stem_command(capsys, beta_file, tmp_path):

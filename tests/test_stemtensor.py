@@ -1,23 +1,34 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from slicekit import stemtensor
 from slicekit.errors import ShapeMismatch
 from slicekit.quat import Quaternion
 from slicekit.stemtensor import (
+    ARRAY_KERNEL_PAIRS,
     StemValue,
+    _product_slots,
     _product_table,
     basis_product,
     kron_matrix,
     oracle_star,
     sigma_matrix,
     slot_imaginary,
+    star_kernel,
     star_vector,
     tensor_from_kron,
 )
 
-from oracles import bits, per_term_kron_matrix, per_term_star_vector, sparse_quaternions
+from oracles import (
+    bits,
+    per_term_kron_matrix,
+    per_term_star_vector,
+    quaternions_with_live,
+    sparse_quaternions,
+)
 
 
 def _random_stem(n, rng):
@@ -184,3 +195,98 @@ class TestTableKernel:
             pairs += [(a, b), (b, a)]
         for a, b in pairs:
             assert bits(star_vector(a, b).entries) == bits(per_term_star_vector(a, b).entries)
+
+
+def test_tensor_from_kron_inverts_kron_matrix_exactly(rng):
+    # the first column holds sign * (sign * a_m): no rounding, at every order the oracle is used for
+    for n in range(1, 7):
+        a = _random_stem(n, rng)
+        assert tensor_from_kron(n, kron_matrix(a)) == a
+
+
+def _overflowing(size, rng):
+    """Finite entries whose products overflow to +-inf and whose sums meet inf - inf = NaN."""
+    return [Quaternion(*(rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(150, 200, 4))) for _ in range(size)]
+
+
+def _kernel_star_vector(a, b):
+    """star_vector through `star_kernel` alone, at any size: dead entries of a or b leave their slots at -1."""
+    index, sign = _product_slots(a.N)
+    dead_a = np.array([q.norm2() == 0.0 for q in a.entries])
+    dead_b = np.array([q.norm2() == 0.0 for q in b.entries])
+    index = np.where(dead_a[:, None] | dead_b[index], -1, index)
+    return StemValue(a.N, tuple(Quaternion(*out) for out in star_kernel(a.entries, b.entries, index, sign)))
+
+
+def _pair_counts(pairs, limit):
+    """(p, q) with p * q == pairs and both at most `limit`, p as large as possible."""
+    p = max(d for d in range(1, math.isqrt(pairs) + 1) if pairs % d == 0 and pairs // d <= limit)
+    return p, pairs // p
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kernel_matches_per_term_loop_below_threshold(self, n, rng):
+        size = 1 << n
+        columns = [sparse_quaternions(size, rng) for _ in range(6)] + [_overflowing(size, rng) for _ in range(2)]
+        columns.append([Quaternion(math.inf, 0.0, -0.0, 1.0)] + sparse_quaternions(size - 1, rng))
+        # one live entry against entries with signed-zero components: single-term sums of -0.0
+        columns.append([Quaternion(1.0)] + [Quaternion()] * (size - 1))
+        columns.append([Quaternion(-0.0, 1.0, -0.0, 0.0)] * size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for left in columns:
+                for right in columns:
+                    a, b = StemValue(n, tuple(left)), StemValue(n, tuple(right))
+                    assert bits(_kernel_star_vector(a, b).entries) == bits(per_term_star_vector(a, b).entries)
+
+    def test_kernel_sums_rows_in_order_onto_plus_zero(self):
+        # 0.5 + 1e16 - 1e16 is 0 in row order but 0.5 backwards; -0.0 terms sum to +0.0
+        left = [Quaternion(0.5), Quaternion(1e16), Quaternion(-1e16), Quaternion(-0.0)]
+        index = np.array([[0, -1], [0, -1], [0, -1], [0, 0]])
+        sign = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        out = star_kernel(left, [Quaternion(1.0)], index, sign)
+        assert [c.hex() for c in out[0]] == [(0.0).hex()] * 4
+        assert [c.hex() for c in out[1]] == [(0.0).hex()] * 4
+        # a lone term of -0.0 (w of 1 * (-0.0 + i)) sums to +0.0, as 0.0 + (-0.0) does in the loop
+        out = star_kernel([Quaternion(1.0)], [Quaternion(-0.0, 1.0)], np.array([[0]]))
+        assert [c.hex() for c in out[0]] == [(0.0).hex(), (1.0).hex(), (0.0).hex(), (0.0).hex()]
+
+    def test_public_function_switches_at_threshold(self, monkeypatch, rng):
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return star_kernel(*args)
+
+        monkeypatch.setattr(stemtensor, "star_kernel", spy)
+        n = 5
+        for pairs in (ARRAY_KERNEL_PAIRS - 1, ARRAY_KERNEL_PAIRS):
+            counts = _pair_counts(pairs, 1 << n)
+            for live_a, live_b in {counts, counts[::-1]}:
+                calls.clear()
+                a = StemValue(n, tuple(quaternions_with_live(1 << n, live_a, rng)))
+                b = StemValue(n, tuple(quaternions_with_live(1 << n, live_b, rng)))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = star_vector(a, b)
+                assert bits(got.entries) == bits(per_term_star_vector(a, b).entries)
+                assert calls == ([live_a] if pairs >= ARRAY_KERNEL_PAIRS else [])
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_overflow_matches_per_term_loop(self, n, rng):
+        size = 1 << n
+        a, b = StemValue(n, tuple(_overflowing(size, rng))), StemValue(n, tuple(_overflowing(size, rng)))
+        mixed = StemValue(n, tuple(_overflowing(size // 2, rng) + sparse_quaternions(size // 2, rng)))
+        real = StemValue(n, (Quaternion(1e200),) + tuple(sparse_quaternions(size - 1, rng)))
+        # inf times a zero or underflowing entry of b would be NaN: dead entries must be skipped
+        infinite = StemValue(n, (Quaternion(math.inf, 0.0, -0.0, 1.0),) + tuple(_random_stem(n, rng).entries[1:]))
+        sparse = StemValue(n, tuple(sparse_quaternions(size, rng)))
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in ((a, b), (b, a), (a, mixed), (mixed, a), (real, b), (infinite, sparse), (sparse, infinite)):
+                got = star_vector(x, y)
+                assert bits(got.entries) == bits(per_term_star_vector(x, y).entries)
+                seen.update(c.hex() for q in got.entries for c in q.to_list())
+        assert {"nan", "inf", "-inf"} <= seen
