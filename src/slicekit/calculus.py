@@ -7,8 +7,9 @@ extension of the pointwise product on the real axis).
 
 `star_product` has two paths that agree bit for bit: a per-term loop below
 `stemtensor.ARRAY_KERNEL_PAIRS` (256) live pairs, nonzero left coefficients
-times right coefficients, and `stemtensor.star_kernel` on the diagonal table
-n - k from there on.  The measured crossover lies near degree 12 (169 pairs).
+times right coefficients, and `stemtensor.star_kernel` from there on, which
+forms one term per pair and sends a_k * b_j to c_(k+j).  The measured
+crossover lies near 100-150 pairs (degree 9 to 11).
 """
 
 from __future__ import annotations
@@ -126,21 +127,20 @@ def star_product(f: SliceRegularPoly, g: SliceRegularPoly) -> SliceRegularPoly:
     b_(n-k)); each term is the Hamilton product a_k * b_(n-k) with the float
     expressions of `hamilton_product`.  From `ARRAY_KERNEL_PAIRS` live pairs
     (nonzero a_k times all b) on, `star_kernel` forms the same sums in one
-    array pass, reading b_(n-k) off the diagonal table n - k.
+    array pass.
     """
     a, b = f.coefficients, g.coefficients
     live = [k for k, ak in enumerate(a) if ak.norm2() != 0.0]
     if len(live) * len(b) >= ARRAY_KERNEL_PAIRS:
-        shift = np.arange(len(a) + len(b) - 1) - np.array(live)[:, None]  # n - k
-        index = np.where((shift >= 0) & (shift < len(b)), shift, -1)
-        acc = star_kernel([a[k] for k in live], b, index)
+        out = np.add.outer(live, np.arange(len(b)))  # a_k * b_j goes to c_(k + j)
+        acc = star_kernel([a[k] for k in live], b, out, len(a) + len(b) - 1)
     else:
         acc = [[0.0, 0.0, 0.0, 0.0] for _ in range(len(a) + len(b) - 1)]
         right = [(q.w, q.x, q.y, q.z) for q in b]
         for k in live:
             ak = a[k]
             aw, ax, ay, az = ak.w, ak.x, ak.y, ak.z
-            for out, (bw, bx, by, bz) in zip(acc[k:], right):
+            for out, (bw, bx, by, bz) in zip(acc[k : k + len(b)], right):
                 out[0] += aw * bw - ax * bx - ay * by - az * bz
                 out[1] += aw * bx + ax * bw + ay * bz - az * by
                 out[2] += aw * by - ax * bz + ay * bw + az * bx

@@ -9,7 +9,6 @@ error (branch-point crossing and friends).  Output is JSON by default;
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -167,8 +166,8 @@ def cmd_starprod(args) -> int:
     payload = out.to_json_obj()
     coeffs = payload["coeffs"]
     # JSON has no inf or NaN: an overflowed product is a domain error (exit 3), not output
-    if not all(map(math.isfinite, itertools.chain.from_iterable(coeffs))):
-        index = next(k for k, c in enumerate(coeffs) if not all(map(math.isfinite, c)))
+    index = next((k for k, c in enumerate(coeffs) if not all(map(math.isfinite, c))), None)
+    if index is not None:
         raise NonFiniteResult(f"op={args.op} overflowed: coefficient {index} is {coeffs[index]}", index=index)
     print(json.dumps(payload))
     return 0

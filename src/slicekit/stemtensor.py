@@ -16,11 +16,11 @@ XORs the bit patterns; the resulting sign law is validated against an
 independent Kronecker matrix representation (see `oracle_star`).
 
 `star_vector` has two paths that agree bit for bit: a per-term loop, and
-`star_kernel`, which forms every term in one numpy pass and adds the rows in
-the loop's order.  The kernel runs from `ARRAY_KERNEL_PAIRS` (256) live term
-pairs on; the measured crossover lies near 150-190 pairs, so the small
-products of `check --suite all` stay on the loop.  `calculus.star_product`
-shares the kernel and the constant.
+`star_kernel`, which forms one term per live pair in one numpy pass and adds
+the terms in the loop's order.  The kernel runs from `ARRAY_KERNEL_PAIRS`
+(256) live term pairs on; the measured crossover lies near 130-190 pairs, so
+the small products of `check --suite all` stay on the loop.
+`calculus.star_product` shares the kernel and the constant.
 """
 
 from __future__ import annotations
@@ -149,13 +149,15 @@ def slot_imaginary(n: int, slot: int) -> StemValue:
 
 #: live term pairs from which `star_vector` and `calculus.star_product` run `star_kernel` in place of
 #: their loops: live entries of a times live entries of b, or live coefficients of f times all of g.
-#: Below it the fixed cost of the array pass (some 40 numpy calls) outweighs the per-term loop.
-#: Measured crossover (CPython 3.11, numpy 2.4, one core of a 2-CPU VM, best of 9 x 300 calls):
-#: star_vector at N = 4 with 96 / 192 / 256 live pairs 63 / 128 / 169 us on the loop against
-#: 71 / 103 / 125 us on the array, and at N = 6 (4096 pairs) about 2 ms against 0.4 ms;
-#: star_product at degree 10 / 12 / 15 (121 / 169 / 256 pairs) 75 / 135 / 199 us against
-#: 99 / 103 / 136 us.  The two cross near 150-190 pairs; 256 keeps every product of
-#: `check --suite all` on the loops.
+#: Below it the fixed cost of the array pass (some 30 numpy calls) outweighs the per-term loop.
+#: Measured crossover (CPython 3.11, numpy 2.4, one core of a 2-CPU VM, best of 9 x 300 calls),
+#: loop against array: star_vector with 16 x 8 / 16 x 12 / 16 x 16 live entries at N = 4
+#: 111 / 152 / 201 us against 112 / 123 / 126 us, with a sparse b at N = 6 (64 x 2 / 64 x 4)
+#: 169 / 234 us against 182 / 151 us, and 64 x 64 about 2.1 ms against 0.42 ms;
+#: star_product at lengths 10 x 10 / 12 x 12 / 16 x 16 99 / 134 / 220 us against 93 / 103 / 120 us,
+#: 2 x 64 / 64 x 2 150 / 221 us against 135 / 164 us, and 4000 x 1 6.4 ms against 3.3 ms.
+#: The kernel wins on every measured shape from about 190 pairs on; 256 keeps every product of
+#: `check --suite all` (at most 81) on the loops.
 ARRAY_KERNEL_PAIRS = 256
 
 
@@ -175,43 +177,38 @@ def _component_columns(qs: Sequence[Quaternion]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _product_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_product_table` by output: (mb - 1, sign as +-1.0) of the term row ma - 1 sends to output c - 1."""
-    size = 1 << n
-    table = np.array(_product_table(n))  # (ma - 1, mb - 1) -> (c - 1, sign < 0)
-    rows, outputs = np.arange(size)[:, None], table[..., 0]
-    index, sign = np.empty((size, size), dtype=np.intp), np.empty((size, size))
-    index[rows, outputs] = np.arange(size)
-    sign[rows, outputs] = np.where(table[..., 1], -1.0, 1.0)
-    index.flags.writeable = sign.flags.writeable = False
-    return index, sign
+def _product_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_product_table` as arrays indexed [ma - 1, mb - 1]: the output c - 1 and the sign as +-1.0."""
+    table = np.array(_product_table(n))
+    outputs, sign = table[..., 0].astype(np.intp), np.where(table[..., 1], -1.0, 1.0)
+    outputs.flags.writeable = sign.flags.writeable = False
+    return outputs, sign
 
 
 def star_kernel(
-    left: Sequence[Quaternion], right: Sequence[Quaternion], index: np.ndarray, sign: np.ndarray | None = None
+    left: Sequence[Quaternion], right: Sequence[Quaternion], out: np.ndarray, size: int, sign: np.ndarray | None = None
 ) -> list[list[float]]:
-    """Array form of the star loops: output c is the sum over rows r of sign[r, c] * left[r] * right[index[r, c]].
+    """Array form of the star loops: output c sums sign[r, j] * left[r] * right[j] over the pairs with out[r, j] == c.
 
-    `index` and `sign` have one row per entry of `left` and one column per
-    output; index -1 marks a slot without a term, and `sign` (+-1.0) defaults
-    to +1.  Every term is `hamilton_components` of its two entries, and the
-    rows are added in ascending order onto +0.0, so each output sums the same
-    terms in the same order as the loops and equals them bit for bit, signed
-    zeros, inf and NaN included: x - w is x + (-w) and x * -1.0 is -x, and
-    adding +0.0 for a missing term leaves a sum that started at +0.0 unchanged
-    (such a sum is never -0.0).  Overflow stays silent, as in the loops.
-    Returns one [w, x, y, z] list per output.
+    `out` and `sign` have one row per entry of `left` and one column per
+    entry of `right`, so the work is one term per pair; `sign` (+-1.0)
+    defaults to +1.  Every term is `hamilton_components` of its two entries,
+    and `np.bincount`, which adds its weights one after another onto +0.0,
+    sums them in row-major order, the loops' order: each output equals the
+    loops bit for bit, signed zeros, inf and NaN included (x - w is x + (-w),
+    and x * -1.0 is -x).  Overflow stays silent, as in the loops.  Returns one
+    [w, x, y, z] list for each of the `size` outputs.
     """
-    left, right = _component_columns(left), _component_columns(right)
+    rows, cols = out.shape
+    # both operands as whole (4, rows, cols) arrays: flat loops beat broadcast ones
+    left = np.repeat(_component_columns(left)[:, :, None], cols, axis=2)
+    right = np.repeat(_component_columns(right)[:, None, :], rows, axis=1)
     with np.errstate(all="ignore"):
-        # both operands as whole (4, rows, outputs) arrays: flat loops beat a broadcast left operand
-        left = np.repeat(left[:, :, None], index.shape[1], axis=2)
-        # (rows, 4, outputs): rows outermost, so the reduction adds them one after another
-        terms = np.stack(hamilton_components(left, np.take(right, index, axis=1)), axis=1)
+        terms = hamilton_components(left, right)
         if sign is not None:
-            terms *= sign[:, None, :]
-        np.copyto(terms, 0.0, where=(index < 0)[:, None, :])
-        return np.add.reduce(terms, axis=0, initial=0.0).T.tolist()
+            terms = [part * sign for part in terms]
+        sums = [np.bincount(out.ravel(), part.ravel(), size) for part in terms]
+    return np.array(sums).T.tolist()
 
 
 def star_vector(a: StemValue, b: StemValue) -> StemValue:
@@ -228,10 +225,11 @@ def star_vector(a: StemValue, b: StemValue) -> StemValue:
     live_a = [ma for ma, q in enumerate(a.entries) if q.norm2() != 0.0]
     right = [(mb, q.w, q.x, q.y, q.z) for mb, q in enumerate(b.entries) if q.norm2() != 0.0]
     if len(live_a) * len(right) >= ARRAY_KERNEL_PAIRS:
-        index, sign = _product_slots(a.N)
-        index, sign = index[live_a], sign[live_a]
-        dead_b = np.array([q.norm2() == 0.0 for q in b.entries])
-        acc = star_kernel([a.entries[ma] for ma in live_a], b.entries, np.where(dead_b[index], -1, index), sign)
+        live_b = [mb for mb, *_ in right]
+        cells = np.add.outer(np.array(live_a) << a.N, live_b)  # flat positions in the 2**N x 2**N tables
+        outputs, sign = (part.take(cells) for part in _product_arrays(a.N))
+        left, right = [a.entries[ma] for ma in live_a], [b.entries[mb] for mb in live_b]
+        acc = star_kernel(left, right, outputs, len(b.entries), sign)
     else:
         table = _product_table(a.N)
         acc = [[0.0, 0.0, 0.0, 0.0] for _ in a.entries]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -65,7 +66,7 @@ class TestStarProduct:
                 assert bits(star_product(x, y).coefficients) == bits(per_term_star_product(x, y).coefficients)
 
     def test_kernel_matches_per_term_loop_below_threshold(self, rng):
-        # the convolution through `star_kernel` alone: the diagonal table n - k, dead a_k rows at -1
+        # the convolution through `star_kernel` alone: live a_k against every b_j, a_k * b_j into c_(k + j)
         huge = [Quaternion(*(rng.choice([-1.0, 1.0], 4) * 1e200)) for _ in range(3)]
         polys = [SliceRegularPoly(tuple(sparse_quaternions(length, rng))) for length in (1, 1, 2, 5, 9, 12)]
         polys += [SliceRegularPoly(tuple(huge)), SliceRegularPoly((Quaternion(1e200), Quaternion(-0.0, 1.0)))]
@@ -74,11 +75,36 @@ class TestStarProduct:
             for f in polys:
                 for g in polys:
                     a, b = f.coefficients, g.coefficients
-                    shift = np.arange(len(a) + len(b) - 1) - np.arange(len(a))[:, None]
-                    dead = np.array([q.norm2() == 0.0 for q in a])[:, None]
-                    index = np.where(dead | (shift < 0) | (shift >= len(b)), -1, shift)
-                    got = SliceRegularPoly(tuple(Quaternion(*out) for out in star_kernel(a, b, index)))
+                    live = [k for k, q in enumerate(a) if q.norm2() != 0.0]
+                    out = np.add.outer(np.array(live, dtype=np.intp), np.arange(len(b)))
+                    sums = star_kernel([a[k] for k in live], b, out, len(a) + len(b) - 1)
+                    got = SliceRegularPoly(tuple(Quaternion(*c) for c in sums))
                     assert bits(got.coefficients) == bits(per_term_star_product(f, g).coefficients)
+
+    def test_kernel_work_is_one_term_per_pair(self, monkeypatch, rng):
+        # a long f times a constant: 4000 pairs, not 4000 x 4000 slots
+        shapes = []
+
+        def spy(left, right, out, size, sign=None):
+            shapes.append(out.shape)
+            return star_kernel(left, right, out, size, sign)
+
+        monkeypatch.setattr(calculus, "star_kernel", spy)
+        f = SliceRegularPoly(tuple(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(4000)))
+        g = SliceRegularPoly.constant(Quaternion(0.5, -1.0, 0.0, 2.0))
+        tracemalloc.start()
+        try:
+            got = star_product(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(4000, 1)]
+        # the Quaternions of f, g and the result take about 1 MB; a (4000, 4000) float array alone is 128 MB
+        assert peak < 8 * 2**20
+        assert bits(got.coefficients) == bits(per_term_star_product(f, g).coefficients)
+        shapes.clear()
+        assert bits(star_product(g, f).coefficients) == bits(per_term_star_product(g, f).coefficients)
+        assert shapes == [(1, 4000)]
 
     def test_switches_at_threshold(self, monkeypatch, rng):
         calls = []

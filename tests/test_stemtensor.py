@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from slicekit.quat import Quaternion
 from slicekit.stemtensor import (
     ARRAY_KERNEL_PAIRS,
     StemValue,
-    _product_slots,
+    _product_arrays,
     _product_table,
     basis_product,
     kron_matrix,
@@ -197,6 +198,15 @@ class TestTableKernel:
             assert bits(star_vector(a, b).entries) == bits(per_term_star_vector(a, b).entries)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kron_matrix_is_multiplicative(n, rng):
+    # the image of a product is the product of the images: the pattern matrices close under multiplication
+    for _ in range(5):
+        a, b = _random_stem(n, rng), _random_stem(n, rng)
+        product = kron_matrix(a) @ kron_matrix(b)
+        assert np.max(np.abs(product - kron_matrix(star_vector(a, b)))) < 1e-12
+
+
 def test_tensor_from_kron_inverts_kron_matrix_exactly(rng):
     # the first column holds sign * (sign * a_m): no rounding, at every order the oracle is used for
     for n in range(1, 7):
@@ -210,12 +220,11 @@ def _overflowing(size, rng):
 
 
 def _kernel_star_vector(a, b):
-    """star_vector through `star_kernel` alone, at any size: dead entries of a or b leave their slots at -1."""
-    index, sign = _product_slots(a.N)
-    dead_a = np.array([q.norm2() == 0.0 for q in a.entries])
-    dead_b = np.array([q.norm2() == 0.0 for q in b.entries])
-    index = np.where(dead_a[:, None] | dead_b[index], -1, index)
-    return StemValue(a.N, tuple(Quaternion(*out) for out in star_kernel(a.entries, b.entries, index, sign)))
+    """star_vector through `star_kernel` alone, at any size: live entries of a against live entries of b."""
+    live_a, live_b = ([m for m, q in enumerate(x.entries) if q.norm2() != 0.0] for x in (a, b))
+    outputs, sign = (part[np.ix_(live_a, live_b)] for part in _product_arrays(a.N))
+    left, right = [a.entries[m] for m in live_a], [b.entries[m] for m in live_b]
+    return StemValue(a.N, tuple(Quaternion(*out) for out in star_kernel(left, right, outputs, 1 << a.N, sign)))
 
 
 def _pair_counts(pairs, limit):
@@ -241,16 +250,40 @@ class TestArrayKernel:
                     assert bits(_kernel_star_vector(a, b).entries) == bits(per_term_star_vector(a, b).entries)
 
     def test_kernel_sums_rows_in_order_onto_plus_zero(self):
-        # 0.5 + 1e16 - 1e16 is 0 in row order but 0.5 backwards; -0.0 terms sum to +0.0
+        # 0.5 + 1e16 - 1e16 is 0 in row order but 0.5 backwards; -0.0 terms sum to +0.0; output 2 gets no term
         left = [Quaternion(0.5), Quaternion(1e16), Quaternion(-1e16), Quaternion(-0.0)]
-        index = np.array([[0, -1], [0, -1], [0, -1], [0, 0]])
-        sign = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
-        out = star_kernel(left, [Quaternion(1.0)], index, sign)
-        assert [c.hex() for c in out[0]] == [(0.0).hex()] * 4
-        assert [c.hex() for c in out[1]] == [(0.0).hex()] * 4
+        out = np.array([[0], [0], [0], [1]])
+        sign = np.array([[1.0], [1.0], [1.0], [-1.0]])
+        sums = star_kernel(left, [Quaternion(1.0)], out, 3, sign)
+        assert [[c.hex() for c in q] for q in sums] == [[(0.0).hex()] * 4] * 3
         # a lone term of -0.0 (w of 1 * (-0.0 + i)) sums to +0.0, as 0.0 + (-0.0) does in the loop
-        out = star_kernel([Quaternion(1.0)], [Quaternion(-0.0, 1.0)], np.array([[0]]))
-        assert [c.hex() for c in out[0]] == [(0.0).hex(), (1.0).hex(), (0.0).hex(), (0.0).hex()]
+        sums = star_kernel([Quaternion(1.0)], [Quaternion(-0.0, 1.0)], np.array([[0]]), 1)
+        assert [c.hex() for c in sums[0]] == [(0.0).hex(), (1.0).hex(), (0.0).hex(), (0.0).hex()]
+
+    def test_kernel_work_is_one_term_per_live_pair(self, monkeypatch, rng):
+        # a sparse b: 256 x live_b pairs at N = 8 form that many terms, not 256 x 256 slots
+        shapes = []
+
+        def spy(left, right, out, size, sign=None):
+            shapes.append(out.shape)
+            return star_kernel(left, right, out, size, sign)
+
+        monkeypatch.setattr(stemtensor, "star_kernel", spy)
+        n = 8
+        a = _random_stem(n, rng)
+        live_b = -(-ARRAY_KERNEL_PAIRS // (1 << n))
+        b = StemValue(n, tuple(quaternions_with_live(1 << n, live_b, rng)))
+        _product_arrays(n)  # the cached tables are built once per order, outside the measurement
+        tracemalloc.start()
+        try:
+            got = star_vector(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(1 << n, live_b)]
+        # the Quaternions of the result take about 40 kB; one (4, 256, 256) float array is 2 MB
+        assert peak < 2**20
+        assert bits(got.entries) == bits(per_term_star_vector(a, b).entries)
 
     def test_public_function_switches_at_threshold(self, monkeypatch, rng):
         calls = []
