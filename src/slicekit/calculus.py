@@ -29,9 +29,11 @@ from .monodromy import (
     PolynomialModel,
     SliceFunctionModel,
     SqrtModel,
+    _log_factor,
     _mapped,
     _poly_derivative,
     _poly_eval,
+    _sqrt_factor,
 )
 from .paths import NPartPath, _json_number
 from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, quat_inverse
@@ -304,33 +306,28 @@ def _symmetrization_roots(sym: SliceRegularPoly) -> list[complex]:
     return [complex(r) for r in roots]
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    golden = (1 + math.sqrt(5)) / 2
-    idx = np.arange(count)
-    z = 1 - 2 * (idx + 0.5) / count
-    r = np.sqrt(1 - z * z)
-    phi = 2 * math.pi * idx / golden
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
-#: nested spheres, and Fibonacci directions per sphere, of the reciprocal's zero probe
+#: nested spheres of the reciprocal's zero probe, and the one direction probed on each.  f^s has
+#: real coefficients, so containment and |f^s| at a point depend only on its real part and the
+#: norm of its imaginary part: one direction decides for its whole sphere.  It is the first point
+#: of a 512-point Fibonacci sphere, so the witness is the one a scan of that sphere finds first.
 _PROBE_SHELLS = 8
-_PROBE_DIRECTIONS = 512
+_PROBE_Z = 1 - 1 / 512
+_PROBE_DIRECTION = (math.sqrt(1 - _PROBE_Z * _PROBE_Z), 0.0, _PROBE_Z)
 
 
 def _probe_zero(sym: SliceRegularPoly, domain: AxSymDomain) -> Quaternion | None:
     """The first shell point of a bounded domain where |sym| < SYMMETRIZATION_ZERO_TOL, or None.
 
-    Shell by shell outward, Fibonacci directions in order, the points are
-    center + Quaternion(0.0, *(r * d)) of a scalar loop.  All of them are
-    formed as arrays in one pass, in the same float operations: containment
-    as `AxSymDomain.contains` decides it (Python's complex `abs`, which numpy's
+    Shell by shell outward, the points are center + Quaternion(0.0, *(r * d))
+    of a scalar loop, d = `_PROBE_DIRECTION`.  All of them are formed as
+    arrays in one pass, in the same float operations: containment as
+    `AxSymDomain.contains` decides it (Python's complex `abs`, which numpy's
     differs from in the last bit), and the Horner sum of `_poly_eval` on
     their components.
     """
     cx, cy = domain.center.real, domain.center.imag
     radii = np.array([domain.radius * shell / _PROBE_SHELLS * 0.999 for shell in range(1, _PROBE_SHELLS + 1)])
-    x, y, z = (0.0 + radii[:, None, None] * _fibonacci_sphere(_PROBE_DIRECTIONS)).reshape(-1, 3).T
+    x, y, z = (0.0 + radii[:, None] * np.array(_PROBE_DIRECTION)).T
     w = np.full(len(x), cx + 0.0)
     imag = np.sqrt(x * x + y * y + z * z)
     offset = np.empty(len(x), dtype=complex)
@@ -356,10 +353,10 @@ def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciproc
     The symmetrization has real coefficients, so its zero spheres come from
     the complex roots; any root inside the domain aborts.  On bounded domains
     a deterministic shell probe additionally guards the near-zero case
-    |f^s| < SYMMETRIZATION_ZERO_TOL: Fibonacci directions on nested spheres
-    about the centre, every point tested and evaluated in one array pass
-    (`_probe_zero`), and the first point below the cut-off in shell-then-
-    direction order is the witness.
+    |f^s| < SYMMETRIZATION_ZERO_TOL: one point on each of nested spheres
+    about the centre, enough because f^s has real coefficients, every point
+    tested and evaluated in one array pass (`_probe_zero`), and the first
+    point below the cut-off, innermost first, is the witness.
     """
     sym = symmetrization(f)
     if max(c.norm() for c in sym.coefficients) < SYMMETRIZATION_ZERO_TOL:
@@ -391,14 +388,12 @@ def star_eval(f_at: Callable, g_at: Callable, q: Quaternion) -> Quaternion:
 
 def _principal_derivative(model: SliceFunctionModel, z0: complex, n: int) -> complex:
     if isinstance(model, SqrtModel):
-        coeff = 1.0
-        for k in range(n):
-            coeff *= 0.5 - k
-        return coeff * z0 ** (0.5 - n)
+        coeff, power = _sqrt_factor(n)
+        return coeff * z0**power
     if isinstance(model, LogModel):
         if n == 0:
             return cmath.log(z0)
-        return (-1.0) ** (n - 1) * math.factorial(n - 1) * z0 ** (-n)
+        return _log_factor(n) * z0 ** (-n)
     raise TypeError(f"no principal-branch derivatives for {model!r}")
 
 

@@ -8,8 +8,10 @@ tolerance.  All sampling flows through one seeded generator per check, so a
 from __future__ import annotations
 
 import math
+import operator
 import zlib
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -71,6 +73,14 @@ def _random_stem_value(n: int, rng: np.random.Generator) -> StemValue:
 
 def _random_poly(rng: np.random.Generator, degree: int) -> calculus.SliceRegularPoly:
     return calculus.SliceRegularPoly(_random_quaternions(rng, degree + 1))
+
+
+def _coeff_distance(f: calculus.SliceRegularPoly, g: calculus.SliceRegularPoly) -> float:
+    """Largest |a_n - b_n| over the coefficients of f and g, the shorter one padded with zeros."""
+    worst = 0.0
+    for a, b in zip_longest(f.coefficients, g.coefficients, fillvalue=Quaternion()):
+        worst = max(worst, (a - b).norm())
+    return worst
 
 
 # -- unitarity ---------------------------------------------------------------
@@ -250,12 +260,7 @@ def check_ring_identities(rng: np.random.Generator) -> CheckResult:
         rhs = calculus.star_product(calculus.regular_conjugate(g), calculus.regular_conjugate(f))
         worst = max(worst, max((a - b).norm() for a, b in zip(lhs.coefficients, rhs.coefficients)))
         s1 = calculus.symmetrization(fg)
-        s2 = calculus.symmetrization(calculus.star_product(g, f))
-        size = max(len(s1.coefficients), len(s2.coefficients))
-        for idx in range(size):
-            a = s1.coefficients[idx] if idx < len(s1.coefficients) else Quaternion()
-            b = s2.coefficients[idx] if idx < len(s2.coefficients) else Quaternion()
-            worst = max(worst, (a - b).norm())
+        worst = max(worst, _coeff_distance(s1, calculus.symmetrization(calculus.star_product(g, f))))
         q = Quaternion(*rng.uniform(-1, 1, 4))
         pointwise = calculus.symmetrization(f)(q) * calculus.symmetrization(g)(q)
         worst = max(worst, (s1(q) - pointwise).norm())
@@ -280,12 +285,7 @@ def check_leibniz(rng: np.random.Generator) -> CheckResult:
         g = _random_poly(rng, int(rng.integers(0, 6)))
         for n in range(5):
             direct = calculus.slice_derivative(calculus.star_product(f, g), n)
-            rule = calculus.leibniz(f, g, n)
-            size = max(len(direct.coefficients), len(rule.coefficients))
-            for idx in range(size):
-                a = direct.coefficients[idx] if idx < len(direct.coefficients) else Quaternion()
-                b = rule.coefficients[idx] if idx < len(rule.coefficients) else Quaternion()
-                worst = max(worst, (a - b).norm())
+            worst = max(worst, _coeff_distance(direct, calculus.leibniz(f, g, n)))
     return _result("leibniz", "ring", worst, 1e-10)
 
 
@@ -352,50 +352,37 @@ def _beta_system(extra=()):
 
 
 def check_stem_validator(rng: np.random.Generator) -> CheckResult:
-    system = _beta_system(extra=(0.25, 0.75))
-    report = stems.validate_stem_system(system)
-    ok = report.passed
+    ok = stems.validate_stem_system(_beta_system(extra=(0.25, 0.75))).passed
+    for system, condition in _broken_systems():
+        ok = _fails_exactly(stems.validate_stem_system(system), condition) and ok
+    return _result("stem-system-validator", "stem", 0.0 if ok else 1.0, 0.0)
 
-    flipped = _flip_component(_beta_system(), "beta[2/2-]", component=1)
-    r1 = stems.validate_stem_system(flipped)
-    ok = ok and _fails_exactly(r1, "holomorphy")
 
-    padded = _offset_component(_beta_system(), "beta[1/2]", component=2)
-    r2 = stems.validate_stem_system(padded)
-    ok = ok and _fails_exactly(r2, "axial-compatibility")
-
+def _broken_systems():
+    """Stem systems broken in one condition of the validator each, with the name of that condition."""
+    yield _edit_component(_beta_system(), "beta[2/2-]", 1, operator.neg), "holomorphy"
+    yield _edit_component(_beta_system(), "beta[1/2]", 2, _offset), "axial-compatibility"
     two = stems.build_stem_system(
         monodromy.SqrtModel(),
         [("beta", beta_path()), ("gamma", make_npart_path([half_turns(4), half_turns(3)]))],
         radius=0.8,
     )
-    corrupted = _offset_component(two, "beta[0/2]", component=0)
-    r3 = stems.validate_stem_system(corrupted)
-    ok = ok and _fails_exactly(r3, "initial-compatibility")
-    return _result("stem-system-validator", "stem", 0.0 if ok else 1.0, 0.0)
+    yield _edit_component(two, "beta[0/2]", 0, _offset), "initial-compatibility"
 
 
-def _flip_component(system, label, component):
-    entry = system.entry(label)
+def _edit_component(system, label: str, component: int, edit):
+    """`system` with `edit` applied to one component of every value of the stem `label`."""
 
     def transform(_z, value):
         out = list(value.entries)
-        out[component] = -out[component]
+        out[component] = edit(out[component])
         return StemValue(value.N, tuple(out))
 
-    return system.with_stem(label, entry.stem.map(transform))
+    return system.with_stem(label, system.entry(label).stem.map(transform))
 
 
-def _offset_component(system, label, component):
-    entry = system.entry(label)
-    offset = Quaternion(0.25)
-
-    def transform(_z, value):
-        out = list(value.entries)
-        out[component] = out[component] + offset
-        return StemValue(value.N, tuple(out))
-
-    return system.with_stem(label, entry.stem.map(transform))
+def _offset(q: Quaternion) -> Quaternion:
+    return q + Quaternion(0.25)
 
 
 def _fails_exactly(report, name: str) -> bool:

@@ -98,6 +98,19 @@ def _sqrt_factor(n: int) -> tuple[float, float]:
     return coeff, 0.5 - n
 
 
+def _log_factor(n: int) -> float:
+    """(-1)**(n - 1) * (n - 1)!, the coefficient of the n-th derivative of the logarithm (n >= 1).
+
+    From n = 172, where (n - 1)! exceeds the float range, it is +-inf, as the
+    square root's coefficient overflows from n = 173.
+    """
+    try:
+        size = float(math.factorial(n - 1))
+    except OverflowError:
+        size = math.inf
+    return (-1.0) ** (n - 1) * size
+
+
 def _poly_derivative(coeffs: Sequence[Quaternion], n: int) -> tuple[Quaternion, ...]:
     out = list(coeffs)
     for _ in range(n):
@@ -199,7 +212,7 @@ class LogModel(SliceFunctionModel):
     def derivative_value(self, state: SheetState, n: int) -> Quaternion:
         if n == 0:
             return self.value(state)
-        coeff = (-1.0) ** (n - 1) * math.factorial(n - 1)
+        coeff = _log_factor(n)
         return coeff * state.r ** (-n) * unit_exp(-n * state.theta, state.unit)
 
     def derivative_values(self, states, r, theta, n):
@@ -211,7 +224,7 @@ class LogModel(SliceFunctionModel):
             return _stacked(
                 (log_r + uw * theta + dw, 0.0 + ux * theta + dx, 0.0 + uy * theta + dy, 0.0 + uz * theta + dz)
             )
-        coeff = (-1.0) ** (n - 1) * math.factorial(n - 1)
+        coeff = _log_factor(n)
         radial = coeff * _mapped(lambda x: x ** (-n), r)
         return _stacked(tuple(e * radial for e in _unit_exp_components(-n * theta, [s.unit for s in states])))
 

@@ -21,10 +21,11 @@ it.  Both must give the same bits and the same decisions.
 
 The per-point zero probe, the per-term Kronecker matrix and the block
 adjoint are the scalar and per-entry forms of the reciprocal's shell probe,
-`kron_matrix` and `complex_adjoint`: one `Quaternion` point, containment test
-and Horner evaluation at a time; one `np.kron` per nonzero entry summed onto
-a zero matrix; and `np.block` of the four complex blocks.  The array forms
-must give the same witness and the same bits.
+`kron_matrix` and `complex_adjoint`: one `Quaternion` point per shell (one
+direction decides for a whole sphere, as f^s has real coefficients),
+containment test and Horner evaluation at a time; one `np.kron` per nonzero
+entry summed onto a zero matrix; and `np.block` of the four complex blocks.
+The array forms must give the same witness and the same bits.
 
 The per-point stem evaluator and the neighbour loop of the grid residual are
 references of the second kind for the batched stem code: one closing-line
@@ -178,12 +179,13 @@ def per_term_kron_matrix(a: StemValue) -> np.ndarray:
 def per_point_zero_probe(sym: SliceRegularPoly, domain) -> Quaternion | None:
     """The reciprocal's shell probe one point at a time: the first point below the cut-off, or None."""
     center = Quaternion(domain.center.real)
+    z = 1 - 1 / 512  # the first point of a 512-point Fibonacci sphere, at longitude 0
+    direction = (math.sqrt(1 - z * z), 0.0, z)
     for shell in range(1, calculus._PROBE_SHELLS + 1):
         r = domain.radius * shell / calculus._PROBE_SHELLS * 0.999
-        for d in calculus._fibonacci_sphere(calculus._PROBE_DIRECTIONS):
-            q = center + Quaternion(0.0, *(r * d))
-            if domain.contains(q) and sym(q).norm() < calculus.SYMMETRIZATION_ZERO_TOL:
-                return q
+        q = center + Quaternion(0.0, *(r * c for c in direction))
+        if domain.contains(q) and sym(q).norm() < calculus.SYMMETRIZATION_ZERO_TOL:
+            return q
     return None
 
 

@@ -2,6 +2,14 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines, or `slicekit check --suite all` for the CLI equivalent.
+
+Criteria 01-04, 09, 11a, 11c and 11d are checks of `checks.py`: they call the
+check with this file's generator and pin both its deviation and the tolerance
+it reports.  The others ask more than their check and keep a body of their
+own (05: 50 J through `invariance_check`; 06: the second key and the verdict;
+07 and 08: exact laws inside the draw stream; 10: one stream for ring,
+reciprocal and 25 Leibniz draws; 11b: dy from [0.05, 0.35); 12: per-case
+diagnostics and the holomorphy residual), built from the helpers of `checks`.
 """
 
 import math
@@ -12,19 +20,35 @@ import numpy as np
 from slicekit import calculus, checks, monodromy, representation, stems, stemtensor
 from slicekit.paths import Line, beta_path, half_turns, make_npart_path
 from slicekit.qmat import QuaternionMatrix, qmat_mul
-from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
-from slicekit.sliceunits import (
-    eta,
-    full_slice_rank_permutation,
-    has_full_slice_rank,
-    random_slice_unit_matrix,
-    slice_diag,
-    slice_matrix,
-)
+from slicekit.quat import Quaternion, random_imaginary_unit
+from slicekit.sliceunits import eta, random_slice_unit_matrix, slice_diag, slice_matrix
 from slicekit.stemtensor import StemValue, apply_real_matrix, sigma_matrix, star_vector
 
 PI = math.pi
 SEED = 20260810
+
+#: the tolerance of every `slicekit check`, by name
+CHECK_TOLERANCES = {
+    "eta-unitarity": 1e-10,
+    "full-slice-rank-permutation": 0.0,
+    "j-invariance": 1e-8,
+    "leibniz": 1e-10,
+    "log-monodromy": 1e-9,
+    "non-extendability": 1e-9,
+    "regular-reciprocal": 1e-8,
+    "representation-vectors": 1e-9,
+    "ring-identities": 1e-8,
+    "series-derivative-routes": 1e-8,
+    "series-polynomial": 1e-9,
+    "series-sqrt": 1e-6,
+    "sqrt-monodromy": 1e-9,
+    "star-kronecker-oracle": 1e-12,
+    "star-zero-padding": 0.0,
+    "stem-system-validator": 0.0,
+    "structure-identities": 1e-12,
+    "taylor-polynomial": 1e-10,
+    "taylor-sqrt": 1e-6,
+}
 
 
 def _rng():
@@ -37,57 +61,30 @@ def _report(name: str, deviation: float, tolerance: float) -> None:
     assert deviation <= tolerance
 
 
+def _report_check(name: str, result: checks.CheckResult, tolerance: float) -> None:
+    """A criterion that is a check: its deviation against the pinned tolerance, which the check must report too."""
+    assert result.tolerance == tolerance, f"{result.name} reports tolerance {result.tolerance}, pinned {tolerance}"
+    _report(name, result.deviation, tolerance)
+
+
 def test_criterion_01_unitarity():
-    rng = _rng()
     started = time.perf_counter()
-    worst = 0.0
-    for n in (1, 2, 3):
-        for _ in range(50):
-            unit = random_imaginary_unit(rng)
-            m = slice_matrix(eta(n, unit)).scale(2.0 ** (-n / 2))
-            residual = qmat_mul(m, m.conj_transpose()) - QuaternionMatrix.identity(1 << n)
-            worst = max(worst, residual.max_norm())
+    result = checks.check_eta_unitarity(_rng())
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"unitarity sweep took {elapsed:.2f}s"
-    _report("01-unitarity", worst, 1e-10)
+    _report_check("01-unitarity", result, 1e-10)
 
 
 def test_criterion_02_sqrt_monodromy():
-    rng = _rng()
-    beta = beta_path()
-    model = monodromy.SqrtModel()
-    worst = 0.0
-    for _ in range(100):
-        k1, k2 = random_imaginary_unit(rng), random_imaginary_unit(rng)
-        value = monodromy.evaluate_lifted(model, beta, (k1, k2))
-        worst = max(worst, (value - quat_inverse(k2) * k1).norm())
-    _report("02-sqrt-monodromy", worst, 1e-9)
+    _report_check("02-sqrt-monodromy", checks.check_sqrt_monodromy(_rng()), 1e-9)
 
 
 def test_criterion_03_log_monodromy():
-    rng = _rng()
-    beta = beta_path()
-    model = monodromy.LogModel()
-    worst = 0.0
-    for _ in range(100):
-        k1, k2 = random_imaginary_unit(rng), random_imaginary_unit(rng)
-        value = monodromy.evaluate_lifted(model, beta, (k1, k2))
-        worst = max(worst, (value - (PI * k1 - PI * k2)).norm())
-    _report("03-log-monodromy", worst, 1e-9)
+    _report_check("03-log-monodromy", checks.check_log_monodromy(_rng()), 1e-9)
 
 
 def test_criterion_04_representation_vectors():
-    beta = beta_path()
-    reference = eta(2, Quaternion(0, 1, 0, 0))
-    g_sqrt = representation.representation_vector(monodromy.SqrtModel(), beta, reference)
-    g_log = representation.representation_vector(monodromy.LogModel(), beta, reference)
-    expected_sqrt = (Quaternion(), Quaternion(), Quaternion(-1), Quaternion())
-    expected_log = (Quaternion(), Quaternion(PI), Quaternion(), Quaternion(PI))
-    worst = max(
-        max((a - b).norm() for a, b in zip(g_sqrt.entries, expected_sqrt)),
-        max((a - b).norm() for a, b in zip(g_log.entries, expected_log)),
-    )
-    _report("04-representation-vectors", worst, 1e-9)
+    _report_check("04-representation-vectors", checks.check_representation_vectors(_rng()), 1e-9)
 
 
 def test_criterion_05_j_invariance():
@@ -131,8 +128,8 @@ def test_criterion_07_star_oracle():
     worst = 0.0
     for n in (1, 2):
         for _ in range(100):
-            a = StemValue(n, tuple(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(1 << n)))
-            b = StemValue(n, tuple(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(1 << n)))
+            a = checks._random_stem_value(n, rng)
+            b = checks._random_stem_value(n, rng)
             worst = max(worst, (star_vector(a, b) - stemtensor.oracle_star(a, b)).max_norm())
             padded = StemValue.padded(a).star(StemValue.padded(b))
             assert padded == StemValue.padded(a.star(b)), "zero-padding law must hold exactly"
@@ -164,33 +161,24 @@ def test_criterion_08_structure_identities():
 
 
 def test_criterion_09_permutation_algorithm():
-    rng = _rng()
-    failures = 0
-    for n in (2, 3):
-        base = eta(n, random_imaginary_unit(rng))
-        for _ in range(50):
-            shuffled = base.permute_rows(list(rng.permutation(1 << n) + 1))
-            perm = full_slice_rank_permutation(shuffled)
-            if not has_full_slice_rank(shuffled.permute_rows(perm)):
-                failures += 1
-    _report("09-permutation-algorithm", float(failures), 0.0)
+    _report_check("09-permutation-algorithm", checks.check_rank_permutation(_rng()), 0.0)
 
 
 def test_criterion_10_ring_identities():
     rng = _rng()
     worst_group = 0.0
     for _ in range(100):
-        f = _random_poly(rng, int(rng.integers(0, 5)))
-        g = _random_poly(rng, int(rng.integers(0, 5)))
+        f = checks._random_poly(rng, int(rng.integers(0, 5)))
+        g = checks._random_poly(rng, int(rng.integers(0, 5)))
         assert calculus.star_product(calculus.ONE_POLY, f).coefficients == f.coefficients
         fg = calculus.star_product(f, g)
         worst_group = max(
             worst_group,
-            _coeff_distance(
+            checks._coeff_distance(
                 calculus.regular_conjugate(fg),
                 calculus.star_product(calculus.regular_conjugate(g), calculus.regular_conjugate(f)),
             ),
-            _coeff_distance(
+            checks._coeff_distance(
                 calculus.symmetrization(fg), calculus.symmetrization(calculus.star_product(g, f))
             ),
         )
@@ -205,12 +193,12 @@ def test_criterion_10_ring_identities():
         worst_group = max(worst_group, (value - Quaternion(1)).norm())
     worst_leibniz = 0.0
     for _ in range(25):
-        f = _random_poly(rng, int(rng.integers(0, 6)))
-        g = _random_poly(rng, int(rng.integers(0, 6)))
+        f = checks._random_poly(rng, int(rng.integers(0, 6)))
+        g = checks._random_poly(rng, int(rng.integers(0, 6)))
         for n in range(5):
             worst_leibniz = max(
                 worst_leibniz,
-                _coeff_distance(
+                checks._coeff_distance(
                     calculus.slice_derivative(calculus.star_product(f, g), n),
                     calculus.leibniz(f, g, n),
                 ),
@@ -221,15 +209,9 @@ def test_criterion_10_ring_identities():
 
 def test_criterion_11_series():
     rng = _rng()
-    worst_poly = 0.0
-    for _ in range(25):
-        f = _random_poly(rng, int(rng.integers(0, 7)))
-        q0 = Quaternion(*rng.uniform(-1, 1, 4))
-        q = Quaternion(*rng.uniform(-1, 1, 4))
-        worst_poly = max(worst_poly, (calculus.taylor_eval(f, q0, q, f.degree + 1) - f(q)).norm())
-    _report("11a-taylor-polynomial", worst_poly, 1e-10)
+    _report_check("11a-taylor-polynomial", checks.check_taylor_polynomial(rng), 1e-10)
 
-    model = monodromy.SqrtModel()
+    model = monodromy.SqrtModel()  # 11b continues the stream of 11a
     worst_sqrt = 0.0
     for _ in range(20):
         unit = random_imaginary_unit(rng)
@@ -241,54 +223,17 @@ def test_criterion_11_series():
         worst_sqrt = max(worst_sqrt, (series - direct).norm())
     _report("11b-taylor-sqrt", worst_sqrt, 1e-6)
 
-    report = calculus.stem_series_check(model, beta_path(), radius=0.3, terms=30)
-    _report(
-        "11c-stem-tensor-series",
-        max(report.stem_series_residual, report.tensor_series_residual),
-        1e-6,
-    )
-    _report("11d-derivative-routes", report.route_deviation, 1e-8)
+    _report_check("11c-stem-tensor-series", checks.check_series_sqrt(rng), 1e-6)
+    _report_check("11d-derivative-routes", checks.check_series_routes(rng), 1e-8)
 
 
 def test_criterion_12_stem_validator():
-    system = stems.build_stem_system(
-        monodromy.SqrtModel(), [("beta", beta_path())], radius=0.8, extra_truncations=(0.25, 0.75)
-    )
-    report = stems.validate_stem_system(system)
+    report = stems.validate_stem_system(checks._beta_system(extra=(0.25, 0.75)))
     assert report.passed, report.to_dict()
     _report("12a-stem-system-passes", report.condition("holomorphy").worst, 1e-6)
-
-    base = stems.build_stem_system(monodromy.SqrtModel(), [("beta", beta_path())], radius=0.8)
-
-    def flip(_z, value):
-        out = list(value.entries)
-        out[1] = -out[1]
-        return StemValue(value.N, tuple(out))
-
-    def pollute(index):
-        def transform(_z, value):
-            out = list(value.entries)
-            out[index] = out[index] + Quaternion(0.25)
-            return StemValue(value.N, tuple(out))
-
-        return transform
-
-    flipped = base.with_stem("beta[2/2-]", base.entry("beta[2/2-]").stem.map(flip))
-    r1 = stems.validate_stem_system(flipped)
-    assert _fails_exactly(r1, "holomorphy"), r1.to_dict()
-
-    padded = base.with_stem("beta[1/2]", base.entry("beta[1/2]").stem.map(pollute(2)))
-    r2 = stems.validate_stem_system(padded)
-    assert _fails_exactly(r2, "axial-compatibility"), r2.to_dict()
-
-    two = stems.build_stem_system(
-        monodromy.SqrtModel(),
-        [("beta", beta_path()), ("gamma", make_npart_path([half_turns(4), half_turns(3)]))],
-        radius=0.8,
-    )
-    corrupted = two.with_stem("beta[0/2]", two.entry("beta[0/2]").stem.map(pollute(0)))
-    r3 = stems.validate_stem_system(corrupted)
-    assert _fails_exactly(r3, "initial-compatibility"), r3.to_dict()
+    for system, condition in checks._broken_systems():
+        broken = stems.validate_stem_system(system)
+        assert checks._fails_exactly(broken, condition), broken.to_dict()
     _report("12b-violations-localised", 0.0, 0.0)
 
 
@@ -297,23 +242,4 @@ def test_check_suites_green_end_to_end():
     for result in results:
         print(result.line())
     assert all(r.passed for r in results)
-
-
-def _random_poly(rng, degree):
-    return calculus.SliceRegularPoly(
-        tuple(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(degree + 1))
-    )
-
-
-def _coeff_distance(f, g):
-    size = max(len(f.coefficients), len(g.coefficients))
-    worst = 0.0
-    for idx in range(size):
-        a = f.coefficients[idx] if idx < len(f.coefficients) else Quaternion()
-        b = g.coefficients[idx] if idx < len(g.coefficients) else Quaternion()
-        worst = max(worst, (a - b).norm())
-    return worst
-
-
-def _fails_exactly(report, name):
-    return all((c.name == name) != c.passed for c in report.conditions)
+    assert {r.name: r.tolerance for r in results} == CHECK_TOLERANCES

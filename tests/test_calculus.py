@@ -22,6 +22,7 @@ from slicekit.calculus import (
     symmetrization,
     taylor_eval,
 )
+from slicekit.checks import _coeff_distance, _random_poly
 from slicekit.errors import OutOfBall, SymmetrizationZero, ZeroDivisor
 from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_lifted
 from slicekit.paths import Line, beta_path, make_npart_path
@@ -42,18 +43,16 @@ J = Quaternion(0, 0, 1, 0)
 K = Quaternion(0, 0, 0, 1)
 
 
-def _random_poly(rng, degree):
-    return SliceRegularPoly(tuple(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(degree + 1)))
-
-
-def _coeff_distance(f, g):
-    size = max(len(f.coefficients), len(g.coefficients))
-    worst = 0.0
-    for idx in range(size):
-        a = f.coefficients[idx] if idx < len(f.coefficients) else Quaternion()
-        b = g.coefficients[idx] if idx < len(g.coefficients) else Quaternion()
-        worst = max(worst, (a - b).norm())
-    return worst
+def test_random_poly_draws_like_one_quaternion_per_coefficient(rng):
+    # the checks draw all coefficients at once; the stream must be that of one Quaternion per coefficient
+    for degree in range(8):
+        state = rng.bit_generator.state
+        f = _random_poly(rng, degree)
+        after = rng.bit_generator.state
+        rng.bit_generator.state = state
+        expected = [Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(degree + 1)]
+        assert bits(f.coefficients) == bits(expected)
+        assert rng.bit_generator.state == after
 
 
 class TestStarProduct:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from slicekit.errors import BranchPoint, BranchPointCrossing, NotAtRealPoint
@@ -8,6 +9,7 @@ from slicekit.monodromy import (
     PolynomialModel,
     SheetState,
     SqrtModel,
+    _log_factor,
     continue_closing_lines,
     continue_segment,
     evaluate_lifted,
@@ -248,6 +250,16 @@ class TestArrayForms:
                 expected = model.derivative_value(moved, n)
                 assert bits([Quaternion(*values[l, p].tolist())]) == bits([expected])
 
+    @pytest.mark.parametrize("model", [SqrtModel(), LogModel()], ids=["sqrt", "log"])
+    def test_high_orders_give_non_finite_components(self, unit_i, model):
+        # the factorial-sized coefficient leaves the floats (log from n = 172, sqrt from n = 173): inf and nan
+        state = SheetState(r=1.5, theta=0.7, unit=unit_i, datum=model.initial_datum())
+        scalar = model.derivative_value(state, 200)
+        with np.errstate(invalid="ignore"):
+            values = model.derivative_values([state], np.array([[1.5]]), np.array([[0.7]]), 200)
+        assert not all(map(math.isfinite, (scalar.w, scalar.x, scalar.y, scalar.z)))
+        assert bits([Quaternion(*values[0, 0].tolist())]) == bits([scalar])
+
     @pytest.mark.parametrize("model", [SqrtModel(), LogModel(), _POLY], ids=["sqrt", "log", "poly"])
     def test_closing_lines_match_continue_segment(self, rng, model):
         path = make_npart_path([half_turns(1), half_turns(1).reversed()])
@@ -280,3 +292,9 @@ def test_final_state_crossing_carries_the_segment(unit_i):
     assert (crossing.value.clearance, crossing.value.tolerance) == (0.0, BRANCH_TOL)
     assert str(crossing.value) == "segment passes within 0 of the branch point"
     assert crossing.value.point is None
+
+
+def test_log_factor_keeps_its_bits_below_overflow():
+    for n in range(1, 172):
+        assert _log_factor(n).hex() == ((-1.0) ** (n - 1) * math.factorial(n - 1)).hex()
+    assert (_log_factor(172), _log_factor(173)) == (-math.inf, math.inf)
