@@ -2,7 +2,8 @@
 
 Each check measures a worst-case deviation and compares it against the pinned
 tolerance.  All sampling flows through one seeded generator per check, so a
-(seed, suite) pair is fully reproducible.
+(seed, suite) pair is fully reproducible.  Worst cases are folded with
+`nan_max`, so a NaN deviation stays NaN and fails its check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .sliceunits import (
     slice_diag,
     slice_matrix,
 )
-from .stemtensor import StemValue, apply_real_matrix, sigma_matrix, star_vector
+from .stemtensor import StemValue, apply_real_matrix, nan_max, sigma_matrix, star_vector
 
 PI = math.pi
 
@@ -77,10 +78,8 @@ def _random_poly(rng: np.random.Generator, degree: int) -> calculus.SliceRegular
 
 def _coeff_distance(f: calculus.SliceRegularPoly, g: calculus.SliceRegularPoly) -> float:
     """Largest |a_n - b_n| over the coefficients of f and g, the shorter one padded with zeros."""
-    worst = 0.0
-    for a, b in zip_longest(f.coefficients, g.coefficients, fillvalue=Quaternion()):
-        worst = max(worst, (a - b).norm())
-    return worst
+    pairs = zip_longest(f.coefficients, g.coefficients, fillvalue=Quaternion())
+    return nan_max([0.0] + [(a - b).norm() for a, b in pairs])
 
 
 # -- unitarity ---------------------------------------------------------------
@@ -93,7 +92,7 @@ def check_eta_unitarity(rng: np.random.Generator) -> CheckResult:
             unit = random_imaginary_unit(rng)
             m = slice_matrix(eta(n, unit)).scale(2.0 ** (-n / 2))
             residual = qmat_mul(m, m.conj_transpose()) - QuaternionMatrix.identity(1 << n)
-            worst = max(worst, residual.max_norm())
+            worst = nan_max([worst, residual.max_norm()])
     return _result("eta-unitarity", "unitarity", worst, 1e-10)
 
 
@@ -117,25 +116,20 @@ def _random_unit_pair(rng: np.random.Generator):
     return random_imaginary_unit(rng), random_imaginary_unit(rng)
 
 
+def _beta_loop_deviation(rng: np.random.Generator, model, expected) -> float:
+    """Worst |value - expected(k1, k2)| over 100 random lifts (k1, k2) of beta, all continued in one call."""
+    pairs = [_random_unit_pair(rng) for _ in range(100)]
+    values = monodromy.lift_values(model, monodromy.final_states(model, beta_path(), pairs))
+    return nan_max([0.0] + [(Quaternion(*v) - expected(*pair)).norm() for v, pair in zip(values.tolist(), pairs)])
+
+
 def check_sqrt_monodromy(rng: np.random.Generator) -> CheckResult:
-    beta = beta_path()
-    model = monodromy.SqrtModel()
-    worst = 0.0
-    for _ in range(100):
-        k1, k2 = _random_unit_pair(rng)
-        value = monodromy.evaluate_lifted(model, beta, (k1, k2))
-        worst = max(worst, (value - quat_inverse(k2) * k1).norm())
+    worst = _beta_loop_deviation(rng, monodromy.SqrtModel(), lambda k1, k2: quat_inverse(k2) * k1)
     return _result("sqrt-monodromy", "repformula", worst, 1e-9)
 
 
 def check_log_monodromy(rng: np.random.Generator) -> CheckResult:
-    beta = beta_path()
-    model = monodromy.LogModel()
-    worst = 0.0
-    for _ in range(100):
-        k1, k2 = _random_unit_pair(rng)
-        value = monodromy.evaluate_lifted(model, beta, (k1, k2))
-        worst = max(worst, (value - (PI * k1 - PI * k2)).norm())
+    worst = _beta_loop_deviation(rng, monodromy.LogModel(), lambda k1, k2: PI * k1 - PI * k2)
     return _result("log-monodromy", "repformula", worst, 1e-9)
 
 
@@ -146,9 +140,9 @@ def check_representation_vectors(rng: np.random.Generator) -> CheckResult:
     g_log = representation.representation_vector(monodromy.LogModel(), beta, reference)
     expect_sqrt = (Quaternion(), Quaternion(), Quaternion(-1.0), Quaternion())
     expect_log = (Quaternion(), Quaternion(PI), Quaternion(), Quaternion(PI))
-    worst = max(
-        max((a - b).norm() for a, b in zip(g_sqrt.entries, expect_sqrt)),
-        max((a - b).norm() for a, b in zip(g_log.entries, expect_log)),
+    worst = nan_max(
+        [(a - b).norm() for a, b in zip(g_sqrt.entries, expect_sqrt)]
+        + [(a - b).norm() for a, b in zip(g_log.entries, expect_log)]
     )
     return _result("representation-vectors", "repformula", worst, 1e-9)
 
@@ -158,11 +152,10 @@ def check_j_invariance(rng: np.random.Generator) -> CheckResult:
     reference = eta(2, Quaternion(0, 1, 0, 0))
     worst = 0.0
     for model in (monodromy.SqrtModel(), monodromy.LogModel()):
-        # invariance_check(model, beta, reference, j) with the reference vector computed once per model
-        g_ref = representation.representation_vector(model, beta, reference)
-        for _ in range(25):
-            j = random_slice_unit_matrix(2, rng)
-            worst = max(worst, (g_ref - representation.representation_vector(model, beta, j)).max_norm())
+        # invariance_check(model, beta, reference, j) for 25 J, the rows of all of them continued in one call
+        js = [random_slice_unit_matrix(2, rng) for _ in range(25)]
+        g_ref, *vectors = representation.representation_vectors(model, beta, [reference] + js)
+        worst = nan_max([worst] + [(g_ref - g).max_norm() for g in vectors])
     return _result("j-invariance", "repformula", worst, 1e-8)
 
 
@@ -175,10 +168,12 @@ def check_non_extendability(rng: np.random.Generator) -> CheckResult:
     log_model = monodromy.LogModel()
     key1 = monodromy.germ_key(log_model, monodromy.final_state(log_model, gamma1, (k,)))
     key2 = monodromy.germ_key(log_model, monodromy.final_state(log_model, gamma2, (j1, j2)))
-    key_dev = max(
-        (key1.point - key2.point).norm(),
-        (key1.value - key2.value).norm(),
-        (key1.value - 5 * PI * k).norm(),
+    key_dev = nan_max(
+        [
+            (key1.point - key2.point).norm(),
+            (key1.value - key2.value).norm(),
+            (key1.value - 5 * PI * k).norm(),
+        ]
     )
     report = representation.extendability_check(
         monodromy.SqrtModel(), [(gamma1, (k,)), (gamma2, (j1, j2))], log_model
@@ -186,8 +181,8 @@ def check_non_extendability(rng: np.random.Generator) -> CheckResult:
     witness_dev = float("inf")
     if report.verdict == "obstructed" and report.witness is not None:
         w1, w2 = report.witness
-        witness_dev = max((w1 - k).norm(), (w2 - (-j2)).norm())
-    return _result("non-extendability", "repformula", max(key_dev, witness_dev), 1e-9)
+        witness_dev = nan_max([(w1 - k).norm(), (w2 - (-j2)).norm()])
+    return _result("non-extendability", "repformula", nan_max([key_dev, witness_dev]), 1e-9)
 
 
 # -- star product ----------------------------------------------------------------
@@ -201,7 +196,7 @@ def check_star_oracle(rng: np.random.Generator) -> CheckResult:
             b = _random_stem_value(n, rng)
             direct = star_vector(a, b)
             oracle = stemtensor.oracle_star(a, b)
-            worst = max(worst, (direct - oracle).max_norm())
+            worst = nan_max([worst, (direct - oracle).max_norm()])
     return _result("star-kronecker-oracle", "star", worst, 1e-12)
 
 
@@ -222,13 +217,13 @@ def check_structure_identities(rng: np.random.Generator) -> CheckResult:
     for n in range(1, 5):
         sigma = sigma_matrix(n)
         if not np.array_equal(sigma @ sigma, -np.eye(1 << n, dtype=np.int64)):
-            worst = max(worst, 1.0)
+            worst = nan_max([worst, 1.0])
         # slot-N multiplication against the matrix action, exact on the basis
         slot = stemtensor.slot_imaginary(n, n)
         for m in range(1, (1 << n) + 1):
             basis = StemValue.basis(n, m)
             via_mul = star_vector(slot, basis)
-            worst = max(worst, (via_mul - apply_real_matrix(sigma, basis)).max_norm())
+            worst = nan_max([worst, (via_mul - apply_real_matrix(sigma, basis)).max_norm()])
     for n in (1, 2, 3):
         unit = random_imaginary_unit(rng)
         j = eta(n, unit)
@@ -240,7 +235,7 @@ def check_structure_identities(rng: np.random.Generator) -> CheckResult:
             m.cols,
             [q for i in range(m.rows) for q in apply_real_matrix(sigma_t, StemValue(n, m.row(i))).entries],
         )
-        worst = max(worst, (lhs - rhs).max_norm())
+        worst = nan_max([worst, (lhs - rhs).max_norm()])
     return _result("structure-identities", "star", worst, 1e-12)
 
 
@@ -254,16 +249,16 @@ def check_ring_identities(rng: np.random.Generator) -> CheckResult:
         g = _random_poly(rng, int(rng.integers(0, 5)))
         one_f = calculus.star_product(calculus.ONE_POLY, f)
         if one_f.coefficients != f.coefficients:
-            worst = max(worst, 1.0)
+            worst = nan_max([worst, 1.0])
         fg = calculus.star_product(f, g)
         lhs = calculus.regular_conjugate(fg)
         rhs = calculus.star_product(calculus.regular_conjugate(g), calculus.regular_conjugate(f))
-        worst = max(worst, max((a - b).norm() for a, b in zip(lhs.coefficients, rhs.coefficients)))
+        worst = nan_max([worst] + [(a - b).norm() for a, b in zip(lhs.coefficients, rhs.coefficients)])
         s1 = calculus.symmetrization(fg)
-        worst = max(worst, _coeff_distance(s1, calculus.symmetrization(calculus.star_product(g, f))))
+        worst = nan_max([worst, _coeff_distance(s1, calculus.symmetrization(calculus.star_product(g, f)))])
         q = Quaternion(*rng.uniform(-1, 1, 4))
         pointwise = calculus.symmetrization(f)(q) * calculus.symmetrization(g)(q)
-        worst = max(worst, (s1(q) - pointwise).norm())
+        worst = nan_max([worst, (s1(q) - pointwise).norm()])
     return _result("ring-identities", "ring", worst, 1e-8)
 
 
@@ -274,7 +269,7 @@ def check_reciprocal(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for q in domain.sample(rng, 100):
         value = calculus.star_eval(reciprocal, f, q)
-        worst = max(worst, (value - Quaternion(1.0)).norm())
+        worst = nan_max([worst, (value - Quaternion(1.0)).norm()])
     return _result("regular-reciprocal", "ring", worst, 1e-8)
 
 
@@ -285,7 +280,7 @@ def check_leibniz(rng: np.random.Generator) -> CheckResult:
         g = _random_poly(rng, int(rng.integers(0, 6)))
         for n in range(5):
             direct = calculus.slice_derivative(calculus.star_product(f, g), n)
-            worst = max(worst, _coeff_distance(direct, calculus.leibniz(f, g, n)))
+            worst = nan_max([worst, _coeff_distance(direct, calculus.leibniz(f, g, n))])
     return _result("leibniz", "ring", worst, 1e-10)
 
 
@@ -299,7 +294,7 @@ def check_taylor_polynomial(rng: np.random.Generator) -> CheckResult:
         q0 = Quaternion(*rng.uniform(-1, 1, 4))
         q = Quaternion(*rng.uniform(-1, 1, 4))
         value = calculus.taylor_eval(f, q0, q, terms=f.degree + 1)
-        worst = max(worst, (value - f(q)).norm())
+        worst = nan_max([worst, (value - f(q)).norm()])
     return _result("taylor-polynomial", "series", worst, 1e-10)
 
 
@@ -313,7 +308,7 @@ def check_taylor_sqrt(rng: np.random.Generator) -> CheckResult:
         series = calculus.taylor_eval(model, Quaternion(4.0), q, terms=40)
         path = make_npart_path([Line(4.0 + 0j, complex(4.0 + x, y))])
         direct = monodromy.evaluate_lifted(model, path, (unit,))
-        worst = max(worst, (series - direct).norm())
+        worst = nan_max([worst, (series - direct).norm()])
     return _result("taylor-sqrt", "series", worst, 1e-6)
 
 
@@ -322,7 +317,7 @@ def check_series_sqrt(rng: np.random.Generator) -> CheckResult:
     return _result(
         "series-sqrt",
         "series",
-        max(report.stem_series_residual, report.tensor_series_residual),
+        nan_max([report.stem_series_residual, report.tensor_series_residual]),
         1e-6,
     )
 
@@ -335,7 +330,7 @@ def check_series_routes(rng: np.random.Generator) -> CheckResult:
 def check_series_polynomial(rng: np.random.Generator) -> CheckResult:
     poly = monodromy.PolynomialModel((Quaternion(0, 0, 1, 0), Quaternion(1.0), Quaternion(0, 1, 0, 0)))
     report = calculus.stem_series_check(poly, beta_path(), radius=0.3, terms=8)
-    deviation = max(report.stem_series_residual, report.tensor_series_residual)
+    deviation = nan_max([report.stem_series_residual, report.tensor_series_residual])
     return _result("series-polynomial", "series", deviation, 1e-9)
 
 

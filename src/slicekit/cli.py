@@ -27,7 +27,7 @@ from .monodromy import (
 )
 from .paths import NPartPath
 from .quat import ImaginaryUnit, Quaternion, quat_inverse
-from .representation import evaluate_via_formula, representation_vector
+from .representation import evaluate_via_formula, representation_vectors
 from .sliceunits import SliceUnitMatrix, eta, unit_from_json
 from .stems import build_stem_system, system_to_json, validate_stem_system
 
@@ -137,10 +137,9 @@ def cmd_repformula(args) -> int:
     else:
         j = eta(path.parts, Quaternion(0, 1, 0, 0))
     units = _parse_units(args.units, path) if args.units else None
-    g = representation_vector(model, path, j, args.x0)
-    alt = eta(path.parts, Quaternion(0, 0, 1, 0))
-    # invariance_check(model, path, j, alt, x0) without computing g a second time
-    deviation = (g - representation_vector(model, path, alt, args.x0)).max_norm()
+    # invariance_check(model, path, j, alt, x0), with g kept: the rows of J and of alt continue in one call
+    g, g_alt = representation_vectors(model, path, [j, eta(path.parts, Quaternion(0, 0, 1, 0))], args.x0)
+    deviation = (g - g_alt).max_norm()
     payload = {
         "G": [q.to_list() for q in g.entries],
         "invariance_dev": deviation,

@@ -8,6 +8,12 @@ Switching slices is only allowed at nonzero real points, where the
 coordinates snap back to theta in {0, pi} and the datum absorbs whatever the
 value requires; germ keys (projected point, value) then identify points of
 the underlying multi-sheet domain.
+
+The track (r, theta) depends on the path alone: a segment adds its argument
+increment and a junction snaps theta by its cosine, whatever the slice.  So
+`final_states` continues the track of a path once and carries the L lifts
+along it as two (L, 4) arrays, their units and their data; only those go
+through the junction switches.  `final_state` is its one-lift case.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .errors import (
     NotAtRealPoint,
 )
 from .paths import NPartPath, PathSegment
-from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, quat_inverse, unit_exp
+from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, inverse_components, unit_exp
 from .tolerances import AT_CENTER_TOL, BRANCH_TOL, GERM_TOL, REAL_TOL, SEGMENT_START_TOL, START_TOL
 
 
@@ -46,6 +52,27 @@ class SheetState:
     @property
     def projected_point(self) -> Quaternion:
         return embed_slice(self.complex_point, self.unit)
+
+
+@dataclass(frozen=True)
+class SheetStates:
+    """States of L lifts of one path: the path's track once, each lift's unit and datum as arrays.
+
+    `units` and `data` are (L, 4) arrays of (w, x, y, z); `data` is None for
+    an entire model, which carries no datum.
+    """
+
+    r: float
+    theta: float
+    units: np.ndarray
+    data: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+    @property
+    def complex_point(self) -> complex:
+        return self.r * cmath.exp(1j * self.theta)
 
 
 @dataclass(frozen=True)
@@ -72,13 +99,12 @@ def _mapped(fn, values: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, values.ravel().tolist())), dtype=float).reshape(values.shape)
 
 
-def _lift_components(quaternions: Sequence[Quaternion]) -> tuple[np.ndarray, ...]:
-    """(w, x, y, z) of one quaternion per lift, each an (L, 1) column broadcasting over the points."""
-    table = np.array([(q.w, q.x, q.y, q.z) for q in quaternions], dtype=float)
+def _lift_components(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(w, x, y, z) of an (L, 4) array, one quaternion per lift, each an (L, 1) column broadcasting over the points."""
     return tuple(table[:, k, None] for k in range(4))
 
 
-def _unit_exp_components(angle: np.ndarray, units: Sequence[Quaternion]) -> tuple[np.ndarray, ...]:
+def _unit_exp_components(angle: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, ...]:
     """`unit_exp` of every angle[l, p] along units[l], as (w, x, y, z) arrays."""
     c, s = _mapped(math.cos, angle), _mapped(math.sin, angle)
     _, ux, uy, uz = _lift_components(units)
@@ -139,18 +165,17 @@ class SliceFunctionModel:
         """Value of the n-th slice derivative continued to the same sheet."""
         raise NotImplementedError
 
-    def derivative_values(
-        self, states: Sequence[SheetState], r: np.ndarray, theta: np.ndarray, n: int
-    ) -> np.ndarray:
-        """`derivative_value` on the sheet of states[l], moved to (r[l, p], theta[l, p]).
+    def derivative_values(self, states: SheetStates, r: np.ndarray, theta: np.ndarray, n: int) -> np.ndarray:
+        """`derivative_value` on the sheet of lift l of `states`, moved to (r[l, p], theta[l, p]).
 
-        r and theta have shape (L, P) for L states and P points; the result is
-        the (L, P, 4) array of (w, x, y, z), bit for bit the scalar values.
+        r and theta have shape (L, P) for L lifts and P points, or broadcast
+        to it; the result is the (L, P, 4) array of (w, x, y, z), bit for bit
+        the scalar values.
         """
         raise NotImplementedError
 
-    def datum_for(self, value: Quaternion, r: float, theta: float, unit: Quaternion) -> Quaternion | None:
-        """Datum making the state at (r, theta, unit) take the given value."""
+    def data_for(self, values: np.ndarray, r: float, theta: float, units: np.ndarray) -> np.ndarray:
+        """Data making lift l at (r, theta, units[l]) take values[l]; (L, 4) arrays, branched models only."""
         raise NotImplementedError
 
     def is_branched(self) -> bool:
@@ -180,12 +205,14 @@ class SqrtModel(SliceFunctionModel):
     def derivative_values(self, states, r, theta, n):
         coeff, power = _sqrt_factor(n)
         radial = coeff * _mapped(lambda x: x**power, r)
-        rotation = tuple(e * radial for e in _unit_exp_components(power * theta, [s.unit for s in states]))
-        return _stacked(hamilton_components(rotation, _lift_components([s.datum for s in states])))
+        rotation = tuple(e * radial for e in _unit_exp_components(power * theta, states.units))
+        return _stacked(hamilton_components(rotation, _lift_components(states.data)))
 
-    def datum_for(self, value: Quaternion, r: float, theta: float, unit: Quaternion) -> Quaternion:
-        base = math.sqrt(r) * unit_exp(0.5 * theta, unit)
-        return quat_inverse(base) * value
+    def data_for(self, values, r, theta, units):
+        # quat_inverse(math.sqrt(r) * unit_exp(0.5 * theta, unit)) * value, lift by lift
+        c, s, root = math.cos(0.5 * theta), math.sin(0.5 * theta), math.sqrt(r)
+        base = (c * root, s * units[:, 1] * root, s * units[:, 2] * root, s * units[:, 3] * root)
+        return np.stack(hamilton_components(inverse_components(base), tuple(values.T)), axis=-1)
 
 
 class LogModel(SliceFunctionModel):
@@ -218,18 +245,21 @@ class LogModel(SliceFunctionModel):
     def derivative_values(self, states, r, theta, n):
         if n == 0:
             # Quaternion(log r) + theta * unit + datum, component by component
-            uw, ux, uy, uz = _lift_components([s.unit for s in states])
-            dw, dx, dy, dz = _lift_components([s.datum for s in states])
+            uw, ux, uy, uz = _lift_components(states.units)
+            dw, dx, dy, dz = _lift_components(states.data)
             log_r = _mapped(math.log, r)
             return _stacked(
                 (log_r + uw * theta + dw, 0.0 + ux * theta + dx, 0.0 + uy * theta + dy, 0.0 + uz * theta + dz)
             )
         coeff = _log_factor(n)
         radial = coeff * _mapped(lambda x: x ** (-n), r)
-        return _stacked(tuple(e * radial for e in _unit_exp_components(-n * theta, [s.unit for s in states])))
+        return _stacked(tuple(e * radial for e in _unit_exp_components(-n * theta, states.units)))
 
-    def datum_for(self, value: Quaternion, r: float, theta: float, unit: Quaternion) -> Quaternion:
-        return value - (Quaternion(math.log(r)) + theta * unit)
+    def data_for(self, values, r, theta, units):
+        # value - (Quaternion(log r) + theta * unit), lift by lift
+        log_r = math.log(r)
+        uw, ux, uy, uz = units.T
+        return values - np.stack((log_r + uw * theta, 0.0 + ux * theta, 0.0 + uy * theta, 0.0 + uz * theta), axis=-1)
 
 
 class PolynomialModel(SliceFunctionModel):
@@ -258,15 +288,12 @@ class PolynomialModel(SliceFunctionModel):
         points = [x * cmath.exp(1j * t) for x, t in zip(r.ravel().tolist(), theta.ravel().tolist())]
         x = np.array([z.real for z in points], dtype=float).reshape(r.shape)
         y = np.array([z.imag for z in points], dtype=float).reshape(r.shape)
-        uw, ux, uy, uz = _lift_components([s.unit for s in states])
+        uw, ux, uy, uz = _lift_components(states.units)
         q = (x + y * uw, y * ux, y * uy, y * uz)
         acc = (0.0, 0.0, 0.0, 0.0)
         for a in reversed(_poly_derivative(self.coefficients, n)):
             acc = tuple(h + c for h, c in zip(hamilton_components(q, acc), (a.w, a.x, a.y, a.z)))
         return _stacked(acc)
-
-    def datum_for(self, value: Quaternion, r: float, theta: float, unit: Quaternion) -> None:
-        return None
 
 
 def model_by_name(name: str, coefficients: Sequence[Quaternion] | None = None) -> SliceFunctionModel:
@@ -281,6 +308,9 @@ def model_by_name(name: str, coefficients: Sequence[Quaternion] | None = None) -
     raise ValueError(f"unknown model {name!r}")
 
 
+_State = TypeVar("_State", SheetState, SheetStates)
+
+
 def initial_state(model: SliceFunctionModel, x0: float, unit: Quaternion) -> SheetState:
     """Canonical germ over a real starting point on the principal sheet."""
     if model.is_branched() and not model.accepts_start(x0):
@@ -292,8 +322,11 @@ def initial_state(model: SliceFunctionModel, x0: float, unit: Quaternion) -> She
     return SheetState(r=r, theta=theta, unit=unit, datum=model.initial_datum())
 
 
-def continue_segment(model: SliceFunctionModel, state: SheetState, seg: PathSegment) -> SheetState:
-    """Slide the state along one complex segment inside the current slice."""
+def continue_segment(model: SliceFunctionModel, state: _State, seg: PathSegment) -> _State:
+    """Slide the state along one complex segment inside the current slice.
+
+    Only the track (r, theta) moves, so a `SheetStates` slides all its lifts at once.
+    """
     z_here = state.complex_point
     if abs(seg.start - z_here) > SEGMENT_START_TOL * max(1.0, abs(z_here)):
         raise ValueError(f"segment starts at {seg.start}, state sits at {z_here}")
@@ -317,21 +350,21 @@ def _center_plus(center: complex, t, d: np.ndarray) -> np.ndarray:
 
 
 def continue_closing_lines(
-    model: SliceFunctionModel, states: Sequence[SheetState], center: complex, points: Sequence[complex]
+    model: SliceFunctionModel, states: SheetStates, center: complex, points: Sequence[complex]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every state continued along the line from `center` to every point, as `continue_segment` does.
+    """Every lift continued along the line from `center` to every point, as `continue_segment` does.
 
     Returns (r, theta), each of shape (len(states), len(points)).  The states
     sit at `center`, where every closing line starts; the caller checks that
-    once per state.  A point within AT_CENTER_TOL of the centre keeps the
+    once.  A point within AT_CENTER_TOL of the centre keeps the
     states as they are.  The clearance of every closing line is computed at
     once, and the first point whose line comes within BRANCH_TOL of the branch
     point raises BranchPointCrossing with that `point`.  An entire model
     restarts from the principal argument there instead.
     """
     z = np.array(points, dtype=complex).reshape(-1)
-    r = np.repeat(np.array([[s.r] for s in states], dtype=float), len(z), axis=1)
-    theta = np.repeat(np.array([[s.theta] for s in states], dtype=float), len(z), axis=1)
+    r = np.full((len(states), len(z)), states.r)
+    theta = np.full((len(states), len(z)), states.theta)
     d = z - center
     moved = np.flatnonzero(~(_mapped(abs, d) < AT_CENTER_TOL))  # written so that NaN moves, as in a per-point test
     if not len(moved):
@@ -356,18 +389,59 @@ def continue_closing_lines(
     return r, theta
 
 
-def junction_switch(model: SliceFunctionModel, state: SheetState, new_unit: Quaternion) -> SheetState:
-    """Re-anchor the germ at a real point into another slice.
+def junction_switch(model: SliceFunctionModel, states: SheetStates, new_units: np.ndarray) -> SheetStates:
+    """Re-anchor every lift's germ at a real point into its next slice, lift l into new_units[l].
 
-    Coordinates snap to theta in {0, pi}; the datum is re-solved so the value
-    is continuous across the switch.
+    Coordinates snap to theta in {0, pi}; each datum is re-solved so the value
+    is continuous across the switch.  The point is checked once, before any
+    lift is touched.
     """
-    if state.r <= BRANCH_TOL or abs(math.sin(state.theta)) > REAL_TOL:
-        raise NotAtRealPoint(f"projected point {state.complex_point} is not real and nonzero")
-    theta_new = 0.0 if math.cos(state.theta) > 0 else math.pi
-    value = model.value(state)
-    datum = model.datum_for(value, state.r, theta_new, new_unit)
-    return SheetState(r=state.r, theta=theta_new, unit=new_unit, datum=datum)
+    if states.r <= BRANCH_TOL or abs(math.sin(states.theta)) > REAL_TOL:
+        raise NotAtRealPoint(f"projected point {states.complex_point} is not real and nonzero")
+    theta_new = 0.0 if math.cos(states.theta) > 0 else math.pi
+    data = model.data_for(lift_values(model, states), states.r, theta_new, new_units) if model.is_branched() else None
+    return SheetStates(r=states.r, theta=theta_new, units=new_units, data=data)
+
+
+def lift_values(model: SliceFunctionModel, states: SheetStates) -> np.ndarray:
+    """Every lift's value at the states' point: (L, 4), bit for bit `model.value` of each lift's state."""
+    return model.derivative_values(states, np.array([[states.r]]), np.array([[states.theta]]), 0)[:, 0]
+
+
+def final_states(
+    model: SliceFunctionModel,
+    path: NPartPath,
+    rows: Sequence[Sequence[Quaternion]],
+    x0: float | None = None,
+) -> SheetStates:
+    """Fold continuation and junction switches over the parts of L lifts of one path, rows[l] the units of lift l.
+
+    The track is continued once for the path; the L lifts' units and data
+    ride along as (L, 4) arrays, bit for bit L separate folds.  Every error
+    is a property of the path and raises as one lift's fold would.
+    """
+    for row in rows:
+        if len(row) != path.parts:
+            raise LengthMismatch(f"{path.parts}-part path continued with {len(row)} units")
+    start = path.initial_point
+    if abs(start.imag) > REAL_TOL:
+        raise BranchPoint(f"path must start on the real axis, got {start}")
+    if x0 is not None and abs(start.real - x0) > START_TOL:
+        raise ValueError(f"path starts at {start.real}, expected {x0}")
+    origin = initial_state(model, start.real, rows[0][0])
+    table = np.array([[(u.w, u.x, u.y, u.z) for u in row] for row in rows], dtype=float)
+    datum = origin.datum
+    data = None if datum is None else np.tile((datum.w, datum.x, datum.y, datum.z), (len(rows), 1))
+    states = SheetStates(r=origin.r, theta=origin.theta, units=table[:, 0], data=data)
+    for part, seg in enumerate(path.segments):
+        if part > 0:
+            states = junction_switch(model, states, table[:, part])
+        try:
+            states = continue_segment(model, states, seg)
+        except BranchPointCrossing as crossing:
+            crossing.segment = part
+            raise
+    return states
 
 
 def final_state(
@@ -376,24 +450,10 @@ def final_state(
     units: Sequence[Quaternion],
     x0: float | None = None,
 ) -> SheetState:
-    """Fold continuation and junction switches over the parts of a lift."""
-    if len(units) != path.parts:
-        raise LengthMismatch(f"{path.parts}-part path continued with {len(units)} units")
-    start = path.initial_point
-    if abs(start.imag) > REAL_TOL:
-        raise BranchPoint(f"path must start on the real axis, got {start}")
-    if x0 is not None and abs(start.real - x0) > START_TOL:
-        raise ValueError(f"path starts at {start.real}, expected {x0}")
-    state = initial_state(model, start.real, units[0])
-    for part, seg in enumerate(path.segments):
-        if part > 0:
-            state = junction_switch(model, state, units[part])
-        try:
-            state = continue_segment(model, state, seg)
-        except BranchPointCrossing as crossing:
-            crossing.segment = part
-            raise
-    return state
+    """The end state of one lift: the one-lift case of `final_states`."""
+    states = final_states(model, path, [units], x0)
+    datum = None if states.data is None else Quaternion(*states.data[0].tolist())
+    return SheetState(r=states.r, theta=states.theta, unit=units[-1], datum=datum)
 
 
 def evaluate_lifted(

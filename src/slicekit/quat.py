@@ -200,6 +200,20 @@ def quat_inverse(q: Quaternion) -> Quaternion:
     return Quaternion(q.w / n2, -q.x / n2, -q.y / n2, -q.z / n2)
 
 
+def inverse_components(q: tuple) -> tuple:
+    """`quat_inverse` on (w, x, y, z) numpy arrays, entry by entry bit for bit.
+
+    Raises ZeroDivisor, for the first entry in order, when any |q| <= TOL.
+    """
+    w, x, y, z = q
+    n2 = w * w + x * x + y * y + z * z
+    norm = np.sqrt(n2)
+    small = norm <= TOL
+    if small.any():
+        raise ZeroDivisor(f"cannot invert quaternion with norm {float(norm[np.argmax(small)]):g}")
+    return w / n2, -x / n2, -y / n2, -z / n2
+
+
 def embed_slice(z: complex, unit: Quaternion) -> Quaternion:
     """Embed x + y*i of C into the slice plane through `unit`: x + y*unit."""
     z = complex(z)

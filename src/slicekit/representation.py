@@ -5,6 +5,10 @@ hitting the value column with the inverse slice matrix produces a vector that
 does not depend on which left slice-linearly independent unit matrix was
 used.  The function's value at any other lift is then a plain row-by-column
 contraction with the target units' zeta row.
+
+The lifts of one path share its track, so the vectors of several unit
+matrices on one path take their value columns from one `final_states` call:
+the path is continued once and the lifts carry only their units and data.
 """
 
 from __future__ import annotations
@@ -13,13 +17,41 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import KeysDiffer, LengthMismatch, NotIndependent, Singular
-from .monodromy import GermKey, SliceFunctionModel, final_state, germ_key
+from .monodromy import GermKey, SliceFunctionModel, final_state, final_states, germ_key, lift_values
 from .paths import NPartPath
 from .qmat import qmat_inverse
 from .quat import Quaternion
 from .sliceunits import SliceUnitMatrix, slice_matrix, zeta
 from .stemtensor import StemValue
 from .tolerances import VALUE_TOL
+
+
+def representation_vectors(
+    model: SliceFunctionModel,
+    path: NPartPath,
+    matrices: Sequence[SliceUnitMatrix],
+    x0: float | None = None,
+) -> list[StemValue]:
+    """`representation_vector` of every unit matrix, the rows of all of them continued in one call.
+
+    Every matrix is checked and inverted before the path is continued.
+    """
+    inverses = []
+    for j in matrices:
+        if j.N != path.parts:
+            raise LengthMismatch(f"{path.parts}-part path against an order-{j.N} unit matrix")
+        try:
+            inverses.append(qmat_inverse(slice_matrix(j)))
+        except Singular as exc:
+            margins = {"rank": exc.rank, "margin": exc.margin, "tolerance": exc.tolerance}
+            raise NotIndependent("unit matrix is left slice-linearly dependent", **margins) from exc
+    values = lift_values(model, final_states(model, path, [row for j in matrices for row in j.rows], x0))
+    size = 1 << path.parts
+    vectors = []
+    for k, inverse in enumerate(inverses):
+        column = inverse.apply_column(values[None, k * size : (k + 1) * size])[0]
+        vectors.append(StemValue(path.parts, tuple(Quaternion(*q) for q in column.tolist())))
+    return vectors
 
 
 def representation_vector(
@@ -29,15 +61,7 @@ def representation_vector(
     x0: float | None = None,
 ) -> StemValue:
     """Invariant vector M(J)**-1 applied to the column of lifted values."""
-    if j.N != path.parts:
-        raise LengthMismatch(f"{path.parts}-part path against an order-{j.N} unit matrix")
-    try:
-        inverse = qmat_inverse(slice_matrix(j))
-    except Singular as exc:
-        margins = {"rank": exc.rank, "margin": exc.margin, "tolerance": exc.tolerance}
-        raise NotIndependent("unit matrix is left slice-linearly dependent", **margins) from exc
-    column = tuple(model.value(final_state(model, path, row, x0)) for row in j.rows)
-    return StemValue(j.N, inverse.apply_column(column))
+    return representation_vectors(model, path, [j], x0)[0]
 
 
 def evaluate_via_formula(g: StemValue, units: Sequence[Quaternion]) -> Quaternion:
@@ -55,8 +79,7 @@ def invariance_check(
     x0: float | None = None,
 ) -> float:
     """Max entrywise deviation between the vectors from two unit matrices."""
-    g1 = representation_vector(model, path, j1, x0)
-    g2 = representation_vector(model, path, j2, x0)
+    g1, g2 = representation_vectors(model, path, [j1, j2], x0)
     return (g1 - g2).max_norm()
 
 

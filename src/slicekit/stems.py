@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BranchPointCrossing, IncompatibleSupports, OutOfDomain
-from .monodromy import SliceFunctionModel, continue_closing_lines, continue_segment, final_state
+from .monodromy import SliceFunctionModel, continue_closing_lines, continue_segment, final_states
 from .paths import Line, NPartPath, _json_number, segment_from_json_obj
 from .quat import I as UNIT_I
 from .quat import Quaternion
@@ -154,9 +154,9 @@ def stem_derivative_family(
         raise BranchPointCrossing(message, clearance=abs(center) - radius, tolerance=0.0)
     reference = eta(path.parts, UNIT_I)
     inverse = eta_inverse(reference)
-    end_states = [final_state(model, path, row) for row in reference.rows]
-    for state in end_states:  # every closing line starts at the centre: a zero-length one checks the start
-        continue_segment(model, state, Line(center, center))
+    end_states = final_states(model, path, reference.rows)
+    # every closing line starts at the centre: a zero-length one checks the start
+    continue_segment(model, end_states, Line(center, center))
 
     def vectors(points: Sequence[complex], n: int | Sequence[int] = 0) -> np.ndarray:
         r, theta = continue_closing_lines(model, end_states, center, points)

@@ -33,6 +33,12 @@ references of the second kind for the batched stem code: one closing-line
 `apply_column` per point (with every term of the block product formed at
 once), and one `Quaternion` difference per grid neighbour.  The batched
 evaluator and the array residual must match them bit for bit.
+
+The per-lift fold is the continuation as one `SheetState` per lift: the
+whole path walked again for every lift, each slice switch solving the datum
+in `Quaternion` arithmetic.  `final_states` walks the path once and carries
+the lifts' units and data as arrays; it must give the same bits, and the
+same errors.
 """
 
 import math
@@ -41,13 +47,13 @@ import numpy as np
 
 from slicekit import calculus
 from slicekit.calculus import SliceRegularPoly
-from slicekit.errors import NotIndependent
-from slicekit.monodromy import continue_segment, final_state
+from slicekit.errors import BranchPoint, BranchPointCrossing, LengthMismatch, NotAtRealPoint, NotIndependent
+from slicekit.monodromy import SheetState, continue_segment, initial_state
 from slicekit.paths import Line
-from slicekit.qmat import QuaternionMatrix, _pairs, _quaternions, qmat_rank
+from slicekit.qmat import QuaternionMatrix, _pairs, _quaternions, qmat_inverse, qmat_rank
 from slicekit.quat import I as UNIT_I
-from slicekit.quat import Quaternion, embed_slice
-from slicekit.sliceunits import eta, eta_inverse, unit_product
+from slicekit.quat import Quaternion, embed_slice, quat_inverse, unit_exp
+from slicekit.sliceunits import eta, eta_inverse, slice_matrix, unit_product
 from slicekit.stemtensor import (
     StemValue,
     _pattern_matrix,
@@ -56,7 +62,7 @@ from slicekit.stemtensor import (
     nan_max,
     sigma_matrix,
 )
-from slicekit.tolerances import AT_CENTER_TOL
+from slicekit.tolerances import AT_CENTER_TOL, BRANCH_TOL, REAL_TOL, START_TOL
 
 
 def _right_mult_matrix(v: Quaternion) -> np.ndarray:
@@ -224,12 +230,54 @@ def per_trial_full_slice_rank_permutation(j) -> tuple[int, ...]:
     return tuple(order)
 
 
+def per_lift_junction_switch(model, state: SheetState, new_unit) -> SheetState:
+    """The slice switch of one lift: theta snapped, the datum re-solved for the value in `Quaternion` arithmetic."""
+    if state.r <= BRANCH_TOL or abs(math.sin(state.theta)) > REAL_TOL:
+        raise NotAtRealPoint(f"projected point {state.complex_point} is not real and nonzero")
+    theta_new = 0.0 if math.cos(state.theta) > 0 else math.pi
+    value = model.value(state)
+    if model.kind == "sqrt":
+        datum = quat_inverse(math.sqrt(state.r) * unit_exp(0.5 * theta_new, new_unit)) * value
+    elif model.kind == "log":
+        datum = value - (Quaternion(math.log(state.r)) + theta_new * new_unit)
+    else:
+        datum = None
+    return SheetState(r=state.r, theta=theta_new, unit=new_unit, datum=datum)
+
+
+def per_lift_final_state(model, path, units, x0=None) -> SheetState:
+    """Continuation and slice switches folded over the parts of one lift, the whole path walked for it."""
+    if len(units) != path.parts:
+        raise LengthMismatch(f"{path.parts}-part path continued with {len(units)} units")
+    start = path.initial_point
+    if abs(start.imag) > REAL_TOL:
+        raise BranchPoint(f"path must start on the real axis, got {start}")
+    if x0 is not None and abs(start.real - x0) > START_TOL:
+        raise ValueError(f"path starts at {start.real}, expected {x0}")
+    state = initial_state(model, start.real, units[0])
+    for part, seg in enumerate(path.segments):
+        if part > 0:
+            state = per_lift_junction_switch(model, state, units[part])
+        try:
+            state = continue_segment(model, state, seg)
+        except BranchPointCrossing as crossing:
+            crossing.segment = part
+            raise
+    return state
+
+
+def per_lift_representation_vector(model, path, j, x0=None) -> StemValue:
+    """M(J)**-1 applied to the column of `model.value` at the per-lift end states, one row of J at a time."""
+    column = tuple(model.value(per_lift_final_state(model, path, row, x0)) for row in j.rows)
+    return StemValue(j.N, qmat_inverse(slice_matrix(j)).apply_column(column))
+
+
 def per_point_stem_family(model, path, radius):
     """(z, n) -> invariant vector of the n-th slice derivative at z, one point at a time."""
     center = path.endpoint
     reference = eta(path.parts, UNIT_I)
     inverse = eta_inverse(reference)
-    end_states = [final_state(model, path, row) for row in reference.rows]
+    end_states = [per_lift_final_state(model, path, row) for row in reference.rows]
 
     def vector(z: complex, n: int = 0) -> StemValue:
         if abs(z - center) < AT_CENTER_TOL:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from slicekit import calculus, stems
+from slicekit import calculus, checks, stems
 from slicekit.calculus import (
     ONE_POLY,
     AxSymDomain,
@@ -53,6 +53,16 @@ def test_random_poly_draws_like_one_quaternion_per_coefficient(rng):
         expected = [Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(degree + 1)]
         assert bits(f.coefficients) == bits(expected)
         assert rng.bit_generator.state == after
+
+
+def test_nan_coefficient_fails_the_check(rng, monkeypatch):
+    # max(worst, nan) keeps worst, so a NaN residual would pass as 0.0 unless every fold propagates it
+    f = _random_poly(rng, 3)
+    broken = SliceRegularPoly((Quaternion(math.nan),) + f.coefficients[1:])
+    assert math.isnan(_coeff_distance(broken, f)) and math.isnan(_coeff_distance(f, broken))
+    monkeypatch.setattr(calculus, "leibniz", lambda *args: broken)
+    result = checks.check_leibniz(rng)
+    assert math.isnan(result.deviation) and not result.passed
 
 
 class TestStarProduct:

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 import slicekit
 from slicekit.cli import SEED_ENV, build_parser, main
 from slicekit.errors import NonFiniteResult
-from slicekit.monodromy import model_by_name
+from slicekit.monodromy import final_states, germ_key, model_by_name
 from slicekit.paths import Line, NPartPath, beta_path, half_turns, make_npart_path
-from slicekit.quat import Quaternion
-from slicekit.representation import invariance_check, representation_vector
-from slicekit.sliceunits import SliceUnitMatrix, eta, random_slice_unit_matrix
+from slicekit.quat import Quaternion, random_imaginary_unit
+from slicekit.sliceunits import SliceUnitMatrix, eta, random_slice_unit_matrix, unit_from_json
+
+from oracles import per_lift_final_state, per_lift_representation_vector
 
 
 @pytest.fixture
@@ -173,18 +174,35 @@ def test_repformula_computes_each_vector_once(n, model, capsys, monkeypatch, tmp
 
     def counted(*args):
         calls.append(args)
-        return representation_vector(*args)
+        return final_states(*args)
 
-    for module in (slicekit.cli, slicekit.representation):  # every binding, so a call through invariance_check counts
-        monkeypatch.setattr(module, "representation_vector", counted)
+    monkeypatch.setattr(slicekit.representation, "final_states", counted)
     code, out, _ = _run(capsys, ["repformula", "--model", model, "--path", str(path_file), "--J", str(j_file)])
-    assert code == 0 and len(calls) == 2
+    # one continuation of the path for the rows of J and of the comparison stack
+    assert code == 0 and len(calls) == 1 and len(calls[0][2]) == 2 << n
     fn = model_by_name(model)
     path, j = NPartPath.from_json(path_file.read_text()), SliceUnitMatrix.from_json(j_file.read_text())
-    g = representation_vector(fn, path, j)
-    deviation = invariance_check(fn, path, j, eta(n, Quaternion(0, 0, 1, 0)))
+    g = per_lift_representation_vector(fn, path, j)
+    deviation = (g - per_lift_representation_vector(fn, path, eta(n, Quaternion(0, 0, 1, 0)))).max_norm()
     # float reprs round-trip exactly and tell signed zeros apart, so equal text is equal bits
     assert out == json.dumps({"G": [q.to_list() for q in g.entries], "invariance_dev": deviation}) + "\n"
+
+
+@pytest.mark.parametrize("model", ["sqrt", "log"])
+def test_monodromy_matches_the_per_lift_fold(model, capsys, beta_file, rng):
+    fn = model_by_name(model)
+    for _ in range(5):
+        text = ";".join(json.dumps(random_imaginary_unit(rng).to_list()) for _ in range(2))
+        code, out, _ = _run(capsys, ["monodromy", "--model", model, "--path", beta_file, "--units", text])
+        units = [unit_from_json(json.loads(part)) for part in text.split(";")]  # as the CLI parses them
+        state = per_lift_final_state(fn, beta_path(), units)
+        key = germ_key(fn, state)
+        payload = {
+            "value": fn.value(state).to_list(),
+            "germ_key": {"point": key.point.to_list(), "value": key.value.to_list()},
+            "parts": 2,
+        }
+        assert code == 0 and out == json.dumps(payload) + "\n"
 
 
 def test_monodromy_one_part_counterexample(capsys, tmp_path):

@@ -2,27 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slicekit.errors import BranchPoint, BranchPointCrossing, NotAtRealPoint
+from slicekit.errors import BranchPoint, BranchPointCrossing, LengthMismatch, NotAtRealPoint, SliceKitError
 from slicekit.monodromy import (
     LogModel,
     PolynomialModel,
     SheetState,
+    SheetStates,
     SqrtModel,
     _log_factor,
     continue_closing_lines,
     continue_segment,
     evaluate_lifted,
     final_state,
+    final_states,
     germ_key,
     initial_state,
     junction_switch,
+    lift_values,
 )
-from slicekit.paths import Arc, Line, beta_path, constant_path, half_turns, make_npart_path
+from slicekit.paths import Arc, Line, NPartPath, beta_path, constant_path, half_turns, make_npart_path
 from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
 from slicekit.tolerances import BRANCH_TOL
 
-from oracles import bits
+from oracles import bits, per_lift_final_state
 
 PI = math.pi
 
@@ -97,46 +102,58 @@ class TestContinuation:
             assert abs(back.theta - state.theta) < 1e-10
 
 
-class TestJunctionSwitch:
-    def test_sqrt_switch_at_minus_one(self, unit_i, unit_j):
-        model = SqrtModel()
-        state = continue_segment(model, initial_state(model, 1.0, unit_i), half_turns(1))
-        switched = junction_switch(model, state, unit_j)
-        expected_datum = quat_inverse(unit_j) * unit_i
-        assert (switched.datum - expected_datum).norm() < 1e-12
-        assert (model.value(switched) - model.value(state)).norm() < 1e-12
+def _components(quaternions) -> np.ndarray:
+    return np.array([(q.w, q.x, q.y, q.z) for q in quaternions], dtype=float)
 
-    def test_log_switch_at_minus_one(self, unit_i, unit_j):
+
+def _lifts(model, units, r=1.0, theta=0.0) -> SheetStates:
+    """Lifts at (r, theta), one per unit, each on the principal sheet's datum."""
+    datum = model.initial_datum()
+    data = None if datum is None else _components([datum] * len(units))
+    return SheetStates(r=r, theta=theta, units=_components(units), data=data)
+
+
+def _data(states: SheetStates) -> list[Quaternion]:
+    return [Quaternion(*d) for d in states.data.tolist()]
+
+
+class TestJunctionSwitch:
+    def test_sqrt_switch_at_minus_one(self, unit_i, unit_j, unit_k):
+        model = SqrtModel()
+        state = continue_segment(model, _lifts(model, [unit_i, unit_j]), half_turns(1))
+        switched = junction_switch(model, state, _components([unit_j, unit_k]))
+        expected = [quat_inverse(unit_j) * unit_i, quat_inverse(unit_k) * unit_j]
+        assert all((a - b).norm() < 1e-12 for a, b in zip(_data(switched), expected))
+        assert np.abs(lift_values(model, switched) - lift_values(model, state)).max() < 1e-12
+
+    def test_log_switch_at_minus_one(self, unit_i, unit_j, unit_k):
         model = LogModel()
-        state = continue_segment(model, initial_state(model, 1.0, unit_i), half_turns(1))
-        switched = junction_switch(model, state, unit_j)
-        assert (switched.datum - (PI * unit_i - PI * unit_j)).norm() < 1e-12
+        state = continue_segment(model, _lifts(model, [unit_i, unit_k]), half_turns(1))
+        switched = junction_switch(model, state, _components([unit_j, unit_i]))
+        expected = [PI * unit_i - PI * unit_j, PI * unit_k - PI * unit_i]
+        assert all((a - b).norm() < 1e-12 for a, b in zip(_data(switched), expected))
 
     def test_switch_at_plus_one_keeps_datum(self, unit_i, unit_j):
         # at canonical positive-axis coordinates the base factor is trivial
         for model in (SqrtModel(), LogModel()):
-            state = continue_segment(
-                model, initial_state(model, 1.0, unit_i), Line(1 + 0j, 2.5 + 0j)
-            )
-            switched = junction_switch(model, state, unit_j)
-            assert (switched.datum - state.datum).norm() < 1e-12
+            state = continue_segment(model, _lifts(model, [unit_i, unit_j]), Line(1 + 0j, 2.5 + 0j))
+            switched = junction_switch(model, state, _components([unit_j, unit_i]))
+            assert np.abs(switched.data - state.data).max() < 1e-12
 
     def test_full_loop_monodromy_moves_into_datum(self, unit_i, unit_j):
         # after one full turn the square root changes sign; the switch
         # canonicalises the angle and the sheet flip lands in the datum
         model = SqrtModel()
-        state = continue_segment(model, initial_state(model, 1.0, unit_i), half_turns(2))
-        switched = junction_switch(model, state, unit_j)
-        assert (switched.datum - Quaternion(-1)).norm() < 1e-12
-        assert (model.value(switched) - model.value(state)).norm() < 1e-12
+        state = continue_segment(model, _lifts(model, [unit_i]), half_turns(2))
+        switched = junction_switch(model, state, _components([unit_j]))
+        assert (_data(switched)[0] - Quaternion(-1)).norm() < 1e-12
+        assert np.abs(lift_values(model, switched) - lift_values(model, state)).max() < 1e-12
 
     def test_rejects_non_real_points(self, unit_i, unit_j):
         model = SqrtModel()
-        state = continue_segment(
-            model, initial_state(model, 1.0, unit_i), Arc(0j, 1.0, 0.0, PI / 2)
-        )
+        state = continue_segment(model, _lifts(model, [unit_i]), Arc(0j, 1.0, 0.0, PI / 2))
         with pytest.raises(NotAtRealPoint):
-            junction_switch(model, state, unit_j)
+            junction_switch(model, state, _components([unit_j]))
 
 
 class TestEvaluateLifted:
@@ -234,19 +251,18 @@ class TestArrayForms:
     @pytest.mark.parametrize("model", [SqrtModel(), LogModel(), _POLY], ids=["sqrt", "log", "poly"])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_derivative_values_match_derivative_value_bit_for_bit(self, rng, model, n):
-        states = []
-        for _ in range(3):
-            unit = random_imaginary_unit(rng)
-            datum = None if model.datum_kind == "none" else Quaternion(*rng.uniform(-2, 2, 4))
-            states.append(SheetState(r=1.0, theta=0.0, unit=unit, datum=datum))
+        units = [random_imaginary_unit(rng) for _ in range(3)]
+        data = None if model.datum_kind == "none" else [Quaternion(*rng.uniform(-2, 2, 4)) for _ in range(3)]
+        states = SheetStates(r=1.0, theta=0.0, units=_components(units), data=data and _components(data))
         r = rng.uniform(0.05, 3.0, (3, 7))
         theta = rng.uniform(-9.0, 9.0, (3, 7))
         theta[0, 0] = -0.0
         values = model.derivative_values(states, r, theta, n)
         assert values.shape == (3, 7, 4)
-        for l, state in enumerate(states):
+        for l, unit in enumerate(units):
             for p in range(7):
-                moved = SheetState(r=float(r[l, p]), theta=float(theta[l, p]), unit=state.unit, datum=state.datum)
+                datum = data and data[l]
+                moved = SheetState(r=float(r[l, p]), theta=float(theta[l, p]), unit=unit, datum=datum)
                 expected = model.derivative_value(moved, n)
                 assert bits([Quaternion(*values[l, p].tolist())]) == bits([expected])
 
@@ -256,32 +272,130 @@ class TestArrayForms:
         state = SheetState(r=1.5, theta=0.7, unit=unit_i, datum=model.initial_datum())
         scalar = model.derivative_value(state, 200)
         with np.errstate(invalid="ignore"):
-            values = model.derivative_values([state], np.array([[1.5]]), np.array([[0.7]]), 200)
+            values = model.derivative_values(_lifts(model, [unit_i]), np.array([[1.5]]), np.array([[0.7]]), 200)
         assert not all(map(math.isfinite, (scalar.w, scalar.x, scalar.y, scalar.z)))
         assert bits([Quaternion(*values[0, 0].tolist())]) == bits([scalar])
 
     @pytest.mark.parametrize("model", [SqrtModel(), LogModel(), _POLY], ids=["sqrt", "log", "poly"])
     def test_closing_lines_match_continue_segment(self, rng, model):
         path = make_npart_path([half_turns(1), half_turns(1).reversed()])
-        states = [final_state(model, path, (random_imaginary_unit(rng), random_imaginary_unit(rng))) for _ in range(2)]
+        rows = [(random_imaginary_unit(rng), random_imaginary_unit(rng)) for _ in range(2)]
         center = path.endpoint
         points = [center, center + 1e-16j] + [complex(*rng.uniform(-0.9, 0.9, 2)) + center for _ in range(20)]
-        r, theta = continue_closing_lines(model, states, center, points)
-        for l, state in enumerate(states):
+        r, theta = continue_closing_lines(model, final_states(model, path, rows), center, points)
+        for l, row in enumerate(rows):
+            state = per_lift_final_state(model, path, row)
             for p, z in enumerate(points):
                 moved = state if abs(z - center) < 1e-15 else continue_segment(model, state, Line(center, z))
                 assert (r[l, p].hex(), theta[l, p].hex()) == (moved.r.hex(), moved.theta.hex())
 
     def test_closing_line_crossing_names_the_first_point(self, unit_i):
         model = SqrtModel()
-        state = initial_state(model, 1.0, unit_i)
         points = [1.5 + 0.2j, -1.0 + 0j, -2.0 + 0j]
         with pytest.raises(BranchPointCrossing) as crossing:
-            continue_closing_lines(model, [state], 1.0 + 0j, points)
+            continue_closing_lines(model, _lifts(model, [unit_i]), 1.0 + 0j, points)
         assert crossing.value.point == -1.0 + 0j
         assert (crossing.value.clearance, crossing.value.tolerance) == (0.0, BRANCH_TOL)
         assert str(crossing.value) == "segment passes within 0 of the branch point"
         assert crossing.value.segment is None
+
+
+def _random_path(rng: np.random.Generator, n: int, entire: bool) -> NPartPath:
+    """n parts between nonzero real points: arcs of 1-3 half turns either way about 0, or lines along the axis.
+
+    For an entire model a line may also pass through the origin.
+    """
+    x, segments = 1.0, []
+    for _ in range(n):
+        if entire and rng.uniform() < 0.2:
+            segments.append(Line(complex(x), complex(-x)))
+            x = -x
+        elif rng.uniform() < 0.7:
+            turns = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            start = 0.0 if x > 0 else PI
+            segments.append(Arc(0j, abs(x), start, start + turns * PI))
+            x = x * (-1) ** turns
+        else:
+            end = math.copysign(rng.uniform(0.3, 3.0), x)
+            segments.append(Line(complex(x), complex(end)))
+            x = end
+    return make_npart_path(segments)
+
+
+def _random_model(kind: str, rng: np.random.Generator):
+    if kind == "poly":
+        return PolynomialModel(tuple(Quaternion(*q) for q in rng.uniform(-1, 1, (int(rng.integers(1, 5)), 4))))
+    return SqrtModel() if kind == "sqrt" else LogModel()
+
+
+def _state_bits(state: SheetState) -> tuple:
+    """r, theta, unit and datum exactly: float.hex tells signed zeros apart."""
+    datum = None if state.datum is None else bits([state.datum])
+    return state.r.hex(), state.theta.hex(), bits([state.unit]), datum
+
+
+def _raised(call) -> tuple | None:
+    """Class, message and context fields of the error `call` raises, None when it returns."""
+    try:
+        call()
+    except (SliceKitError, ValueError) as error:
+        fields = tuple(getattr(error, name, None) for name in ("segment", "clearance", "tolerance", "point"))
+        return type(error), str(error), fields
+    return None
+
+
+class TestFinalStates:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 4),
+        lifts=st.integers(1, 6),
+        kind=st.sampled_from(["sqrt", "log", "poly"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_lift_fold(self, n, lifts, kind, seed):
+        rng = np.random.default_rng(seed)
+        model = _random_model(kind, rng)
+        path = _random_path(rng, n, not model.is_branched())
+        rows = [tuple(random_imaginary_unit(rng) for _ in range(n)) for _ in range(lifts)]
+        states = final_states(model, path, rows)
+        assert len(states) == lifts
+        for l, row in enumerate(rows):
+            expected = _state_bits(per_lift_final_state(model, path, row))
+            datum = None if states.data is None else Quaternion(*states.data[l].tolist())
+            lift = SheetState(states.r, states.theta, Quaternion(*states.units[l].tolist()), datum)
+            assert _state_bits(lift) == expected
+            one = final_state(model, path, row)
+            assert one.unit is row[-1] and _state_bits(one) == expected
+
+    @pytest.mark.parametrize("kind", ["sqrt", "log", "poly"])
+    def test_errors_match_the_per_lift_fold(self, rng, kind):
+        model = _random_model(kind, rng)
+        up = half_turns(1)
+        for n in range(1, 5):
+            rows = [tuple(random_imaginary_unit(rng) for _ in range(n)) for _ in range(3)]
+            loop = [up if k % 2 == 0 else up.reversed() for k in range(n - 1)]
+            end = -1.0 if n % 2 == 0 else 1.0
+            bad_paths = [
+                # part n - 1 passes through the branch point
+                make_npart_path(loop + [Line(complex(end), complex(-end))]),
+                # the first junction sits at i, off the real axis
+                NPartPath((Arc(0j, 1.0, 0.0, PI / 2), Arc(0j, 1.0, PI / 2, PI))),
+                # starts off the real axis, and at the branch point
+                NPartPath((Line(0.5 + 0.5j, 1.0 + 0j),)),
+                constant_path(0.0),
+            ]
+            for path in bad_paths:
+                lifts = [tuple(random_imaginary_unit(rng) for _ in range(path.parts)) for _ in range(3)]
+                expected = _raised(lambda: per_lift_final_state(model, path, lifts[0]))
+                # an entire model crosses the origin and starts anywhere on the real axis
+                assert expected is not None or not model.is_branched()
+                assert _raised(lambda: final_states(model, path, lifts)) == expected
+            good = make_npart_path(loop + [Line(complex(end), complex(2 * end))])
+            expected = _raised(lambda: per_lift_final_state(model, good, rows[0], x0=2.0))
+            assert expected[0] is ValueError and _raised(lambda: final_states(model, good, rows, x0=2.0)) == expected
+            short = [rows[0], rows[1][:-1]]
+            expected = _raised(lambda: per_lift_final_state(model, good, short[1]))
+            assert expected[0] is LengthMismatch and _raised(lambda: final_states(model, good, short)) == expected
 
 
 def test_final_state_crossing_carries_the_segment(unit_i):
