@@ -22,12 +22,10 @@ from .monodromy import (
     GermKey,
     LogModel,
     PolynomialModel,
-    SheetState,
     SqrtModel,
     continue_segment,
     evaluate_lifted,
     germ_key,
-    initial_state,
     junction_switch,
 )
 from .representation import (

@@ -29,14 +29,14 @@ from .monodromy import (
     PolynomialModel,
     SliceFunctionModel,
     SqrtModel,
+    _horner,
     _log_factor,
     _mapped,
     _poly_derivative,
-    _poly_eval,
     _sqrt_factor,
 )
 from .paths import NPartPath, _json_number
-from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, quat_inverse
+from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse
 from .stemtensor import (
     ARRAY_KERNEL_PAIRS,
     StemValue,
@@ -72,7 +72,8 @@ class SliceRegularPoly:
         return len(self.coefficients) - 1
 
     def __call__(self, q) -> Quaternion:
-        return _poly_eval(self.coefficients, as_quaternion(q))
+        q = as_quaternion(q)
+        return Quaternion(*_horner(self.coefficients, (q.w, q.x, q.y, q.z)))
 
     def __add__(self, other: "SliceRegularPoly") -> "SliceRegularPoly":
         a, b = self.coefficients, other.coefficients
@@ -322,8 +323,8 @@ def _probe_zero(sym: SliceRegularPoly, domain: AxSymDomain) -> Quaternion | None
     of a scalar loop, d = `_PROBE_DIRECTION`.  All of them are formed as
     arrays in one pass, in the same float operations: containment as
     `AxSymDomain.contains` decides it (Python's complex `abs`, which numpy's
-    differs from in the last bit), and the Horner sum of `_poly_eval` on
-    their components.
+    differs from in the last bit), and the Horner sum `_horner` on their
+    components.
     """
     cx, cy = domain.center.real, domain.center.imag
     radii = np.array([domain.radius * shell / _PROBE_SHELLS * 0.999 for shell in range(1, _PROBE_SHELLS + 1)])
@@ -338,11 +339,8 @@ def _probe_zero(sym: SliceRegularPoly, domain: AxSymDomain) -> Quaternion | None
         offset.imag = -imag - cy
         inside &= _mapped(abs, offset) < domain.radius
     point = tuple(c[inside] for c in (w, x, y, z))
-    acc = (0.0, 0.0, 0.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow to inf and nan silently too
-        for a in reversed(sym.coefficients):
-            acc = tuple(h + c for h, c in zip(hamilton_components(point, acc), (a.w, a.x, a.y, a.z)))
-        aw, ax, ay, az = acc
+        aw, ax, ay, az = _horner(sym.coefficients, point)
         below = np.flatnonzero(np.sqrt(aw * aw + ax * ax + ay * ay + az * az) < SYMMETRIZATION_ZERO_TOL)
     return Quaternion(*(float(c[below[0]]) for c in point)) if len(below) else None
 

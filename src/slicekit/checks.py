@@ -166,8 +166,8 @@ def check_non_extendability(rng: np.random.Generator) -> CheckResult:
     gamma1 = make_npart_path([half_turns(5)])
     gamma2 = make_npart_path([half_turns(4), half_turns(3)])
     log_model = monodromy.LogModel()
-    key1 = monodromy.germ_key(log_model, monodromy.final_state(log_model, gamma1, (k,)))
-    key2 = monodromy.germ_key(log_model, monodromy.final_state(log_model, gamma2, (j1, j2)))
+    (key1,) = monodromy.germ_key(log_model, monodromy.final_states(log_model, gamma1, [(k,)]))
+    (key2,) = monodromy.germ_key(log_model, monodromy.final_states(log_model, gamma2, [(j1, j2)]))
     key_dev = nan_max(
         [
             (key1.point - key2.point).norm(),

@@ -2,8 +2,9 @@
 products, stem-system validation, and the seeded verification suites.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 domain
-error (branch-point crossing and friends).  Output is JSON by default;
-`monodromy` can also emit a one-row CSV table.
+error (branch-point crossing and friends, a result that overflowed to inf or
+NaN, or input so large that its arithmetic leaves the float range).  Output
+is JSON by default; `monodromy` can also emit a one-row CSV table.
 """
 
 from __future__ import annotations
@@ -15,16 +16,14 @@ import os
 import sys
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 from . import checks
 from .calculus import SliceRegularPoly, regular_conjugate, star_product, symmetrization
 from .errors import NonFiniteResult, SliceKitError
-from .monodromy import (
-    SliceFunctionModel,
-    final_state,
-    germ_key,
-    model_by_name,
-)
+from .monodromy import SliceFunctionModel, final_states, germ_key, model_by_name
 from .paths import NPartPath
 from .quat import ImaginaryUnit, Quaternion, quat_inverse
 from .representation import evaluate_via_formula, representation_vectors
@@ -77,6 +76,18 @@ _tolerance = _finite_float(lambda value: value >= 0.0, "a finite number >= 0")
 _real_point = _finite_float(lambda value: True, "a finite number")
 
 
+def _require_finite(label: str, rows: list[list[float]], name: Callable[[int], str]) -> None:
+    """JSON has no inf or NaN: an output that overflowed is a domain error (exit 3), not output.
+
+    `rows` are the output's numbers in print order, one list per entry, and
+    `name(k)` names entry k; NonFiniteResult's `index` is the first entry
+    holding a non-finite number.
+    """
+    index = next((k for k, row in enumerate(rows) if not all(map(math.isfinite, row))), None)
+    if index is not None:
+        raise NonFiniteResult(f"{label} overflowed: {name(index)} is {rows[index]}", index=index)
+
+
 def _build_model(args) -> SliceFunctionModel:
     coeffs = None
     if args.model in ("poly", "polynomial"):
@@ -97,14 +108,15 @@ def cmd_monodromy(args) -> int:
     model = _build_model(args)
     path = _parse_path(args.path)
     units = _parse_units(args.units, path)
-    state = final_state(model, path, units, args.x0)
-    key = germ_key(model, state)
-    value = model.value(state)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below, as NonFiniteResult
+        (key,) = germ_key(model, final_states(model, path, [units], args.x0))
+    value = key.value
     payload = {
         "value": value.to_list(),
         "germ_key": {"point": key.point.to_list(), "value": key.value.to_list()},
         "parts": path.parts,
     }
+    rows = [payload["value"], payload["germ_key"]["point"]]
     exit_code = 0
     if args.check_analytic and path.parts == 2 and args.model in ("sqrt", "log"):
         k1, k2 = units
@@ -114,8 +126,10 @@ def cmd_monodromy(args) -> int:
             expected = math.pi * k1 - math.pi * k2
         deviation = (value - expected).norm()
         payload["analytic_deviation"] = deviation
+        rows.append([deviation])
         if args.tol is not None and deviation > args.tol:
             exit_code = 1
+    _require_finite("monodromy", rows, ("value", "germ_key point", "analytic_deviation").__getitem__)
     if args.format == "csv":
         header = (
             "value_w,value_x,value_y,value_z,"
@@ -138,7 +152,8 @@ def cmd_repformula(args) -> int:
         j = eta(path.parts, Quaternion(0, 1, 0, 0))
     units = _parse_units(args.units, path) if args.units else None
     # invariance_check(model, path, j, alt, x0), with g kept: the rows of J and of alt continue in one call
-    g, g_alt = representation_vectors(model, path, [j, eta(path.parts, Quaternion(0, 0, 1, 0))], args.x0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below, as NonFiniteResult
+        g, g_alt = representation_vectors(model, path, [j, eta(path.parts, Quaternion(0, 0, 1, 0))], args.x0)
     deviation = (g - g_alt).max_norm()
     payload = {
         "G": [q.to_list() for q in g.entries],
@@ -146,6 +161,9 @@ def cmd_repformula(args) -> int:
     }
     if units:
         payload["value"] = evaluate_via_formula(g, units).to_list()
+    size = len(payload["G"])
+    rows = payload["G"] + [[deviation]] + ([payload["value"]] if units else [])
+    _require_finite("repformula", rows, lambda k: f"G entry {k}" if k < size else ("invariance_dev", "value")[k - size])
     print(json.dumps(payload))
     return 1 if args.tol is not None and deviation > args.tol else 0
 
@@ -163,11 +181,7 @@ def cmd_starprod(args) -> int:
     else:
         raise ValueError(f"unknown op {args.op!r}")
     payload = out.to_json_obj()
-    coeffs = payload["coeffs"]
-    # JSON has no inf or NaN: an overflowed product is a domain error (exit 3), not output
-    index = next((k for k, c in enumerate(coeffs) if not all(map(math.isfinite, c))), None)
-    if index is not None:
-        raise NonFiniteResult(f"op={args.op} overflowed: coefficient {index} is {coeffs[index]}", index=index)
+    _require_finite(f"op={args.op}", payload["coeffs"], "coefficient {}".format)
     print(json.dumps(payload))
     return 0
 
@@ -273,6 +287,9 @@ def main(argv=None) -> int:
         return 2
     except SliceKitError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # finite input whose arithmetic leaves the float range, as abs(1.5e308 + 1.5e308j)
+        print(f"domain error: input too large for float arithmetic ({exc.args[-1]})", file=sys.stderr)
         return 3
 
 

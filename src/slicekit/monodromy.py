@@ -1,19 +1,24 @@
 """Multi-sheet continuation of slice functions along lifted paths.
 
-Instead of naming sheets explicitly, a state keeps universal-cover
-coordinates (r, theta) for the complex position together with the current
-slice unit and a sheet datum.  The square root composes its datum
-multiplicatively, the logarithm additively, and polynomials carry none.
-Switching slices is only allowed at nonzero real points, where the
-coordinates snap back to theta in {0, pi} and the datum absorbs whatever the
-value requires; germ keys (projected point, value) then identify points of
-the underlying multi-sheet domain.
+Instead of naming sheets explicitly, the states of L lifts keep one pair of
+universal-cover coordinates (r, theta) for the complex position together
+with each lift's current slice unit and sheet datum.  The square root
+composes its datum multiplicatively, the logarithm additively, and
+polynomials carry none.  Switching slices is only allowed at nonzero real
+points, where the coordinates snap back to theta in {0, pi} and the datum
+absorbs whatever the value requires; germ keys (projected point, value) then
+identify points of the underlying multi-sheet domain.
 
 The track (r, theta) depends on the path alone: a segment adds its argument
 increment and a junction snaps theta by its cosine, whatever the slice.  So
 `final_states` continues the track of a path once and carries the L lifts
 along it as two (L, 4) arrays, their units and their data; only those go
-through the junction switches.  `final_state` is its one-lift case.
+through the junction switches.
+
+Each model writes its closed forms once, as `derivative_values`: the value
+and slice derivatives of every lift, moved to any array of track points.
+`lift_values` is its order 0 at the states' own point; `evaluate_lifted` and
+`germ_key` are its one-lift and per-lift readings.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -32,26 +37,8 @@ from .errors import (
     NotAtRealPoint,
 )
 from .paths import NPartPath, PathSegment
-from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, inverse_components, unit_exp
+from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, inverse_components
 from .tolerances import AT_CENTER_TOL, BRANCH_TOL, GERM_TOL, REAL_TOL, SEGMENT_START_TOL, START_TOL
-
-
-@dataclass(frozen=True)
-class SheetState:
-    """Covering coordinates plus slice unit and sheet datum."""
-
-    r: float
-    theta: float
-    unit: Quaternion
-    datum: Quaternion | None
-
-    @property
-    def complex_point(self) -> complex:
-        return self.r * cmath.exp(1j * self.theta)
-
-    @property
-    def projected_point(self) -> Quaternion:
-        return embed_slice(self.complex_point, self.unit)
 
 
 @dataclass(frozen=True)
@@ -86,11 +73,12 @@ class GermKey:
         return (self.point - other.point).norm() <= GERM_TOL and (self.value - other.value).norm() <= GERM_TOL
 
 
-def _poly_eval(coeffs: Sequence[Quaternion], q: Quaternion) -> Quaternion:
-    """Right-coefficient Horner: a0 + q*(a1 + q*(a2 + ...))."""
-    acc = Quaternion()
+def _horner(coeffs: Sequence[Quaternion], q: tuple) -> tuple:
+    """Right-coefficient Horner a0 + q*(a1 + q*(a2 + ...)) on (w, x, y, z) components, floats or arrays."""
+    acc = (0.0, 0.0, 0.0, 0.0)
     for a in reversed(coeffs):
-        acc = q * acc + a
+        h = hamilton_components(q, acc)
+        acc = (h[0] + a.w, h[1] + a.x, h[2] + a.y, h[3] + a.z)
     return acc
 
 
@@ -105,7 +93,7 @@ def _lift_components(table: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _unit_exp_components(angle: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`unit_exp` of every angle[l, p] along units[l], as (w, x, y, z) arrays."""
+    """exp(angle[l, p] * units[l]) = cos + sin * units[l] for every entry, as (w, x, y, z) arrays."""
     c, s = _mapped(math.cos, angle), _mapped(math.sin, angle)
     _, ux, uy, uz = _lift_components(units)
     return c, s * ux, s * uy, s * uz
@@ -158,19 +146,12 @@ class SliceFunctionModel:
     def accepts_start(self, x0: float) -> bool:
         raise NotImplementedError
 
-    def value(self, state: SheetState) -> Quaternion:
-        raise NotImplementedError
-
-    def derivative_value(self, state: SheetState, n: int) -> Quaternion:
-        """Value of the n-th slice derivative continued to the same sheet."""
-        raise NotImplementedError
-
     def derivative_values(self, states: SheetStates, r: np.ndarray, theta: np.ndarray, n: int) -> np.ndarray:
-        """`derivative_value` on the sheet of lift l of `states`, moved to (r[l, p], theta[l, p]).
+        """The n-th slice derivative on the sheet of lift l of `states`, moved to (r[l, p], theta[l, p]).
 
         r and theta have shape (L, P) for L lifts and P points, or broadcast
-        to it; the result is the (L, P, 4) array of (w, x, y, z), bit for bit
-        the scalar values.
+        to it, as a (1, P) track shared by all lifts does; the result is the
+        (L, P, 4) array of (w, x, y, z).  n = 0 is the continued function itself.
         """
         raise NotImplementedError
 
@@ -194,14 +175,6 @@ class SqrtModel(SliceFunctionModel):
     def accepts_start(self, x0: float) -> bool:
         return x0 > 0.0
 
-    def value(self, state: SheetState) -> Quaternion:
-        return self.derivative_value(state, 0)
-
-    def derivative_value(self, state: SheetState, n: int) -> Quaternion:
-        coeff, power = _sqrt_factor(n)
-        radial = coeff * state.r**power
-        return radial * unit_exp(power * state.theta, state.unit) * state.datum
-
     def derivative_values(self, states, r, theta, n):
         coeff, power = _sqrt_factor(n)
         radial = coeff * _mapped(lambda x: x**power, r)
@@ -209,7 +182,7 @@ class SqrtModel(SliceFunctionModel):
         return _stacked(hamilton_components(rotation, _lift_components(states.data)))
 
     def data_for(self, values, r, theta, units):
-        # quat_inverse(math.sqrt(r) * unit_exp(0.5 * theta, unit)) * value, lift by lift
+        # quat_inverse(math.sqrt(r) * exp(0.5 * theta * unit)) * value, lift by lift
         c, s, root = math.cos(0.5 * theta), math.sin(0.5 * theta), math.sqrt(r)
         base = (c * root, s * units[:, 1] * root, s * units[:, 2] * root, s * units[:, 3] * root)
         return np.stack(hamilton_components(inverse_components(base), tuple(values.T)), axis=-1)
@@ -232,15 +205,6 @@ class LogModel(SliceFunctionModel):
 
     def accepts_start(self, x0: float) -> bool:
         return x0 > 0.0
-
-    def value(self, state: SheetState) -> Quaternion:
-        return Quaternion(math.log(state.r)) + state.theta * state.unit + state.datum
-
-    def derivative_value(self, state: SheetState, n: int) -> Quaternion:
-        if n == 0:
-            return self.value(state)
-        coeff = _log_factor(n)
-        return coeff * state.r ** (-n) * unit_exp(-n * state.theta, state.unit)
 
     def derivative_values(self, states, r, theta, n):
         if n == 0:
@@ -277,23 +241,14 @@ class PolynomialModel(SliceFunctionModel):
     def accepts_start(self, x0: float) -> bool:
         return True
 
-    def value(self, state: SheetState) -> Quaternion:
-        return _poly_eval(self.coefficients, state.projected_point)
-
-    def derivative_value(self, state: SheetState, n: int) -> Quaternion:
-        return _poly_eval(_poly_derivative(self.coefficients, n), state.projected_point)
-
     def derivative_values(self, states, r, theta, n):
-        # projected points: the complex point as SheetState computes it, embedded along each unit
+        # projected points: the complex point as `SheetStates.complex_point` computes it, embedded as `embed_slice` does
         points = [x * cmath.exp(1j * t) for x, t in zip(r.ravel().tolist(), theta.ravel().tolist())]
         x = np.array([z.real for z in points], dtype=float).reshape(r.shape)
         y = np.array([z.imag for z in points], dtype=float).reshape(r.shape)
         uw, ux, uy, uz = _lift_components(states.units)
         q = (x + y * uw, y * ux, y * uy, y * uz)
-        acc = (0.0, 0.0, 0.0, 0.0)
-        for a in reversed(_poly_derivative(self.coefficients, n)):
-            acc = tuple(h + c for h, c in zip(hamilton_components(q, acc), (a.w, a.x, a.y, a.z)))
-        return _stacked(acc)
+        return _stacked(_horner(_poly_derivative(self.coefficients, n), q))
 
 
 def model_by_name(name: str, coefficients: Sequence[Quaternion] | None = None) -> SliceFunctionModel:
@@ -308,26 +263,12 @@ def model_by_name(name: str, coefficients: Sequence[Quaternion] | None = None) -
     raise ValueError(f"unknown model {name!r}")
 
 
-_State = TypeVar("_State", SheetState, SheetStates)
+def continue_segment(model: SliceFunctionModel, states: SheetStates, seg: PathSegment) -> SheetStates:
+    """Slide the states along one complex segment inside the current slice.
 
-
-def initial_state(model: SliceFunctionModel, x0: float, unit: Quaternion) -> SheetState:
-    """Canonical germ over a real starting point on the principal sheet."""
-    if model.is_branched() and not model.accepts_start(x0):
-        raise BranchPoint(f"model {model.kind} cannot start at {x0}")
-    if x0 >= 0:
-        r, theta = float(x0), 0.0
-    else:
-        r, theta = -float(x0), math.pi
-    return SheetState(r=r, theta=theta, unit=unit, datum=model.initial_datum())
-
-
-def continue_segment(model: SliceFunctionModel, state: _State, seg: PathSegment) -> _State:
-    """Slide the state along one complex segment inside the current slice.
-
-    Only the track (r, theta) moves, so a `SheetStates` slides all its lifts at once.
+    Only the track (r, theta) moves, so all the lifts slide at once.
     """
-    z_here = state.complex_point
+    z_here = states.complex_point
     if abs(seg.start - z_here) > SEGMENT_START_TOL * max(1.0, abs(z_here)):
         raise ValueError(f"segment starts at {seg.start}, state sits at {z_here}")
     clearance = seg.min_distance_to_origin()
@@ -337,8 +278,8 @@ def continue_segment(model: SliceFunctionModel, state: _State, seg: PathSegment)
     if clearance <= BRANCH_TOL:
         # entire model: winding is irrelevant, restart from the principal arg
         z_end = seg.end
-        return replace(state, r=abs(z_end), theta=cmath.phase(z_end) if z_end != 0 else 0.0)
-    return replace(state, r=abs(seg.end), theta=state.theta + seg.argument_increment())
+        return replace(states, r=abs(z_end), theta=cmath.phase(z_end) if z_end != 0 else 0.0)
+    return replace(states, r=abs(seg.end), theta=states.theta + seg.argument_increment())
 
 
 def _center_plus(center: complex, t, d: np.ndarray) -> np.ndarray:
@@ -354,17 +295,18 @@ def continue_closing_lines(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every lift continued along the line from `center` to every point, as `continue_segment` does.
 
-    Returns (r, theta), each of shape (len(states), len(points)).  The states
-    sit at `center`, where every closing line starts; the caller checks that
-    once.  A point within AT_CENTER_TOL of the centre keeps the
+    Returns (r, theta), each of shape (1, len(points)): the track is the
+    same for every lift, and `derivative_values` broadcasts it against the
+    lifts.  The states sit at `center`, where every closing line starts; the
+    caller checks that once.  A point within AT_CENTER_TOL of the centre keeps the
     states as they are.  The clearance of every closing line is computed at
     once, and the first point whose line comes within BRANCH_TOL of the branch
     point raises BranchPointCrossing with that `point`.  An entire model
     restarts from the principal argument there instead.
     """
     z = np.array(points, dtype=complex).reshape(-1)
-    r = np.full((len(states), len(z)), states.r)
-    theta = np.full((len(states), len(z)), states.theta)
+    r = np.full((1, len(z)), states.r)
+    theta = np.full((1, len(z)), states.theta)
     d = z - center
     moved = np.flatnonzero(~(_mapped(abs, d) < AT_CENTER_TOL))  # written so that NaN moves, as in a per-point test
     if not len(moved):
@@ -404,7 +346,7 @@ def junction_switch(model: SliceFunctionModel, states: SheetStates, new_units: n
 
 
 def lift_values(model: SliceFunctionModel, states: SheetStates) -> np.ndarray:
-    """Every lift's value at the states' point: (L, 4), bit for bit `model.value` of each lift's state."""
+    """Every lift's value at the states' point: the (L, 4) array of (w, x, y, z)."""
     return model.derivative_values(states, np.array([[states.r]]), np.array([[states.theta]]), 0)[:, 0]
 
 
@@ -428,11 +370,15 @@ def final_states(
         raise BranchPoint(f"path must start on the real axis, got {start}")
     if x0 is not None and abs(start.real - x0) > START_TOL:
         raise ValueError(f"path starts at {start.real}, expected {x0}")
-    origin = initial_state(model, start.real, rows[0][0])
+    # the canonical germ over the real start, on the principal sheet
+    x = start.real
+    if model.is_branched() and not model.accepts_start(x):
+        raise BranchPoint(f"model {model.kind} cannot start at {x}")
+    r, theta = (float(x), 0.0) if x >= 0 else (-float(x), math.pi)
     table = np.array([[(u.w, u.x, u.y, u.z) for u in row] for row in rows], dtype=float)
-    datum = origin.datum
+    datum = model.initial_datum()
     data = None if datum is None else np.tile((datum.w, datum.x, datum.y, datum.z), (len(rows), 1))
-    states = SheetStates(r=origin.r, theta=origin.theta, units=table[:, 0], data=data)
+    states = SheetStates(r=r, theta=theta, units=table[:, 0], data=data)
     for part, seg in enumerate(path.segments):
         if part > 0:
             states = junction_switch(model, states, table[:, part])
@@ -444,18 +390,6 @@ def final_states(
     return states
 
 
-def final_state(
-    model: SliceFunctionModel,
-    path: NPartPath,
-    units: Sequence[Quaternion],
-    x0: float | None = None,
-) -> SheetState:
-    """The end state of one lift: the one-lift case of `final_states`."""
-    states = final_states(model, path, [units], x0)
-    datum = None if states.data is None else Quaternion(*states.data[0].tolist())
-    return SheetState(r=states.r, theta=states.theta, unit=units[-1], datum=datum)
-
-
 def evaluate_lifted(
     model: SliceFunctionModel,
     path: NPartPath,
@@ -463,8 +397,14 @@ def evaluate_lifted(
     x0: float | None = None,
 ) -> Quaternion:
     """Value of the continued function at the endpoint of the lifted path."""
-    return model.value(final_state(model, path, units, x0))
+    return Quaternion(*lift_values(model, final_states(model, path, [units], x0))[0].tolist())
 
 
-def germ_key(model: SliceFunctionModel, state: SheetState) -> GermKey:
-    return GermKey(point=state.projected_point, value=model.value(state))
+def germ_key(model: SliceFunctionModel, states: SheetStates) -> tuple[GermKey, ...]:
+    """One key per lift: the states' point embedded along the lift's unit, and the lift's value."""
+    z = states.complex_point
+    values = lift_values(model, states).tolist()
+    return tuple(
+        GermKey(point=embed_slice(z, Quaternion(*unit)), value=Quaternion(*value))
+        for unit, value in zip(states.units.tolist(), values)
+    )

@@ -225,12 +225,6 @@ def embed_slice(z: complex, unit: Quaternion) -> Quaternion:
     )
 
 
-def unit_exp(theta: float, unit: Quaternion) -> Quaternion:
-    """exp(theta * unit) = cos(theta) + sin(theta) * unit for a unit imaginary."""
-    c, s = math.cos(theta), math.sin(theta)
-    return Quaternion(c, s * unit.x, s * unit.y, s * unit.z)
-
-
 def random_imaginary_unit(rng: np.random.Generator) -> ImaginaryUnit:
     """Uniform sample of the unit 2-sphere via a normalised Gaussian triple."""
     while True:

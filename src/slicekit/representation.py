@@ -9,6 +9,8 @@ contraction with the target units' zeta row.
 The lifts of one path share its track, so the vectors of several unit
 matrices on one path take their value columns from one `final_states` call:
 the path is continued once and the lifts carry only their units and data.
+The extendability check reads every route's germ key and value off the same
+array path, one lift per route.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import KeysDiffer, LengthMismatch, NotIndependent, Singular
-from .monodromy import GermKey, SliceFunctionModel, final_state, final_states, germ_key, lift_values
+from .monodromy import GermKey, SliceFunctionModel, evaluate_lifted, final_states, germ_key, lift_values
 from .paths import NPartPath
 from .qmat import qmat_inverse
 from .quat import Quaternion
@@ -110,9 +112,8 @@ def extendability_check(
     keys = []
     values = []
     for path, units in reached:
-        state = final_state(equivalence_model, path, units)
-        keys.append(germ_key(equivalence_model, state))
-        values.append(model.value(final_state(model, path, units)))
+        keys.extend(germ_key(equivalence_model, final_states(equivalence_model, path, [units])))
+        values.append(evaluate_lifted(model, path, units))
     for other in keys[1:]:
         if not keys[0].isclose(other):
             raise KeysDiffer(f"germ keys disagree: {keys[0]} vs {other}", keys=(keys[0], other))

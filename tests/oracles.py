@@ -29,7 +29,7 @@ The array forms must give the same witness and the same bits.
 
 The per-point stem evaluator and the neighbour loop of the grid residual are
 references of the second kind for the batched stem code: one closing-line
-`continue_segment` per reference lift, the scalar `derivative_value` and one
+`continue_segment` per reference lift, `scalar_derivative_value` and one
 `apply_column` per point (with every term of the block product formed at
 once), and one `Quaternion` difference per grid neighbour.  The batched
 evaluator and the array residual must match them bit for bit.
@@ -39,20 +39,30 @@ whole path walked again for every lift, each slice switch solving the datum
 in `Quaternion` arithmetic.  `final_states` walks the path once and carries
 the lifts' units and data as arrays; it must give the same bits, and the
 same errors.
+
+The scalar model formulas are the closed forms of the square root, the
+logarithm and polynomials for one lift at one point, in `Quaternion`
+arithmetic: `scalar_derivative_value` of a `SheetState`, with `unit_exp` and
+the `Quaternion` Horner sum `poly_eval`.  The library writes each closed form
+once, as the array `derivative_values`; it, `lift_values`, `germ_key` and
+`evaluate_lifted` must give the bits of these formulas, and the library's
+component Horner sum `_horner` those of `poly_eval`.
 """
 
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from slicekit import calculus
 from slicekit.calculus import SliceRegularPoly
 from slicekit.errors import BranchPoint, BranchPointCrossing, LengthMismatch, NotAtRealPoint, NotIndependent
-from slicekit.monodromy import SheetState, continue_segment, initial_state
+from slicekit.monodromy import GermKey, _log_factor, _poly_derivative, _sqrt_factor, continue_segment
 from slicekit.paths import Line
 from slicekit.qmat import QuaternionMatrix, _pairs, _quaternions, qmat_inverse, qmat_rank
 from slicekit.quat import I as UNIT_I
-from slicekit.quat import Quaternion, embed_slice, quat_inverse, unit_exp
+from slicekit.quat import Quaternion, embed_slice, quat_inverse
 from slicekit.sliceunits import eta, eta_inverse, slice_matrix, unit_product
 from slicekit.stemtensor import (
     StemValue,
@@ -230,12 +240,77 @@ def per_trial_full_slice_rank_permutation(j) -> tuple[int, ...]:
     return tuple(order)
 
 
+@dataclass(frozen=True)
+class SheetState:
+    """Covering coordinates plus slice unit and sheet datum of one lift."""
+
+    r: float
+    theta: float
+    unit: Quaternion
+    datum: Quaternion | None
+
+    @property
+    def complex_point(self) -> complex:
+        return self.r * cmath.exp(1j * self.theta)
+
+    @property
+    def projected_point(self) -> Quaternion:
+        return embed_slice(self.complex_point, self.unit)
+
+
+def unit_exp(theta: float, unit: Quaternion) -> Quaternion:
+    """exp(theta * unit) = cos(theta) + sin(theta) * unit for a unit imaginary."""
+    c, s = math.cos(theta), math.sin(theta)
+    return Quaternion(c, s * unit.x, s * unit.y, s * unit.z)
+
+
+def poly_eval(coeffs, q: Quaternion) -> Quaternion:
+    """Right-coefficient Horner: a0 + q*(a1 + q*(a2 + ...))."""
+    acc = Quaternion()
+    for a in reversed(coeffs):
+        acc = q * acc + a
+    return acc
+
+
+def scalar_derivative_value(model, state: SheetState, n: int) -> Quaternion:
+    """Value of the n-th slice derivative of the model, continued to the state's sheet (n = 0: the value)."""
+    if model.kind == "sqrt":
+        coeff, power = _sqrt_factor(n)
+        radial = coeff * state.r**power
+        return radial * unit_exp(power * state.theta, state.unit) * state.datum
+    if model.kind == "log":
+        if n == 0:
+            return Quaternion(math.log(state.r)) + state.theta * state.unit + state.datum
+        coeff = _log_factor(n)
+        return coeff * state.r ** (-n) * unit_exp(-n * state.theta, state.unit)
+    return poly_eval(_poly_derivative(model.coefficients, n), state.projected_point)
+
+
+def scalar_value(model, state: SheetState) -> Quaternion:
+    return scalar_derivative_value(model, state, 0)
+
+
+def scalar_germ_key(model, state: SheetState) -> GermKey:
+    return GermKey(point=state.projected_point, value=scalar_value(model, state))
+
+
+def initial_state(model, x0: float, unit) -> SheetState:
+    """Canonical germ over a real starting point on the principal sheet."""
+    if model.is_branched() and not model.accepts_start(x0):
+        raise BranchPoint(f"model {model.kind} cannot start at {x0}")
+    if x0 >= 0:
+        r, theta = float(x0), 0.0
+    else:
+        r, theta = -float(x0), math.pi
+    return SheetState(r=r, theta=theta, unit=unit, datum=model.initial_datum())
+
+
 def per_lift_junction_switch(model, state: SheetState, new_unit) -> SheetState:
     """The slice switch of one lift: theta snapped, the datum re-solved for the value in `Quaternion` arithmetic."""
     if state.r <= BRANCH_TOL or abs(math.sin(state.theta)) > REAL_TOL:
         raise NotAtRealPoint(f"projected point {state.complex_point} is not real and nonzero")
     theta_new = 0.0 if math.cos(state.theta) > 0 else math.pi
-    value = model.value(state)
+    value = scalar_value(model, state)
     if model.kind == "sqrt":
         datum = quat_inverse(math.sqrt(state.r) * unit_exp(0.5 * theta_new, new_unit)) * value
     elif model.kind == "log":
@@ -267,8 +342,8 @@ def per_lift_final_state(model, path, units, x0=None) -> SheetState:
 
 
 def per_lift_representation_vector(model, path, j, x0=None) -> StemValue:
-    """M(J)**-1 applied to the column of `model.value` at the per-lift end states, one row of J at a time."""
-    column = tuple(model.value(per_lift_final_state(model, path, row, x0)) for row in j.rows)
+    """M(J)**-1 applied to the column of `scalar_value` at the per-lift end states, one row of J at a time."""
+    column = tuple(scalar_value(model, per_lift_final_state(model, path, row, x0)) for row in j.rows)
     return StemValue(j.N, qmat_inverse(slice_matrix(j)).apply_column(column))
 
 
@@ -285,7 +360,8 @@ def per_point_stem_family(model, path, radius):
         else:
             closing = Line(center, z)
             states = [continue_segment(model, s, closing) for s in end_states]
-        return StemValue(path.parts, block_apply_column(inverse, [model.derivative_value(s, n) for s in states]))
+        values = [scalar_derivative_value(model, s, n) for s in states]
+        return StemValue(path.parts, block_apply_column(inverse, values))
 
     return vector
 

@@ -106,8 +106,8 @@ def test_criterion_06_non_extendability():
     gamma1 = make_npart_path([half_turns(5)])
     gamma2 = make_npart_path([half_turns(4), half_turns(3)])
     log_model = monodromy.LogModel()
-    key1 = monodromy.germ_key(log_model, monodromy.final_state(log_model, gamma1, (k,)))
-    key2 = monodromy.germ_key(log_model, monodromy.final_state(log_model, gamma2, (i, j)))
+    (key1,) = monodromy.germ_key(log_model, monodromy.final_states(log_model, gamma1, [(k,)]))
+    (key2,) = monodromy.germ_key(log_model, monodromy.final_states(log_model, gamma2, [(i, j)]))
     key_dev = max(
         (key1.point - key2.point).norm(),
         (key1.value - key2.value).norm(),

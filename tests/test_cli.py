@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 import slicekit
 from slicekit.cli import SEED_ENV, build_parser, main
 from slicekit.errors import NonFiniteResult
-from slicekit.monodromy import final_states, germ_key, model_by_name
+from slicekit.monodromy import final_states, model_by_name
 from slicekit.paths import Line, NPartPath, beta_path, half_turns, make_npart_path
-from slicekit.quat import Quaternion, random_imaginary_unit
+from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
 from slicekit.sliceunits import SliceUnitMatrix, eta, random_slice_unit_matrix, unit_from_json
 
-from oracles import per_lift_final_state, per_lift_representation_vector
+from oracles import per_lift_final_state, per_lift_representation_vector, scalar_germ_key
 
 
 @pytest.fixture
@@ -195,14 +195,44 @@ def test_monodromy_matches_the_per_lift_fold(model, capsys, beta_file, rng):
         text = ";".join(json.dumps(random_imaginary_unit(rng).to_list()) for _ in range(2))
         code, out, _ = _run(capsys, ["monodromy", "--model", model, "--path", beta_file, "--units", text])
         units = [unit_from_json(json.loads(part)) for part in text.split(";")]  # as the CLI parses them
-        state = per_lift_final_state(fn, beta_path(), units)
-        key = germ_key(fn, state)
+        key = scalar_germ_key(fn, per_lift_final_state(fn, beta_path(), units))
         payload = {
-            "value": fn.value(state).to_list(),
+            "value": key.value.to_list(),
             "germ_key": {"point": key.point.to_list(), "value": key.value.to_list()},
             "parts": 2,
         }
         assert code == 0 and out == json.dumps(payload) + "\n"
+
+
+_MONODROMY_POLY = [[0.5, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -0.25], [1.0, 0.0, 0.0, 0.5], [-0.0, 0.0, 0.75, 0.0]]
+_CSV_HEADER = "value_w,value_x,value_y,value_z,point_w,point_x,point_y,point_z,parts\n"
+
+
+@pytest.mark.parametrize("parts", [2, 3], ids=["beta", "loop3"])
+@pytest.mark.parametrize("model", ["sqrt", "log", "poly"])
+def test_monodromy_output_matches_the_oracle(model, parts, capsys, tmp_path, rng):
+    # JSON, CSV and --check-analytic, each byte for byte the output built from the scalar formulas
+    up = half_turns(1)
+    path = beta_path() if parts == 2 else make_npart_path([up, up.reversed(), up])
+    path_file = tmp_path / "path.json"
+    path_file.write_text(path.to_json())
+    fn = model_by_name(model, tuple(Quaternion(*c) for c in _MONODROMY_POLY))
+    for _ in range(3):
+        text = ";".join(json.dumps(random_imaginary_unit(rng).to_list()) for _ in range(parts))
+        argv = ["monodromy", "--model", model, "--path", str(path_file), "--units", text]
+        argv += ["--coeffs", json.dumps({"coeffs": _MONODROMY_POLY})] if model == "poly" else []
+        units = [unit_from_json(json.loads(part)) for part in text.split(";")]
+        key = scalar_germ_key(fn, per_lift_final_state(fn, path, units))
+        value, point = key.value.to_list(), key.point.to_list()
+        payload = {"value": value, "germ_key": {"point": point, "value": value}, "parts": parts}
+        assert _run(capsys, argv)[:2] == (0, json.dumps(payload) + "\n")
+        row = ",".join(f"{c!r}" for c in value + point) + f",{parts}\n"
+        assert _run(capsys, argv + ["--format", "csv"])[:2] == (0, _CSV_HEADER + row)
+        if parts == 2 and model != "poly":  # the loop formula exists for the two-part loop only
+            k1, k2 = units
+            expected = quat_inverse(k2) * k1 if model == "sqrt" else math.pi * k1 - math.pi * k2
+            payload["analytic_deviation"] = (key.value - expected).norm()
+        assert _run(capsys, argv + ["--check-analytic"])[:2] == (0, json.dumps(payload) + "\n")
 
 
 def test_monodromy_one_part_counterexample(capsys, tmp_path):
@@ -295,6 +325,71 @@ def test_starprod_large_finite_product_is_printed(capsys):
     code, out, _ = _run(capsys, ["starprod", "--f", _poly_json(f), "--g", _poly_json(f)])
     assert code == 0
     assert json.loads(out)["coeffs"][16] == [17 * 2.0**1000, 0.0, 0.0, 0.0]
+
+
+_HUGE_POLY = _poly_json([[1e308, 0.0, 0.0, 0.0], [1e308, 0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_monodromy_overflow_is_domain_error(capsys, beta_file, fmt):
+    # p(q) = 1e308 + q * 1e308 at q = 1: JSON has no inf, and a CSV row of it would be no number either
+    argv = ["monodromy", "--model", "poly", "--coeffs", _HUGE_POLY, "--path", beta_file, "--units", "[1,0,0];[0,1,0]"]
+    code, out, err = _run(capsys, argv + ["--format", fmt])
+    assert (code, out, err) == (3, "", "domain error: monodromy overflowed: value is [inf, 0.0, 0.0, 0.0]\n")
+    args = build_parser().parse_args(argv + ["--check-analytic"])
+    with pytest.raises(NonFiniteResult) as caught:
+        args.fn(args)
+    assert caught.value.index == 0
+
+
+def test_repformula_overflow_is_domain_error(capsys, beta_file):
+    argv = ["repformula", "--model", "poly", "--coeffs", _HUGE_POLY, "--path", beta_file, "--units", "[1,0,0];[0,1,0]"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (3, "", "domain error: repformula overflowed: G entry 0 is [inf, nan, nan, nan]\n")
+    args = build_parser().parse_args(argv)
+    with pytest.raises(NonFiniteResult) as caught:
+        args.fn(args)
+    assert caught.value.index == 0
+
+
+def _segments_json(*segments) -> str:
+    return json.dumps({"segments": list(segments)})
+
+
+_LONG_LINE = _segments_json({"kind": "line", "from": [1, 0], "to": [2e154, 0]})  # abs(d) ** 2 overflows
+_WIDE_LINE = _segments_json({"kind": "line", "from": [1, 0], "to": [1.5e308, 1.5e308]})  # abs(d) overflows
+
+
+@pytest.mark.parametrize(
+    "path, reason",
+    [(_LONG_LINE, "Numerical result out of range"), (_WIDE_LINE, "absolute value too large")],
+    ids=["square", "abs"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["monodromy", "--model", "sqrt", "--units", "[1,0,0]"],
+        ["repformula", "--model", "log"],
+        ["stem", "--model", "sqrt"],
+    ],
+    ids=["monodromy", "repformula", "stem"],
+)
+def test_coordinates_beyond_float_arithmetic_are_domain_errors(capsys, argv, path, reason):
+    code, out, err = _run(capsys, argv + ["--path", path])
+    assert (code, out, err) == (3, "", f"domain error: input too large for float arithmetic ({reason})\n")
+
+
+def test_large_coordinates_inside_the_float_range_still_run(capsys):
+    # an arc of radius 1.5e308 keeps every intermediate finite: it runs as it always did
+    path = _segments_json({"kind": "arc", "center": [0, 0], "radius": 1.5e308, "theta0": 0, "theta1": 1})
+    code, out, _ = _run(capsys, ["monodromy", "--model", "sqrt", "--path", path, "--units", "[1,0,0]"])
+    fn = model_by_name("sqrt")
+    key = scalar_germ_key(fn, per_lift_final_state(fn, NPartPath.from_json(path), [unit_from_json([1, 0, 0])]))
+    value, point = key.value.to_list(), key.point.to_list()
+    payload = {"value": value, "germ_key": {"point": point, "value": value}, "parts": 1}
+    assert (code, out) == (0, json.dumps(payload) + "\n")
+    code, out, _ = _run(capsys, ["stem", "--model", "sqrt", "--path", path])
+    assert code == 0 and json.loads(out)["passed"]
 
 
 def test_python_dash_m_runs_the_cli():

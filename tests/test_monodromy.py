@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicekit.calculus import SliceRegularPoly
 from slicekit.errors import BranchPoint, BranchPointCrossing, LengthMismatch, NotAtRealPoint, SliceKitError
 from slicekit.monodromy import (
     LogModel,
     PolynomialModel,
-    SheetState,
     SheetStates,
     SqrtModel,
+    _horner,
     _log_factor,
     continue_closing_lines,
     continue_segment,
     evaluate_lifted,
-    final_state,
     final_states,
     germ_key,
-    initial_state,
     junction_switch,
     lift_values,
 )
@@ -27,54 +26,70 @@ from slicekit.paths import Arc, Line, NPartPath, beta_path, constant_path, half_
 from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
 from slicekit.tolerances import BRANCH_TOL
 
-from oracles import bits, per_lift_final_state
+from oracles import (
+    SheetState,
+    bits,
+    per_lift_final_state,
+    poly_eval,
+    scalar_derivative_value,
+    scalar_germ_key,
+    scalar_value,
+)
 
 PI = math.pi
 
 
+def _value(model, states: SheetStates) -> Quaternion:
+    """The value of a one-lift `SheetStates`."""
+    return Quaternion(*lift_values(model, states)[0].tolist())
+
+
+def _start(model, x0: float, unit) -> SheetStates:
+    """The one-lift states at the start of a constant path at x0: the canonical germ over it."""
+    return final_states(model, constant_path(x0), [(unit,)])
+
+
 class TestInitialState:
     def test_sqrt_at_one(self, unit_i):
-        state = initial_state(SqrtModel(), 1.0, unit_i)
-        assert (SqrtModel().value(state) - Quaternion(1)).norm() < 1e-15
+        assert (_value(SqrtModel(), _start(SqrtModel(), 1.0, unit_i)) - Quaternion(1)).norm() < 1e-15
 
     def test_log_at_one(self, unit_i):
-        state = initial_state(LogModel(), 1.0, unit_i)
-        assert LogModel().value(state).norm() < 1e-15
+        assert _value(LogModel(), _start(LogModel(), 1.0, unit_i)).norm() < 1e-15
 
     def test_branch_point_rejected(self, unit_i):
         with pytest.raises(BranchPoint):
-            initial_state(SqrtModel(), 0.0, unit_i)
+            _start(SqrtModel(), 0.0, unit_i)
         with pytest.raises(BranchPoint):
-            initial_state(LogModel(), -2.0, unit_i)
+            _start(LogModel(), -2.0, unit_i)
 
     def test_polynomial_any_real_start(self, unit_i):
         model = PolynomialModel([Quaternion(1), Quaternion(0, 0, 1, 0)])
-        state = initial_state(model, -3.0, unit_i)
+        states = _start(model, -3.0, unit_i)
+        assert (states.r, states.theta) == (3.0, PI)
         expected = Quaternion(1) + Quaternion(-3) * Quaternion(0, 0, 1, 0)
-        assert (model.value(state) - expected).norm() < 1e-14
+        assert (_value(model, states) - expected).norm() < 1e-14
 
 
 class TestContinuation:
     def test_sqrt_half_turn(self, unit_i):
         model = SqrtModel()
-        state = initial_state(model, 1.0, unit_i)
-        state = continue_segment(model, state, half_turns(1))
-        assert (model.value(state) - unit_i).norm() < 1e-12
+        states = continue_segment(model, _lifts(model, [unit_i]), half_turns(1))
+        assert (_value(model, states) - unit_i).norm() < 1e-12
 
     def test_sqrt_five_half_turns(self, rng):
         model = SqrtModel()
         unit = random_imaginary_unit(rng)
-        state = continue_segment(model, initial_state(model, 1.0, unit), half_turns(5))
-        assert (model.value(state) - unit).norm() < 1e-12
+        states = continue_segment(model, _lifts(model, [unit]), half_turns(5))
+        assert (_value(model, states) - unit).norm() < 1e-12
 
     def test_log_four_half_turns(self, unit_i):
         model = LogModel()
-        state = continue_segment(model, initial_state(model, 1.0, unit_i), half_turns(4))
-        assert (model.value(state) - 4 * PI * unit_i).norm() < 1e-12
+        states = continue_segment(model, _lifts(model, [unit_i]), half_turns(4))
+        assert (_value(model, states) - 4 * PI * unit_i).norm() < 1e-12
 
     def test_branch_point_crossing(self, unit_i):
         model = SqrtModel()
-        state = initial_state(model, 1.0, unit_i)
+        state = _lifts(model, [unit_i])
         with pytest.raises(BranchPointCrossing) as crossing:
             continue_segment(model, state, Line(1 + 0j, -1 + 0j))
         # the exception carries the measured clearance and the cut-off it missed
@@ -85,7 +100,7 @@ class TestContinuation:
 
     def test_segment_must_start_at_state(self, unit_i):
         model = SqrtModel()
-        state = initial_state(model, 1.0, unit_i)
+        state = _lifts(model, [unit_i])
         with pytest.raises(ValueError):
             continue_segment(model, state, Line(2 + 0j, 3 + 0j))
 
@@ -95,7 +110,7 @@ class TestContinuation:
             unit = random_imaginary_unit(rng)
             sweep = rng.uniform(-3 * PI, 3 * PI)
             arc = Arc(0j, 1.0, 0.0, sweep)
-            state = initial_state(model, 1.0, unit)
+            state = _lifts(model, [unit])
             out = continue_segment(model, state, arc)
             back = continue_segment(model, out, arc.reversed())
             assert abs(back.r - state.r) < 1e-10
@@ -211,8 +226,8 @@ class TestGermKeys:
         k = (4.0 * unit_i + 3.0 * unit_j) * (1.0 / 5.0)
         gamma1 = make_npart_path([half_turns(5)])
         gamma2 = make_npart_path([half_turns(4), half_turns(3)])
-        key1 = germ_key(model, final_state(model, gamma1, (k,)))
-        key2 = germ_key(model, final_state(model, gamma2, (unit_i, unit_j)))
+        (key1,) = germ_key(model, final_states(model, gamma1, [(k,)]))
+        (key2,) = germ_key(model, final_states(model, gamma2, [(unit_i, unit_j)]))
         assert (key1.point - Quaternion(-1)).norm() < 1e-9
         assert (key1.value - 5 * PI * k).norm() < 1e-9
         assert (key2.value - (4 * PI * unit_i + 3 * PI * unit_j)).norm() < 1e-9
@@ -221,8 +236,8 @@ class TestGermKeys:
     def test_keys_deterministic(self, unit_i, unit_j):
         model = LogModel()
         beta = beta_path()
-        k1 = germ_key(model, final_state(model, beta, (unit_i, unit_j)))
-        k2 = germ_key(model, final_state(model, beta, (unit_i, unit_j)))
+        (k1,) = germ_key(model, final_states(model, beta, [(unit_i, unit_j)]))
+        (k2,) = germ_key(model, final_states(model, beta, [(unit_i, unit_j)]))
         assert k1.point == k2.point and k1.value == k2.value
 
     def test_keys_ignore_trailing_constant_detour(self, rng):
@@ -231,15 +246,9 @@ class TestGermKeys:
         for _ in range(20):
             k = random_imaginary_unit(rng)
             other = random_imaginary_unit(rng)
-            direct = germ_key(model, final_state(model, make_npart_path([half_turns(1)]), (k,)))
-            detour = germ_key(
-                model,
-                final_state(
-                    model,
-                    make_npart_path([half_turns(1), Line(-1 + 0j, -1 + 0j)]),
-                    (k, other),
-                ),
-            )
+            (direct,) = germ_key(model, final_states(model, make_npart_path([half_turns(1)]), [(k,)]))
+            detour_path = make_npart_path([half_turns(1), Line(-1 + 0j, -1 + 0j)])
+            (detour,) = germ_key(model, final_states(model, detour_path, [(k, other)]))
             assert direct.isclose(detour)
             assert (direct.value - k).norm() < 1e-12
 
@@ -263,14 +272,14 @@ class TestArrayForms:
             for p in range(7):
                 datum = data and data[l]
                 moved = SheetState(r=float(r[l, p]), theta=float(theta[l, p]), unit=unit, datum=datum)
-                expected = model.derivative_value(moved, n)
+                expected = scalar_derivative_value(model, moved, n)
                 assert bits([Quaternion(*values[l, p].tolist())]) == bits([expected])
 
     @pytest.mark.parametrize("model", [SqrtModel(), LogModel()], ids=["sqrt", "log"])
     def test_high_orders_give_non_finite_components(self, unit_i, model):
         # the factorial-sized coefficient leaves the floats (log from n = 172, sqrt from n = 173): inf and nan
         state = SheetState(r=1.5, theta=0.7, unit=unit_i, datum=model.initial_datum())
-        scalar = model.derivative_value(state, 200)
+        scalar = scalar_derivative_value(model, state, 200)
         with np.errstate(invalid="ignore"):
             values = model.derivative_values(_lifts(model, [unit_i]), np.array([[1.5]]), np.array([[0.7]]), 200)
         assert not all(map(math.isfinite, (scalar.w, scalar.x, scalar.y, scalar.z)))
@@ -283,11 +292,13 @@ class TestArrayForms:
         center = path.endpoint
         points = [center, center + 1e-16j] + [complex(*rng.uniform(-0.9, 0.9, 2)) + center for _ in range(20)]
         r, theta = continue_closing_lines(model, final_states(model, path, rows), center, points)
-        for l, row in enumerate(rows):
+        # one track for all the lifts: every lift's own fold lands on the single row
+        assert r.shape == theta.shape == (1, len(points))
+        for row in rows:
             state = per_lift_final_state(model, path, row)
             for p, z in enumerate(points):
                 moved = state if abs(z - center) < 1e-15 else continue_segment(model, state, Line(center, z))
-                assert (r[l, p].hex(), theta[l, p].hex()) == (moved.r.hex(), moved.theta.hex())
+                assert (r[0, p].hex(), theta[0, p].hex()) == (moved.r.hex(), moved.theta.hex())
 
     def test_closing_line_crossing_names_the_first_point(self, unit_i):
         model = SqrtModel()
@@ -344,6 +355,47 @@ def _raised(call) -> tuple | None:
     return None
 
 
+class TestScalarFormulas:
+    """`derivative_values` against the oracle's one-lift, one-point closed forms, bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["sqrt", "log", "poly"]),
+        lifts=st.integers(1, 4),
+        n=st.sampled_from([0, 1, 2, 3, 200]),
+        track=st.lists(st.tuples(st.floats(0.05, 3.0), st.floats(-9.0, 9.0)), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_derivative_values_match_the_scalar_formulas(self, kind, lifts, n, track, seed):
+        rng = np.random.default_rng(seed)
+        model = _random_model(kind, rng)
+        units = [random_imaginary_unit(rng) for _ in range(lifts)]
+        data = None if model.datum_kind == "none" else [Quaternion(*rng.uniform(-2, 2, 4)) for _ in range(lifts)]
+        states = SheetStates(r=1.0, theta=0.0, units=_components(units), data=data and _components(data))
+        # one (1, P) track shared by the lifts, as the closing lines give it
+        r, theta = np.array([[x for x, _ in track]]), np.array([[t for _, t in track]])
+        with np.errstate(over="ignore", invalid="ignore"):  # order 200 leaves the floats for sqrt and log
+            values = model.derivative_values(states, r, theta, n)
+        assert values.shape == (lifts, len(track), 4)
+        for l, unit in enumerate(units):
+            for p, (x, t) in enumerate(track):
+                moved = SheetState(r=x, theta=t, unit=unit, datum=data and data[l])
+                assert bits([Quaternion(*values[l, p].tolist())]) == bits([scalar_derivative_value(model, moved, n)])
+
+    def test_horner_matches_the_quaternion_horner(self, rng):
+        for degree in range(9):
+            coeffs = [Quaternion(*rng.uniform(-2, 2, 4)) for _ in range(degree + 1)]
+            points = [Quaternion(*rng.uniform(-1.5, 1.5, 4)) for _ in range(6)] + [Quaternion(-0.0, 0.0, -0.0, 0.0)]
+            expected = bits([poly_eval(coeffs, q) for q in points])
+            # floats, one point at a time, and arrays of all the points at once
+            assert bits([Quaternion(*_horner(coeffs, (q.w, q.x, q.y, q.z))) for q in points]) == expected
+            table = np.array([(q.w, q.x, q.y, q.z) for q in points])
+            columns = np.stack(_horner(coeffs, tuple(table.T)), axis=-1)
+            assert bits([Quaternion(*q) for q in columns.tolist()]) == expected
+            assert bits([SliceRegularPoly(tuple(coeffs))(q) for q in points]) == expected
+        assert bits([Quaternion(*_horner([], (1.0, 2.0, 3.0, 4.0)))]) == bits([poly_eval([], Quaternion(1, 2, 3, 4))])
+
+
 class TestFinalStates:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -359,13 +411,18 @@ class TestFinalStates:
         rows = [tuple(random_imaginary_unit(rng) for _ in range(n)) for _ in range(lifts)]
         states = final_states(model, path, rows)
         assert len(states) == lifts
+        values, keys = lift_values(model, states), germ_key(model, states)
         for l, row in enumerate(rows):
-            expected = _state_bits(per_lift_final_state(model, path, row))
+            fold = per_lift_final_state(model, path, row)
             datum = None if states.data is None else Quaternion(*states.data[l].tolist())
             lift = SheetState(states.r, states.theta, Quaternion(*states.units[l].tolist()), datum)
-            assert _state_bits(lift) == expected
-            one = final_state(model, path, row)
-            assert one.unit is row[-1] and _state_bits(one) == expected
+            assert _state_bits(lift) == _state_bits(fold)
+            # the array readings of the end states give the scalar formulas' bits
+            expected = bits([scalar_value(model, fold)])
+            assert bits([Quaternion(*values[l].tolist())]) == expected
+            assert bits([evaluate_lifted(model, path, row)]) == expected
+            key = scalar_germ_key(model, fold)
+            assert bits([keys[l].point, keys[l].value]) == bits([key.point, key.value])
 
     @pytest.mark.parametrize("kind", ["sqrt", "log", "poly"])
     def test_errors_match_the_per_lift_fold(self, rng, kind):
@@ -401,7 +458,7 @@ class TestFinalStates:
 def test_final_state_crossing_carries_the_segment(unit_i):
     path = make_npart_path([half_turns(1), Line(-1 + 0j, 1 + 0j)])
     with pytest.raises(BranchPointCrossing) as crossing:
-        final_state(SqrtModel(), path, (unit_i, unit_i))
+        final_states(SqrtModel(), path, [(unit_i, unit_i)])
     assert crossing.value.segment == 1
     assert (crossing.value.clearance, crossing.value.tolerance) == (0.0, BRANCH_TOL)
     assert str(crossing.value) == "segment passes within 0 of the branch point"

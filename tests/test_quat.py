@@ -14,10 +14,9 @@ from slicekit.quat import (
     hamilton_product,
     quat_inverse,
     random_imaginary_unit,
-    unit_exp,
 )
 
-from oracles import bits, sparse_quaternions
+from oracles import bits, sparse_quaternions, unit_exp
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)

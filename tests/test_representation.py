@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicekit.errors import KeysDiffer, LengthMismatch, NotIndependent
-from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_lifted, final_state, germ_key
+from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_lifted
 from slicekit.paths import beta_path, constant_path, half_turns, make_npart_path
 from slicekit.qmat import qmat_inverse
 from slicekit.quat import I as UNIT_I
@@ -19,6 +19,8 @@ from slicekit.representation import (
 )
 from slicekit.sliceunits import SliceUnitMatrix, eta, eta_inverse, random_slice_unit_matrix, slice_matrix
 from slicekit.tolerances import RANK_CUTOFF
+
+from oracles import per_lift_final_state, scalar_germ_key
 
 PI = math.pi
 
@@ -217,5 +219,6 @@ class TestExtendability:
         with pytest.raises(KeysDiffer) as differ:
             extendability_check(SqrtModel(), [route1, other], LogModel())
         model = LogModel()
-        expected = tuple(germ_key(model, final_state(model, path, units)) for path, units in (route1, other))
+        routes = (route1, other)
+        expected = tuple(scalar_germ_key(model, per_lift_final_state(model, path, units)) for path, units in routes)
         assert differ.value.keys == expected

@@ -10,7 +10,7 @@ from slicekit.errors import (
     LengthMismatch,
     OutOfDomain,
 )
-from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, continue_segment, final_state
+from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, continue_segment, final_states, lift_values
 from slicekit.paths import Line, beta_path, constant_path, half_turns, make_npart_path
 from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
@@ -34,7 +34,14 @@ from slicekit.stems import (
 )
 from slicekit.tolerances import BRANCH_TOL, FD_STEP
 
-from oracles import bits, grid_cr_residual_loop, per_point_stem_family
+from oracles import (
+    bits,
+    grid_cr_residual_loop,
+    per_lift_final_state,
+    per_point_stem_family,
+    scalar_derivative_value,
+    scalar_value,
+)
 
 PI = math.pi
 
@@ -78,12 +85,13 @@ class TestStemFromSlice:
         ids=["sqrt", "log", "poly"],
     )
     def test_zeroth_derivative_is_value_exactly(self, model):
-        # the stem evaluator is the n = 0 case of the derivative family
+        # the stem evaluator is the n = 0 case of the derivative family: the lifts' values are its order 0
         up = half_turns(1)
         for path in (beta_path(), make_npart_path([up, up.reversed(), up])):
-            for row in eta(path.parts, UNIT_I).rows:
-                state = final_state(model, path, row)
-                assert model.derivative_value(state, 0) == model.value(state)
+            rows = eta(path.parts, UNIT_I).rows
+            for row, value in zip(rows, lift_values(model, final_states(model, path, rows)).tolist()):
+                state = per_lift_final_state(model, path, row)
+                assert Quaternion(*value) == scalar_derivative_value(model, state, 0) == scalar_value(model, state)
 
 
 class TestSliceFromStem:
@@ -458,8 +466,8 @@ class TestBatchedEvaluator:
         with pytest.raises(BranchPointCrossing) as crossing:
             stem.sample_grid()
         with pytest.raises(BranchPointCrossing) as scalar:
-            state = final_state(SqrtModel(), beta_path(), eta(2, UNIT_I).rows[0])
-            continue_segment(SqrtModel(), state, Line(stem.center, rim))
+            states = final_states(SqrtModel(), beta_path(), [eta(2, UNIT_I).rows[0]])
+            continue_segment(SqrtModel(), states, Line(stem.center, rim))
         assert 0.0 < abs(stem.center) - radius <= BRANCH_TOL
         assert crossing.value.point == rim
         assert (crossing.value.clearance, crossing.value.tolerance) == (scalar.value.clearance, BRANCH_TOL)
