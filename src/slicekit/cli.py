@@ -193,9 +193,12 @@ def cmd_stem(args) -> int:
         anchors.append((f"path{idx}" if len(args.path) > 1 else "path", _parse_path(path_arg)))
     extra = tuple(float(t) for t in args.extra_truncations.split(",") if t) if args.extra_truncations else ()
     system = build_stem_system(model, anchors, radius=args.radius, extra_truncations=extra)
-    report = validate_stem_system(system)
-    if args.out:
-        Path(args.out).write_text(system_to_json(system))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below, as NonFiniteResult
+        report = validate_stem_system(system)
+        conditions = report.conditions
+        _require_finite("stem", [[c.worst] for c in conditions], lambda k: f"{conditions[k].name} worst")
+        if args.out:
+            Path(args.out).write_text(system_to_json(system))  # a non-finite grid raises before the file is opened
     print(json.dumps(report.to_dict()))
     return 0 if report.passed else 1
 

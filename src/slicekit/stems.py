@@ -16,6 +16,12 @@ and one stacked product with the inverse reference matrix.  Values are
 (P, 2**N, 4) arrays of quaternion components, bit for bit the values a point
 by point evaluation gives; the export grid and every probe list of the
 validator go through one call.
+
+A grid-backed stem (a JSON reload) is one read-only float64 array of shape
+(n_r, n_a, 2**N, 4).  Interpolation gathers the four corners of every point
+from it at once, and the grid CR residual differences it in place; no
+`Quaternion` is built.  `grid_samples`, the nested `Quaternion` tuples of
+the grid, is a view built on read.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BranchPointCrossing, IncompatibleSupports, OutOfDomain
+from .errors import BranchPointCrossing, IncompatibleSupports, NonFiniteResult, OutOfDomain
 from .monodromy import SliceFunctionModel, continue_closing_lines, continue_segment, final_states
 from .paths import Line, NPartPath, _json_number, segment_from_json_obj
 from .quat import I as UNIT_I
@@ -60,7 +66,7 @@ def _max_norms(values: np.ndarray) -> list[float]:
     return np.sqrt(w * w + x * x + y * y + z * z).max(axis=-1).ravel().tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledStem:
     """Stem function on a disk: a batched evaluator or a polar grid.
 
@@ -68,8 +74,10 @@ class SampledStem:
     finite differencing honest.  Their evaluator takes a list of P disk points
     and returns the (P, 2**N, 4) array of the stem values' quaternion
     components, so a grid or a probe list costs one call; `at` is its one-point
-    case.  Grid-backed stems (JSON round trips) interpolate bilinearly in
-    polar coordinates.
+    case.  Grid-backed stems (JSON round trips) store their grid once, as the
+    read-only float64 array `samples` of shape (n_r, n_a, 2**N, 4) whose first
+    two axes are `grid`, and interpolate bilinearly in polar coordinates.
+    Stems compare by identity.
     """
 
     N: int
@@ -77,7 +85,23 @@ class SampledStem:
     radius: float
     evaluator: Callable[[list[complex]], np.ndarray] | None = None
     grid: tuple[int, int] = DEFAULT_GRID
-    grid_samples: tuple | None = field(default=None, repr=False)
+    samples: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.samples is not None:
+            samples = np.array(self.samples, dtype=np.float64, order="C")  # a copy: no caller holds a writeable alias
+            if samples.ndim != 4 or samples.shape[2:] != (1 << self.N, 4):
+                raise ValueError(f"stem grid must have shape (n_r, n_a, {1 << self.N}, 4), got {samples.shape}")
+            samples.setflags(write=False)
+            object.__setattr__(self, "samples", samples)
+            object.__setattr__(self, "grid", samples.shape[:2])
+
+    @property
+    def grid_samples(self) -> tuple | None:
+        """The grid as rows of `Quaternion` columns, built from `samples` on every read; None without a grid."""
+        if self.samples is None:
+            return None
+        return tuple(tuple(tuple(Quaternion(*q) for q in col) for col in row) for row in self.samples.tolist())
 
     def values(self, points: Sequence[complex]) -> np.ndarray:
         """Stem values at the disk points: the (P, 2**N, 4) array of their (w, x, y, z)."""
@@ -88,7 +112,7 @@ class SampledStem:
                 raise OutOfDomain(f"{z} outside disk of radius {self.radius} at {self.center}")
         if self.evaluator is not None:
             return self.evaluator(points)
-        return _components([self._interpolate(z) for z in points], self.N)
+        return self._interpolate(points)
 
     def at(self, z: complex) -> StemValue:
         """Stem value at one disk point."""
@@ -101,7 +125,7 @@ class SampledStem:
             columns = _stem_values(self.values(points), self.N)
             return _components([transform(z, v) for z, v in zip(points, columns)], self.N)
 
-        return replace(self, evaluator=evaluator, grid_samples=None)
+        return replace(self, evaluator=evaluator, samples=None)
 
     # -- grid support -------------------------------------------------------
 
@@ -112,27 +136,31 @@ class SampledStem:
         points = [self.center + self.radius * k / (n_r - 1) * w for k in range(n_r) for w in directions]
         return self.values(points).reshape(n_r, n_a, 1 << self.N, 4)
 
-    def _interpolate(self, z: complex) -> StemValue:
-        if self.grid_samples is None:
+    def _interpolate(self, points: list[complex]) -> np.ndarray:
+        """Bilinear polar interpolation of the grid at the points: one gather of the four corners.
+
+        Indices and weights are the per-point Python float operations, and the
+        sum starts at +0.0 and adds corner * weight corner by corner, so every
+        value is bit for bit the `StemValue` sum of the four scaled corners.
+        """
+        if self.samples is None:
             raise OutOfDomain("grid-backed stem has no samples")
         n_r, n_a = self.grid
-        w = z - self.center
-        r = abs(w)
-        phi = math.atan2(w.imag, w.real) % (2 * math.pi)
-        rs = min(r / self.radius * (n_r - 1), n_r - 1 - 1e-12)  # keeps the rim inside the last grid cell
-        ps = phi / (2 * math.pi) * n_a
-        k, fr = int(rs), rs - int(rs)
-        l, fp = int(ps) % n_a, ps - int(ps)
-        l2 = (l + 1) % n_a
-        corners = [
-            (self.grid_samples[k][l], (1 - fr) * (1 - fp)),
-            (self.grid_samples[k][l2], (1 - fr) * fp),
-            (self.grid_samples[min(k + 1, n_r - 1)][l], fr * (1 - fp)),
-            (self.grid_samples[min(k + 1, n_r - 1)][l2], fr * fp),
-        ]
-        out = StemValue(self.N, (Quaternion(),) * (1 << self.N))
-        for col, weight in corners:
-            out = out + StemValue(self.N, col).scale(weight)
+        index, weights = [], []  # per point: the corners' (k, k2, l, l2) and their four weights
+        for z in points:
+            w = z - self.center
+            r = abs(w)
+            phi = math.atan2(w.imag, w.real) % (2 * math.pi)
+            rs = min(r / self.radius * (n_r - 1), n_r - 1 - 1e-12)  # keeps the rim inside the last grid cell
+            ps = phi / (2 * math.pi) * n_a
+            k, fr = int(rs), rs - int(rs)
+            l, fp = int(ps) % n_a, ps - int(ps)
+            index.append((k, min(k + 1, n_r - 1), l, (l + 1) % n_a))
+            weights.append(((1 - fr) * (1 - fp), (1 - fr) * fp, fr * (1 - fp), fr * fp))
+        k, k2, l, l2 = np.array(index, dtype=np.intp).reshape(-1, 4).T
+        out = np.zeros((len(points), 1 << self.N, 4))
+        for rows, cols, weight in zip((k, k, k2, k2), (l, l2, l, l2), np.array(weights).reshape(-1, 4).T):
+            out = out + self.samples[rows, cols] * weight[:, None, None]
         return out
 
 
@@ -206,7 +234,7 @@ def _grid_cr_residual(stem: SampledStem) -> float:
     residual is NaN.
     """
     n_r, n_a = stem.grid
-    samples = np.array([[[(q.w, q.x, q.y, q.z) for q in col] for col in row] for row in stem.grid_samples], dtype=float)
+    samples = stem.samples
     dr = stem.radius / (n_r - 1)
     dphi = 2 * math.pi / n_a
     r = np.array([dr * k for k in range(1, n_r - 1)])[:, None, None, None]
@@ -486,7 +514,7 @@ def _combine(s1: StemSystem, s2: StemSystem, op, name: str) -> StemSystem:
         a, b = e1.stem, e2.stem
         if (a.N, a.center, a.radius) != (b.N, b.center, b.radius):
             raise IncompatibleSupports(f"{e1.label}: disks differ")
-        combined = replace(a, evaluator=_pointwise(op, a, b), grid_samples=None)
+        combined = replace(a, evaluator=_pointwise(op, a, b), samples=None)
         entries.append(replace(e1, stem=combined))
     return replace(s1, entries=tuple(entries))
 
@@ -511,24 +539,28 @@ def stem_star(s1: StemSystem, s2: StemSystem) -> StemSystem:
 
 
 def system_to_json(system: StemSystem) -> str:
+    """The system as JSON, every stem as its polar grid; a grid holding inf or NaN raises NonFiniteResult."""
     paths = []
     radii = []
     samples = []
-    for e in system.entries:
+    for index, e in enumerate(system.entries):
         obj = json.loads(e.path.to_json())
         obj.update({"label": e.label, "anchor": e.anchor, "t": e.t, "closed": e.closed})
         paths.append(obj)
         radii.append(e.stem.radius)
-        samples.append(e.stem.sample_grid().tolist())
+        grid = e.stem.sample_grid()
+        if not np.isfinite(grid).all():
+            raise NonFiniteResult(f"stem grid of {e.label} overflowed", index=index)
+        samples.append(grid.tolist())
     return json.dumps({"x0": system.x0, "paths": paths, "radii": radii, "samples": samples})
 
 
-def _json_grid(sample, n: int) -> tuple:
-    """Grid rows of Quaternion columns from a JSON grid; anything but a proper grid is a ValueError.
+def _json_grid(sample, n: int) -> np.ndarray:
+    """The float64 array of a JSON grid; anything but a proper grid is a ValueError.
 
     A proper grid is a rectangle of at least 3 radii by 3 angles, the fewest
     with a central difference, whose columns hold 2**n entries of four finite
-    numbers.
+    numbers.  An integer entry gives the float that `float` gives it.
     """
     try:
         grid = np.array(sample)
@@ -537,7 +569,7 @@ def _json_grid(sample, n: int) -> tuple:
     shaped = grid.ndim == 4 and min(grid.shape[:2]) >= 3 and grid.shape[2:] == (1 << n, 4)
     if not (shaped and grid.dtype.kind in "fi" and np.isfinite(grid).all()):  # kind: numbers, not strings or null
         raise ValueError(f"stem grid must hold at least 3 x 3 columns of {1 << n} finite [w, x, y, z] entries")
-    return tuple(tuple(tuple(Quaternion(*q) for q in col) for col in row) for row in sample)
+    return grid.astype(np.float64, copy=False)
 
 
 def system_from_json(text: str) -> StemSystem:
@@ -564,15 +596,7 @@ def system_from_json(text: str) -> StemSystem:
         _json_number(obj.get("t"))
         if not _json_number(radius) > 0.0:
             raise ValueError(f"stem radius must be a finite positive number, got {radius!r}")
-        grid_rows = _json_grid(sample, path.parts)
-        stem = SampledStem(
-            N=path.parts,
-            center=path.endpoint,
-            radius=radius,
-            evaluator=None,
-            grid=(len(grid_rows), len(grid_rows[0])),
-            grid_samples=grid_rows,
-        )
+        stem = SampledStem(N=path.parts, center=path.endpoint, radius=radius, samples=_json_grid(sample, path.parts))
         entries.append(StemEntry(obj["label"], obj["anchor"], obj["t"], obj["closed"], path, stem))
         if obj["anchor"] not in anchors:
             anchors.append(obj["anchor"])

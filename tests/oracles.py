@@ -32,7 +32,10 @@ references of the second kind for the batched stem code: one closing-line
 `continue_segment` per reference lift, `scalar_derivative_value` and one
 `apply_column` per point (with every term of the block product formed at
 once), and one `Quaternion` difference per grid neighbour.  The batched
-evaluator and the array residual must match them bit for bit.
+evaluator and the array residual must match them bit for bit.  The
+interpolation loop is the grid stem's evaluation as it was before the grid
+became one array: four `StemValue` corners per point, scaled and summed from
+a zero column.  The one-gather interpolation must give the same bits.
 
 The per-lift fold is the continuation as one `SheetState` per lift: the
 whole path walked again for every lift, each slice switch solving the datum
@@ -386,6 +389,33 @@ def grid_cr_residual_loop(stem) -> float:
             sigma_fy = apply_real_matrix(sigma, StemValue(stem.N, fy)).entries
             worst = nan_max([worst] + [(a + b).norm() for a, b in zip(fx, sigma_fy)])
     return worst
+
+
+def interpolate_loop(stem, points) -> list[StemValue]:
+    """Bilinear polar interpolation of a grid-backed stem, one point and one `StemValue` corner at a time."""
+    grid_samples = stem.grid_samples  # built once: the property builds the tuples on every read
+    out_values = []
+    for z in points:
+        n_r, n_a = stem.grid
+        w = z - stem.center
+        r = abs(w)
+        phi = math.atan2(w.imag, w.real) % (2 * math.pi)
+        rs = min(r / stem.radius * (n_r - 1), n_r - 1 - 1e-12)  # keeps the rim inside the last grid cell
+        ps = phi / (2 * math.pi) * n_a
+        k, fr = int(rs), rs - int(rs)
+        l, fp = int(ps) % n_a, ps - int(ps)
+        l2 = (l + 1) % n_a
+        corners = [
+            (grid_samples[k][l], (1 - fr) * (1 - fp)),
+            (grid_samples[k][l2], (1 - fr) * fp),
+            (grid_samples[min(k + 1, n_r - 1)][l], fr * (1 - fp)),
+            (grid_samples[min(k + 1, n_r - 1)][l2], fr * fp),
+        ]
+        out = StemValue(stem.N, (Quaternion(),) * (1 << stem.N))
+        for col, weight in corners:
+            out = out + StemValue(stem.N, col).scale(weight)
+        out_values.append(out)
+    return out_values
 
 
 def sparse_quaternions(count: int, rng: np.random.Generator) -> list[Quaternion]:

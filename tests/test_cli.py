@@ -352,6 +352,25 @@ def test_repformula_overflow_is_domain_error(capsys, beta_file):
     assert caught.value.index == 0
 
 
+def test_stem_overflow_is_domain_error(capsys, beta_file):
+    # p(q) = 1e308 + q * 1e308: the report's worst values overflow to NaN and inf, which JSON cannot carry
+    argv = ["stem", "--model", "poly", "--coeffs", _HUGE_POLY, "--path", beta_file]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (3, "", "domain error: stem overflowed: holomorphy worst is [nan]\n")
+    args = build_parser().parse_args(argv)
+    with pytest.raises(NonFiniteResult) as caught:
+        args.fn(args)
+    assert caught.value.index == 0
+
+
+def test_stem_overflow_writes_no_file(capsys, beta_file, tmp_path):
+    out_file = tmp_path / "system.json"
+    argv = ["stem", "--model", "poly", "--coeffs", _HUGE_POLY, "--path", beta_file, "--out", str(out_file)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (3, "", "domain error: stem overflowed: holomorphy worst is [nan]\n")
+    assert not out_file.exists()
+
+
 def _segments_json(*segments) -> str:
     return json.dumps({"segments": list(segments)})
 

@@ -2,12 +2,14 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from slicekit.errors import (
     BranchPointCrossing,
     IncompatibleSupports,
     LengthMismatch,
+    NonFiniteResult,
     OutOfDomain,
 )
 from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, continue_segment, final_states, lift_values
@@ -32,11 +34,12 @@ from slicekit.stems import (
     truncation_lattice,
     validate_stem_system,
 )
-from slicekit.tolerances import BRANCH_TOL, FD_STEP
+from slicekit.tolerances import BRANCH_TOL, DISK_RIM_TOL, FD_STEP
 
 from oracles import (
     bits,
     grid_cr_residual_loop,
+    interpolate_loop,
     per_lift_final_state,
     per_point_stem_family,
     scalar_derivative_value,
@@ -256,11 +259,9 @@ class TestValidator:
     def test_nan_grid_sample_fails_holomorphy(self):
         system = system_from_json(system_to_json(_sqrt_system()))
         stem = system.entry("beta[2/2-]").stem
-        rows = [list(row) for row in stem.grid_samples]
-        column = list(rows[5][3])
-        column[1] = Quaternion(math.nan)
-        rows[5][3] = tuple(column)
-        poisoned = replace(stem, grid_samples=tuple(tuple(row) for row in rows))
+        samples = stem.samples.copy()
+        samples[5, 3, 1] = (math.nan, 0.0, 0.0, 0.0)
+        poisoned = replace(stem, samples=samples)
         assert validate_stem_system(system).condition("holomorphy").passed
         holomorphy = validate_stem_system(system.with_stem("beta[2/2-]", poisoned)).condition("holomorphy")
         assert not holomorphy.passed
@@ -495,12 +496,167 @@ class TestGridResidual:
     def test_nan_sample_poisons_both(self):
         restored = system_from_json(system_to_json(_sqrt_system()))
         stem = restored.entry("beta[2/2-]").stem
-        rows = [list(row) for row in stem.grid_samples]
-        column = list(rows[5][3])
-        column[1] = Quaternion(math.nan)
-        rows[5][3] = tuple(column)
-        poisoned = replace(stem, grid_samples=tuple(tuple(row) for row in rows))
+        samples = stem.samples.copy()
+        samples[5, 3, 1] = (math.nan, 0.0, 0.0, 0.0)
+        poisoned = replace(stem, samples=samples)
         assert math.isnan(_grid_cr_residual(poisoned)) and math.isnan(grid_cr_residual_loop(poisoned))
+
+
+def _grid_stem(name: str, path_name: str, grid: tuple[int, int]) -> SampledStem:
+    """The grid-backed stem a reload gives for one closed-form stem of radius 0.8."""
+    path = beta_path() if path_name == "beta" else _loop3()
+    stem = stem_from_slice(_MODELS[name], path, 0.8, grid=grid)
+    return SampledStem(N=stem.N, center=stem.center, radius=stem.radius, samples=stem.sample_grid())
+
+
+def _interpolation_points(stem: SampledStem) -> list[complex]:
+    """The centre, rim points on the clamp, angles on both sides of the wrap, every grid node and interior points."""
+    n_r, n_a = stem.grid
+    c, radius = stem.center, stem.radius
+    rim = radius * (1 + DISK_RIM_TOL)
+    points = [c, c + rim, c - rim, c + rim * 1j, c + rim * complex(math.cos(2.5), math.sin(2.5))]
+    wrap = 2 * math.pi / n_a
+    for frac in (0.2, 0.55, 1.0):  # the last sector: l = n_a - 1 and l2 = 0
+        for phi in (-1e-9, -0.5 * wrap, -0.999 * wrap, 2 * math.pi - 0.25 * wrap):
+            points.append(c + frac * radius * complex(math.cos(phi), math.sin(phi)))
+    points.append(complex(c.real + 0.3 * radius, -0.0))  # phi = atan2(-0.0, x) = -0.0
+    for k in range(n_r):
+        for l in range(n_a):
+            phi = 2 * math.pi * l / n_a
+            points.append(c + radius * k / (n_r - 1) * complex(math.cos(phi), math.sin(phi)))
+    for frac, phi in ((0.13, 0.7), (0.41, 2.2), (0.77, 3.9), (0.93, 5.1), (0.999, 6.0)):
+        points.append(c + frac * radius * complex(math.cos(phi), math.sin(phi)))
+    return points
+
+
+def _hex(values: np.ndarray) -> list[str]:
+    return [float(v).hex() for v in values.ravel()]
+
+
+class TestInterpolation:
+    @pytest.mark.parametrize("name", sorted(_MODELS))
+    @pytest.mark.parametrize("path_name", ["beta", "loop3"])
+    @pytest.mark.parametrize("grid", [(17, 64), (9, 24)])
+    def test_gather_matches_the_corner_loop_bit_for_bit(self, name, path_name, grid):
+        stem = _grid_stem(name, path_name, grid)
+        points = _interpolation_points(stem)
+        expected = [bits(v.entries) for v in interpolate_loop(stem, points)]
+        values = stem.values(points)
+        assert values.shape == (len(points), 1 << stem.N, 4)
+        assert [bits(v.entries) for v in _stem_values(values, stem.N)] == expected
+        assert _hex(values) == [h for column in expected for entry in column for h in entry]
+
+    @pytest.mark.parametrize("path_name", ["beta", "loop3"])
+    def test_poisoned_and_signed_zero_samples(self, path_name):
+        stem = _grid_stem("sqrt", path_name, (9, 24))
+        samples = stem.samples.copy()
+        samples[3, 5, 1] = (math.nan, 0.0, -0.0, 1.0)
+        samples[5:7, 10:12] = -0.0  # four corners of one cell, every entry -0.0: the sum from +0.0 stays +0.0
+        samples[6:8, 23, 0] = -1.0
+        samples[6:8, 0, 0] = -0.0  # a cell across the angle wrap
+        poisoned = replace(stem, samples=samples)
+        n_a = 24
+        cell = [(3, 5), (5.5, 10.5), (6.5, 23.5), (3.25, 4.75), (2.5, 5.5)]
+        points = _interpolation_points(poisoned) + [
+            poisoned.center + 0.8 * k / 8 * complex(math.cos(2 * math.pi * l / n_a), math.sin(2 * math.pi * l / n_a))
+            for k, l in cell
+        ]
+        values = poisoned.values(points)
+        expected = interpolate_loop(poisoned, points)
+        assert _hex(values) == [h for v in expected for entry in bits(v.entries) for h in entry]
+        assert np.isnan(values).any() and (np.signbit(values) & (values == 0.0)).sum() == 0
+
+    def test_empty_batch_and_no_samples(self):
+        stem = _grid_stem("log", "beta", (3, 4))
+        assert stem.values([]).shape == (0, 4, 4)
+        with pytest.raises(OutOfDomain):
+            SampledStem(N=2, center=1.0 + 0j, radius=0.5).values([1.0 + 0j])
+
+
+class TestReloadContract:
+    """The reload holds exactly what the file stores, as one frozen float64 array per stem."""
+
+    @pytest.mark.parametrize("name", ["sqrt", "log"])
+    @pytest.mark.parametrize("path_name", ["beta", "loop3"])
+    def test_reload_holds_the_file_bit_for_bit(self, name, path_name):
+        path = beta_path() if path_name == "beta" else _loop3()
+        extra = (0.25, 0.75) if path_name == "beta" else (0.5, 0.8)
+        system = build_stem_system(_MODELS[name], [(path_name, path)], radius=0.8, extra_truncations=extra)
+        text = system_to_json(system)
+        restored = system_from_json(text)
+        stored = json.loads(text)["samples"]
+        assert len(stored) == len(restored.entries)
+        for sample, entry in zip(stored, restored.entries):
+            expected = np.asarray(sample, dtype=np.float64)
+            samples = entry.stem.samples
+            assert samples.dtype == np.float64 and samples.flags.c_contiguous and not samples.flags.writeable
+            assert entry.stem.grid == expected.shape[:2] == (17, 64)
+            assert np.array_equal(samples.view(np.uint64), expected.view(np.uint64))
+            rows = np.array([[[q.to_list() for q in col] for col in row] for row in entry.stem.grid_samples])
+            assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+            with pytest.raises(ValueError):
+                samples[0, 0, 0, 0] = 1.0
+
+    def test_constructor_copies_and_freezes(self):
+        stem = _grid_stem("sqrt", "beta", (3, 4))
+        source = stem.samples.copy()
+        frozen = replace(stem, samples=source)
+        source[0, 0, 0, 0] = 7.0
+        assert frozen.samples[0, 0, 0, 0] == stem.samples[0, 0, 0, 0] and not frozen.samples.flags.writeable
+        with pytest.raises(ValueError):
+            replace(stem, samples=source[:, :, :2])
+
+    @staticmethod
+    def _document():
+        system = build_stem_system(SqrtModel(), [("beta", beta_path())], radius=0.5, grid=(3, 4))
+        return json.loads(system_to_json(system))
+
+    def test_integer_grid_reloads_as_its_float_twin(self):
+        data = self._document()
+        big = [2**53 + 1, -(2**62) - 3, 0, -7]  # the first two round on the way to float
+        data["samples"] = [
+            [[[[big[(k + l + m) % 4] + c for c in range(4)] for m in range(len(col))] for l, col in enumerate(row)]
+             for k, row in enumerate(sample)]
+            for sample in data["samples"]
+        ]  # fmt: skip
+        twin = json.loads(json.dumps(data))
+        twin["samples"] = [[[[list(map(float, q)) for q in col] for col in row] for row in g] for g in data["samples"]]
+        from_ints = system_from_json(json.dumps(data))
+        from_floats = system_from_json(json.dumps(twin))
+        for a, b in zip(from_ints.entries, from_floats.entries):
+            assert a.stem.samples.dtype == np.float64
+            assert np.array_equal(a.stem.samples.view(np.uint64), b.stem.samples.view(np.uint64))
+
+    @pytest.mark.parametrize("entry", [True, "1.0", None, 10**400])
+    def test_grid_of_non_floats_is_a_value_error(self, entry):
+        data = self._document()
+        data["samples"][0] = [[[[entry] * 4 for _ in col] for col in row] for row in data["samples"][0]]
+        with pytest.raises(ValueError):
+            system_from_json(json.dumps(data))
+
+    def test_non_finite_grid_is_not_exported(self):
+        system = system_from_json(system_to_json(_sqrt_system()))
+        stem = system.entry("beta[1/2]").stem
+        samples = stem.samples.copy()
+        samples[2, 7, 0, 3] = math.inf
+        with pytest.raises(NonFiniteResult) as caught:
+            system_to_json(system.with_stem("beta[1/2]", replace(stem, samples=samples)))
+        assert caught.value.index == system.labels().index("beta[1/2]")
+        assert "beta[1/2]" in str(caught.value)
+
+    def test_reload_and_validation_build_no_quaternion(self, monkeypatch):
+        text = system_to_json(_sqrt_system(extra=(0.25,)))
+        built = []
+        original = Quaternion.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            original(self, *args)
+
+        monkeypatch.setattr(Quaternion, "__init__", counting)
+        system = system_from_json(text)
+        validate_stem_system(system)
+        assert len(built) == 0
 
 
 class TestStemLabels:
