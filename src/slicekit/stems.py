@@ -21,7 +21,7 @@ A grid-backed stem (a JSON reload) is one read-only float64 array of shape
 (n_r, n_a, 2**N, 4).  Interpolation gathers the four corners of every point
 from it at once, and the grid CR residual differences it in place; no
 `Quaternion` is built.  `grid_samples`, the nested `Quaternion` tuples of
-the grid, is a view built on read.
+the grid, is a view built on read, and the export writes the array itself.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class SampledStem:
         points = [complex(z) for z in points]
         bound = self.radius * (1 + DISK_RIM_TOL)
         for z in points:
-            if abs(z - self.center) > bound:
+            if not abs(z - self.center) <= bound:  # written so that NaN fails too
                 raise OutOfDomain(f"{z} outside disk of radius {self.radius} at {self.center}")
         if self.evaluator is not None:
             return self.evaluator(points)
@@ -130,7 +130,13 @@ class SampledStem:
     # -- grid support -------------------------------------------------------
 
     def sample_grid(self) -> np.ndarray:
-        """Polar grid of stem values, radius 0 row included: an (n_r, n_a, 2**N, 4) array from one call."""
+        """Polar grid of stem values, radius 0 row included: an (n_r, n_a, 2**N, 4) array from one call.
+
+        A grid-backed stem gives its stored `samples`, so a reloaded system
+        exports the numbers it was read from.
+        """
+        if self.samples is not None:
+            return self.samples
         n_r, n_a = self.grid
         directions = [complex(math.cos(phi), math.sin(phi)) for phi in (2 * math.pi * l / n_a for l in range(n_a))]
         points = [self.center + self.radius * k / (n_r - 1) * w for k in range(n_r) for w in directions]
@@ -217,7 +223,7 @@ def _cr_residuals(stem: SampledStem, points: Sequence[complex]) -> list[float]:
     """`stem_cr_residual` at every point, from one call over all their neighbours."""
     points = [complex(z) for z in points]
     for z in points:
-        if abs(z - stem.center) > stem.radius - 2 * FD_STEP:
+        if not abs(z - stem.center) <= stem.radius - 2 * FD_STEP:  # written so that NaN fails too
             raise OutOfDomain(f"{z} too close to the disk rim for step {FD_STEP}")
     neighbours = [w for z in points for w in (z + FD_STEP, z - FD_STEP, z + FD_STEP * 1j, z - FD_STEP * 1j)]
     values = stem.values(neighbours).reshape(len(points), 4, 1 << stem.N, 4)
@@ -539,20 +545,27 @@ def stem_star(s1: StemSystem, s2: StemSystem) -> StemSystem:
 
 
 def system_to_json(system: StemSystem) -> str:
-    """The system as JSON, every stem as its polar grid; a grid holding inf or NaN raises NonFiniteResult."""
+    """The system as compact JSON, every stem as its polar grid; a grid holding inf or NaN raises NonFiniteResult.
+
+    orjson writes each grid array straight from its float64 buffer.  Every
+    number is spelled with its shortest round-trip digits (`1e-7`, `1e16`,
+    `-0.0`), so `json.loads` reads back the same bits.
+    """
+    import orjson  # only `stem --out` writes a system: the other commands skip this import
+
     paths = []
     radii = []
     samples = []
     for index, e in enumerate(system.entries):
-        obj = json.loads(e.path.to_json())
-        obj.update({"label": e.label, "anchor": e.anchor, "t": e.t, "closed": e.closed})
-        paths.append(obj)
+        segments = [s.to_json_obj() for s in e.path.segments]
+        paths.append({"segments": segments, "label": e.label, "anchor": e.anchor, "t": e.t, "closed": e.closed})
         radii.append(e.stem.radius)
         grid = e.stem.sample_grid()
-        if not np.isfinite(grid).all():
+        if not np.isfinite(grid).all():  # before encoding: orjson would write NaN as null
             raise NonFiniteResult(f"stem grid of {e.label} overflowed", index=index)
-        samples.append(grid.tolist())
-    return json.dumps({"x0": system.x0, "paths": paths, "radii": radii, "samples": samples})
+        samples.append(np.ascontiguousarray(grid))
+    document = {"x0": system.x0, "paths": paths, "radii": radii, "samples": samples}
+    return orjson.dumps(document, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def _json_grid(sample, n: int) -> np.ndarray:
@@ -560,11 +573,16 @@ def _json_grid(sample, n: int) -> np.ndarray:
 
     A proper grid is a rectangle of at least 3 radii by 3 angles, the fewest
     with a central difference, whose columns hold 2**n entries of four finite
-    numbers.  An integer entry gives the float that `float` gives it.
+    numbers.  An integer entry gives the float that `float` gives it, beyond
+    the int64 range too.
     """
     try:
         grid = np.array(sample)
-    except ValueError:  # ragged
+        if grid.dtype.kind in "Ou":  # an integer beyond int64 makes the array object or uint64: go leaf by leaf
+            leaves = np.array(sample, dtype=object)
+            numbers = all(type(x) in (int, float) for x in leaves.flat)  # not bool, str, None or dict
+            grid = np.array([float(x) for x in leaves.flat]).reshape(leaves.shape) if numbers else np.empty(0)
+    except (ValueError, OverflowError):  # ragged, or an integer beyond the float range
         grid = np.empty(0)
     shaped = grid.ndim == 4 and min(grid.shape[:2]) >= 3 and grid.shape[2:] == (1 << n, 4)
     if not (shaped and grid.dtype.kind in "fi" and np.isfinite(grid).all()):  # kind: numbers, not strings or null

@@ -573,6 +573,28 @@ class TestInterpolation:
             SampledStem(N=2, center=1.0 + 0j, radius=0.5).values([1.0 + 0j])
 
 
+class TestNanDiskPoint:
+    """A disk point with a NaN part is outside every disk: OutOfDomain names it."""
+
+    POINTS = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.nan, math.nan)]
+
+    @pytest.mark.parametrize("offset", POINTS)
+    def test_closed_form_stem(self, offset):
+        stem = stem_from_slice(SqrtModel(), beta_path(), radius=0.8)
+        with pytest.raises(OutOfDomain, match="nan"):
+            stem.values([stem.center, stem.center + offset])
+        with pytest.raises(OutOfDomain, match="nan"):
+            stem_cr_residual(stem, stem.center + offset)
+
+    @pytest.mark.parametrize("offset", POINTS)
+    def test_grid_stem(self, offset):
+        stem = _grid_stem("log", "beta", (9, 24))
+        with pytest.raises(OutOfDomain, match="nan"):
+            stem.values([stem.center + offset])
+        with pytest.raises(OutOfDomain, match="nan"):
+            stem_cr_residual(stem, stem.center + offset)
+
+
 class TestReloadContract:
     """The reload holds exactly what the file stores, as one frozen float64 array per stem."""
 
@@ -611,14 +633,23 @@ class TestReloadContract:
         system = build_stem_system(SqrtModel(), [("beta", beta_path())], radius=0.5, grid=(3, 4))
         return json.loads(system_to_json(system))
 
-    def test_integer_grid_reloads_as_its_float_twin(self):
+    @pytest.mark.parametrize(
+        "kind, big",
+        [
+            ("i", [2**53 + 1, -(2**62) - 3, 0, -7]),  # the first two round on the way to float
+            ("u", [2**63, 2**63 + 1, 2**63 + 2**11 + 1, 2**64 - 8]),
+            ("O", [10**30, -(10**30), 0.5, 2**64 + 1]),  # beyond every integer dtype, floats among them
+        ],
+        ids=["int64", "2**63", "10**30"],
+    )
+    def test_integer_grid_reloads_as_its_float_twin(self, kind, big):
         data = self._document()
-        big = [2**53 + 1, -(2**62) - 3, 0, -7]  # the first two round on the way to float
         data["samples"] = [
             [[[[big[(k + l + m) % 4] + c for c in range(4)] for m in range(len(col))] for l, col in enumerate(row)]
              for k, row in enumerate(sample)]
             for sample in data["samples"]
         ]  # fmt: skip
+        assert np.array(data["samples"][0]).dtype.kind == kind
         twin = json.loads(json.dumps(data))
         twin["samples"] = [[[[list(map(float, q)) for q in col] for col in row] for row in g] for g in data["samples"]]
         from_ints = system_from_json(json.dumps(data))
@@ -626,6 +657,20 @@ class TestReloadContract:
         for a, b in zip(from_ints.entries, from_floats.entries):
             assert a.stem.samples.dtype == np.float64
             assert np.array_equal(a.stem.samples.view(np.uint64), b.stem.samples.view(np.uint64))
+
+    @pytest.mark.parametrize("big", [2**63, 10**30], ids=["2**63", "10**30"])
+    @pytest.mark.parametrize(
+        "entry",
+        [True, False, "1.0", None, math.nan, math.inf, 10**400, {"w": 1}],
+        ids=["true", "false", "string", "null", "nan", "inf", "10**400", "object"],
+    )
+    def test_wide_integer_grid_still_rejects_non_numbers(self, big, entry):
+        data = self._document()
+        grid = [[[[big] * 4 for _ in col] for col in row] for row in data["samples"][0]]
+        grid[2][1][1][0] = entry  # the array is object, or uint64 with a bool among 2**63
+        data["samples"][0] = grid
+        with pytest.raises(ValueError):
+            system_from_json(json.dumps(data))
 
     @pytest.mark.parametrize("entry", [True, "1.0", None, 10**400])
     def test_grid_of_non_floats_is_a_value_error(self, entry):
@@ -657,6 +702,50 @@ class TestReloadContract:
         system = system_from_json(text)
         validate_stem_system(system)
         assert len(built) == 0
+
+
+def _strict_loads(text: str):
+    """`json.loads` that refuses NaN, Infinity and -Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestExportIsExact:
+    """The file holds every sample bit for bit, as strict JSON."""
+
+    SPECIALS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 1e16, 1e22, 1.7976931348623157e308)
+
+    @pytest.mark.parametrize("name", sorted(_MODELS))
+    @pytest.mark.parametrize("path_name", ["beta", "loop3"])
+    def test_export_holds_the_sampled_grid(self, name, path_name):
+        path = beta_path() if path_name == "beta" else _loop3()
+        system = build_stem_system(_MODELS[name], [(path_name, path)], radius=0.8, extra_truncations=(0.8,))
+        text = system_to_json(system)
+        assert isinstance(text, str)
+        stored = _strict_loads(text)["samples"]
+        assert len(stored) == len(system.entries)
+        for sample, entry in zip(stored, system.entries):
+            grid = entry.stem.sample_grid()
+            exported = np.array(sample, dtype=np.float64)
+            assert exported.shape == grid.shape and np.array_equal(exported.view(np.uint64), grid.view(np.uint64))
+
+    def test_extreme_numbers_export_and_reload_bit_for_bit(self):
+        system = system_from_json(system_to_json(_sqrt_system()))
+        values = np.array(self.SPECIALS + tuple(-x for x in self.SPECIALS))
+        for index, entry in enumerate(system.entries):
+            samples = np.roll(np.resize(values, entry.stem.samples.size), index).reshape(entry.stem.samples.shape)
+            system = system.with_stem(entry.label, replace(entry.stem, samples=samples))
+        text = system_to_json(system)
+        restored = system_from_json(text)
+        for sample, before, after in zip(_strict_loads(text)["samples"], system.entries, restored.entries):
+            expected = before.stem.samples.view(np.uint64)
+            assert np.array_equal(np.array(sample, dtype=np.float64).view(np.uint64), expected)
+            assert np.array_equal(after.stem.samples.view(np.uint64), expected)
+        assert (np.signbit(restored.entries[0].stem.samples) & (restored.entries[0].stem.samples == 0.0)).any()
+        assert system_to_json(restored) == text  # a reload exports the file it was read from
 
 
 class TestStemLabels:
