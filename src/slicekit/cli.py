@@ -5,6 +5,13 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 domain
 error (branch-point crossing and friends, a result that overflowed to inf or
 NaN, or input so large that its arithmetic leaves the float range).  Output
 is JSON by default; `monodromy` can also emit a one-row CSV table.
+
+Every JSON document is written by orjson: compact, each number in its
+shortest round-trip digits (`1e-7`, `1e16`, `-0.0`), so `json.loads` reads
+back the same float64 bits.  A payload holds Python floats, ints, bools and
+strings only.  A NaN or infinite `check` deviation is written as `null`; the
+other commands raise `NonFiniteResult` before printing.  Inputs are read with
+the stdlib `json`.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from orjson import dumps
 
 from . import checks
 from .calculus import SliceRegularPoly, regular_conjugate, star_product, symmetrization
@@ -97,11 +105,28 @@ def _build_model(args) -> SliceFunctionModel:
     return model_by_name(args.model, coeffs)
 
 
+def _seed_value(text: str) -> int:
+    """argparse type: a seed 0 <= s < 2**64, an integer the JSON output can write; else a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def _seed(args) -> int:
+    """--seed, else $SLICEKIT_SEED, else 0; a seed outside [0, 2**64) in the environment is a ValueError (exit 2)."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return _seed_value(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{SEED_ENV} {exc}") from None
 
 
 def cmd_monodromy(args) -> int:
@@ -139,7 +164,7 @@ def cmd_monodromy(args) -> int:
         print(header)
         print(row)
     else:
-        print(json.dumps(payload))
+        print(dumps(payload).decode())
     return exit_code
 
 
@@ -164,7 +189,7 @@ def cmd_repformula(args) -> int:
     size = len(payload["G"])
     rows = payload["G"] + [[deviation]] + ([payload["value"]] if units else [])
     _require_finite("repformula", rows, lambda k: f"G entry {k}" if k < size else ("invariance_dev", "value")[k - size])
-    print(json.dumps(payload))
+    print(dumps(payload).decode())
     return 1 if args.tol is not None and deviation > args.tol else 0
 
 
@@ -182,7 +207,7 @@ def cmd_starprod(args) -> int:
         raise ValueError(f"unknown op {args.op!r}")
     payload = out.to_json_obj()
     _require_finite(f"op={args.op}", payload["coeffs"], "coefficient {}".format)
-    print(json.dumps(payload))
+    print(dumps(payload).decode())
     return 0
 
 
@@ -199,14 +224,15 @@ def cmd_stem(args) -> int:
         _require_finite("stem", [[c.worst] for c in conditions], lambda k: f"{conditions[k].name} worst")
         if args.out:
             Path(args.out).write_text(system_to_json(system))  # a non-finite grid raises before the file is opened
-    print(json.dumps(report.to_dict()))
+    print(dumps(report.to_dict()).decode())
     return 0 if report.passed else 1
 
 
 def cmd_check(args) -> int:
-    results = checks.run_suite(args.suite, _seed(args))
-    if args.format == "json":
-        print(json.dumps({"seed": _seed(args), "checks": [r.to_dict() for r in results]}))
+    seed = _seed(args)
+    results = checks.run_suite(args.suite, seed)
+    if args.format == "json":  # a NaN or inf deviation is written as null
+        print(dumps({"seed": seed, "checks": [r.to_dict() for r in results]}).decode())
     else:
         for r in results:
             print(r.line())
@@ -262,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run seeded verification suites")
     p_check.add_argument(
-        "--seed", type=int, default=None, help=f"sampling seed (default ${SEED_ENV} or 0)"
+        "--seed", type=_seed_value, default=None, help=f"sampling seed in [0, 2**64) (default ${SEED_ENV} or 0)"
     )
     p_check.add_argument(
         "--suite",

@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
+from orjson import dumps
+
 from .errors import (
     DisconnectedSegments,
     LengthMismatch,
@@ -333,7 +335,7 @@ class NPartPath:
         return lift(self, units)
 
     def to_json(self) -> str:
-        return json.dumps({"segments": [s.to_json_obj() for s in self.segments]})
+        return dumps({"segments": [s.to_json_obj() for s in self.segments]}).decode()
 
     @classmethod
     def from_json(cls, text: str) -> "NPartPath":

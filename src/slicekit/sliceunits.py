@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from orjson import dumps
 
 from .errors import IndexOutOfRange, NotIndependent, ShapeMismatch
 from .paths import _json_number
@@ -101,7 +102,7 @@ class SliceUnitMatrix:
 
     def to_json(self) -> str:
         rows = [[[u.x, u.y, u.z] for u in row] for row in self.entries]
-        return json.dumps({"N": self.N, "rows": rows})
+        return dumps({"N": self.N, "rows": rows}).decode()
 
     @classmethod
     def from_json(cls, text: str) -> "SliceUnitMatrix":

@@ -26,6 +26,7 @@ the grid, is a view built on read, and the export writes the array itself.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from orjson import OPT_SERIALIZE_NUMPY, dumps
 
 from .errors import BranchPointCrossing, IncompatibleSupports, NonFiniteResult, OutOfDomain
 from .monodromy import SliceFunctionModel, continue_closing_lines, continue_segment, final_states
@@ -547,12 +549,11 @@ def stem_star(s1: StemSystem, s2: StemSystem) -> StemSystem:
 def system_to_json(system: StemSystem) -> str:
     """The system as compact JSON, every stem as its polar grid; a grid holding inf or NaN raises NonFiniteResult.
 
-    orjson writes each grid array straight from its float64 buffer.  Every
-    number is spelled with its shortest round-trip digits (`1e-7`, `1e16`,
-    `-0.0`), so `json.loads` reads back the same bits.
+    orjson, the encoder of every JSON document slicekit writes, takes each
+    grid array straight from its float64 buffer.  Every number is spelled
+    with its shortest round-trip digits (`1e-7`, `1e16`, `-0.0`), so
+    `json.loads` reads back the same bits.
     """
-    import orjson  # only `stem --out` writes a system: the other commands skip this import
-
     paths = []
     radii = []
     samples = []
@@ -565,7 +566,7 @@ def system_to_json(system: StemSystem) -> str:
             raise NonFiniteResult(f"stem grid of {e.label} overflowed", index=index)
         samples.append(np.ascontiguousarray(grid))
     document = {"x0": system.x0, "paths": paths, "radii": radii, "samples": samples}
-    return orjson.dumps(document, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    return dumps(document, option=OPT_SERIALIZE_NUMPY).decode()
 
 
 def _json_grid(sample, n: int) -> np.ndarray:
@@ -573,21 +574,24 @@ def _json_grid(sample, n: int) -> np.ndarray:
 
     A proper grid is a rectangle of at least 3 radii by 3 angles, the fewest
     with a central difference, whose columns hold 2**n entries of four finite
-    numbers.  An integer entry gives the float that `float` gives it, beyond
-    the int64 range too.
+    numbers.  Every leaf is a float or an int, never a bool, and an integer
+    gives the float that `float` gives it, beyond the int64 range too.
     """
+    shape, leaves = [], [sample]
+    for _ in range(4):  # radii, angles, entries, components: each level a list of lists of one length
+        if set(map(type, leaves)) != {list} or len(lengths := set(map(len, leaves))) != 1:
+            break
+        shape.append(lengths.pop())
+        leaves = list(itertools.chain.from_iterable(leaves))
+    numbers = len(shape) == 4 and set(map(type, leaves)) <= {float, int}  # not bool, str, None, dict or list
     try:
-        grid = np.array(sample)
-        if grid.dtype.kind in "Ou":  # an integer beyond int64 makes the array object or uint64: go leaf by leaf
-            leaves = np.array(sample, dtype=object)
-            numbers = all(type(x) in (int, float) for x in leaves.flat)  # not bool, str, None or dict
-            grid = np.array([float(x) for x in leaves.flat]).reshape(leaves.shape) if numbers else np.empty(0)
-    except (ValueError, OverflowError):  # ragged, or an integer beyond the float range
+        grid = np.array(leaves, dtype=np.float64).reshape(shape) if numbers else np.empty(0)
+    except OverflowError:  # an integer beyond the float range
         grid = np.empty(0)
-    shaped = grid.ndim == 4 and min(grid.shape[:2]) >= 3 and grid.shape[2:] == (1 << n, 4)
-    if not (shaped and grid.dtype.kind in "fi" and np.isfinite(grid).all()):  # kind: numbers, not strings or null
+    shaped = numbers and min(shape[:2]) >= 3 and shape[2:] == [1 << n, 4]
+    if not (shaped and np.isfinite(grid).all()):
         raise ValueError(f"stem grid must hold at least 3 x 3 columns of {1 << n} finite [w, x, y, z] entries")
-    return grid.astype(np.float64, copy=False)
+    return grid
 
 
 def system_from_json(text: str) -> StemSystem:

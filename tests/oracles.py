@@ -50,9 +50,13 @@ the `Quaternion` Horner sum `poly_eval`.  The library writes each closed form
 once, as the array `derivative_values`; it, `lift_values`, `germ_key` and
 `evaluate_lifted` must give the bits of these formulas, and the library's
 component Horner sum `_horner` those of `poly_eval`.
+
+`strict_loads` is the reader every JSON document slicekit writes must pass:
+the stdlib parser, refusing the `NaN` and `Infinity` that strict JSON lacks.
 """
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 
@@ -76,6 +80,15 @@ from slicekit.stemtensor import (
     sigma_matrix,
 )
 from slicekit.tolerances import AT_CENTER_TOL, BRANCH_TOL, REAL_TOL, START_TOL
+
+
+def strict_loads(text: str):
+    """`json.loads` that refuses NaN, Infinity and -Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _right_mult_matrix(v: Quaternion) -> np.ndarray:

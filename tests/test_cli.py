@@ -7,11 +7,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slicekit
+from slicekit import checks, cli
 from slicekit.cli import SEED_ENV, build_parser, main
 from slicekit.errors import NonFiniteResult
 from slicekit.monodromy import final_states, model_by_name
@@ -19,7 +22,7 @@ from slicekit.paths import Line, NPartPath, beta_path, half_turns, make_npart_pa
 from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
 from slicekit.sliceunits import SliceUnitMatrix, eta, random_slice_unit_matrix, unit_from_json
 
-from oracles import per_lift_final_state, per_lift_representation_vector, scalar_germ_key
+from oracles import per_lift_final_state, per_lift_representation_vector, scalar_germ_key, strict_loads
 
 
 @pytest.fixture
@@ -184,8 +187,8 @@ def test_repformula_computes_each_vector_once(n, model, capsys, monkeypatch, tmp
     path, j = NPartPath.from_json(path_file.read_text()), SliceUnitMatrix.from_json(j_file.read_text())
     g = per_lift_representation_vector(fn, path, j)
     deviation = (g - per_lift_representation_vector(fn, path, eta(n, Quaternion(0, 0, 1, 0)))).max_norm()
-    # float reprs round-trip exactly and tell signed zeros apart, so equal text is equal bits
-    assert out == json.dumps({"G": [q.to_list() for q in g.entries], "invariance_dev": deviation}) + "\n"
+    # shortest round-trip digits tell signed zeros apart, so equal text is equal bits
+    assert out == orjson.dumps({"G": [q.to_list() for q in g.entries], "invariance_dev": deviation}).decode() + "\n"
 
 
 @pytest.mark.parametrize("model", ["sqrt", "log"])
@@ -201,7 +204,7 @@ def test_monodromy_matches_the_per_lift_fold(model, capsys, beta_file, rng):
             "germ_key": {"point": key.point.to_list(), "value": key.value.to_list()},
             "parts": 2,
         }
-        assert code == 0 and out == json.dumps(payload) + "\n"
+        assert code == 0 and out == orjson.dumps(payload).decode() + "\n"
 
 
 _MONODROMY_POLY = [[0.5, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -0.25], [1.0, 0.0, 0.0, 0.5], [-0.0, 0.0, 0.75, 0.0]]
@@ -225,14 +228,14 @@ def test_monodromy_output_matches_the_oracle(model, parts, capsys, tmp_path, rng
         key = scalar_germ_key(fn, per_lift_final_state(fn, path, units))
         value, point = key.value.to_list(), key.point.to_list()
         payload = {"value": value, "germ_key": {"point": point, "value": value}, "parts": parts}
-        assert _run(capsys, argv)[:2] == (0, json.dumps(payload) + "\n")
+        assert _run(capsys, argv)[:2] == (0, orjson.dumps(payload).decode() + "\n")
         row = ",".join(f"{c!r}" for c in value + point) + f",{parts}\n"
         assert _run(capsys, argv + ["--format", "csv"])[:2] == (0, _CSV_HEADER + row)
         if parts == 2 and model != "poly":  # the loop formula exists for the two-part loop only
             k1, k2 = units
             expected = quat_inverse(k2) * k1 if model == "sqrt" else math.pi * k1 - math.pi * k2
             payload["analytic_deviation"] = (key.value - expected).norm()
-        assert _run(capsys, argv + ["--check-analytic"])[:2] == (0, json.dumps(payload) + "\n")
+        assert _run(capsys, argv + ["--check-analytic"])[:2] == (0, orjson.dumps(payload).decode() + "\n")
 
 
 def test_monodromy_one_part_counterexample(capsys, tmp_path):
@@ -406,7 +409,7 @@ def test_large_coordinates_inside_the_float_range_still_run(capsys):
     key = scalar_germ_key(fn, per_lift_final_state(fn, NPartPath.from_json(path), [unit_from_json([1, 0, 0])]))
     value, point = key.value.to_list(), key.point.to_list()
     payload = {"value": value, "germ_key": {"point": point, "value": value}, "parts": 1}
-    assert (code, out) == (0, json.dumps(payload) + "\n")
+    assert (code, out) == (0, orjson.dumps(payload).decode() + "\n")
     code, out, _ = _run(capsys, ["stem", "--model", "sqrt", "--path", path])
     assert code == 0 and json.loads(out)["passed"]
 
@@ -476,6 +479,84 @@ def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.delenv("SLICEKIT_SEED")
     _, explicit, _ = _run(capsys, ["check", "--suite", "ring", "--seed", "11", "--format", "json"])
     assert with_env == explicit
+
+
+def _leaves(obj, path=""):
+    """(path, value) of every leaf of a JSON document, in document order."""
+    if isinstance(obj, dict):
+        return [leaf for key, value in obj.items() for leaf in _leaves(value, f"{path}.{key}")]
+    if isinstance(obj, list):
+        return [leaf for k, value in enumerate(obj) for leaf in _leaves(value, f"{path}[{k}]")]
+    return [(path, obj)]
+
+
+def _json_commands(seed: int) -> list[list[str]]:
+    """One argv per command that prints JSON, its inputs drawn from `seed`; starprod at degree 64."""
+    rng = np.random.default_rng(seed)
+    units = ";".join(json.dumps(random_imaginary_unit(rng).to_list()) for _ in range(2))
+    j = random_slice_unit_matrix(2, rng).to_json()
+    # 65 coefficients whose magnitudes span 1e-9..1e9, so exponents are spelled
+    f, g = (_poly_json((rng.standard_normal((65, 4)) * 10.0 ** rng.integers(-9, 9, (65, 4))).tolist()) for _ in "fg")
+    return [
+        ["monodromy", "--model", "log", "--path", _BETA, "--units", units, "--check-analytic"],
+        ["repformula", "--model", "sqrt", "--path", _BETA, "--units", units, "--J", j],
+        ["starprod", "--f", f, "--g", g, "--op", "star"],
+        ["starprod", "--f", f, "--op", "conj"],
+        ["starprod", "--f", f, "--op", "sym"],
+        ["stem", "--model", "sqrt", "--path", _BETA, "--radius", repr(rng.uniform(0.5, 0.8))],
+        ["check", "--seed", str(seed), "--format", "json"],
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_printed_numbers_are_the_bits_of_the_stdlib_spelling(capsys, monkeypatch, seed):
+    # the payload each command hands the encoder, printed as orjson writes it: strict JSON whose every
+    # number parses to the float64 that `json.dumps` of the same payload parses to, signed zeros included
+    payloads = []
+    monkeypatch.setattr(cli, "dumps", lambda obj: payloads.append(obj) or orjson.dumps(obj))
+    for argv in _json_commands(seed):
+        code, out, _ = _run(capsys, argv)
+        (payload,) = payloads
+        payloads.clear()
+        assert code == 0 and out == orjson.dumps(payload).decode() + "\n"
+        assert all(type(v) in (float, int, bool, str) for _, v in _leaves(payload))  # no numpy scalar
+        printed, stdlib = _leaves(strict_loads(out)), _leaves(json.loads(json.dumps(payload)))
+        assert [(p, type(v)) for p, v in printed] == [(p, type(v)) for p, v in stdlib]
+        floats = [np.array([v for _, v in leaves if type(v) is float]) for leaves in (printed, stdlib)]
+        assert floats[0].size and np.array_equal(floats[0].view(np.uint64), floats[1].view(np.uint64))
+        assert [v for _, v in printed if type(v) is not float] == [v for _, v in stdlib if type(v) is not float]
+
+
+@pytest.mark.parametrize("deviation", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_check_deviation_is_printed_as_null(capsys, monkeypatch, deviation):
+    monkeypatch.setitem(checks.SUITES, "ring", (lambda rng: checks._result("broken", "ring", deviation, 1e-9),))
+    code, out, _ = _run(capsys, ["check", "--suite", "ring", "--seed", "3", "--format", "json"])
+    broken = {"name": "broken", "suite": "ring", "deviation": None, "tolerance": 1e-9, "passed": False}
+    assert (code, strict_loads(out)) == (1, {"seed": 3, "checks": [broken]})
+    code, out, _ = _run(capsys, ["check", "--suite", "ring", "--seed", "3"])
+    assert (code, out) == (1, f"FAIL  broken  deviation={deviation:.3e}  tolerance=1.0e-09\n")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(10**30), "1.5", "abc", ""])
+def test_seed_outside_the_printable_range_is_a_usage_error(capsys, seed):
+    code, out, err = _run(capsys, ["check", "--suite", "ring", "--format", "json", f"--seed={seed}"])
+    assert (code, out) == (2, "")
+    assert f"argument --seed: must be an integer in [0, 2**64), got {seed!r}" in err
+
+
+@pytest.mark.parametrize("seed", ["abc", str(2**64), "-1"])
+def test_seed_env_outside_the_printable_range_is_a_usage_error(capsys, monkeypatch, seed):
+    monkeypatch.setenv(SEED_ENV, seed)
+    code, out, err = _run(capsys, ["check", "--suite", "ring", "--format", "json"])
+    assert (code, out, err) == (2, "", f"error: {SEED_ENV} must be an integer in [0, 2**64), got {seed!r}\n")
+
+
+def test_largest_seed_runs_and_is_printed(capsys, monkeypatch):
+    largest = 2**64 - 1
+    code, out, _ = _run(capsys, ["check", "--suite", "ring", "--format", "json", "--seed", str(largest)])
+    assert code == 0 and strict_loads(out)["seed"] == largest
+    monkeypatch.setenv(SEED_ENV, str(largest))
+    assert _run(capsys, ["check", "--suite", "ring", "--format", "json"])[:2] == (0, out)
 
 
 def test_corrupted_structure_matrix_fails_check(capsys, monkeypatch):

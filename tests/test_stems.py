@@ -44,6 +44,7 @@ from oracles import (
     per_point_stem_family,
     scalar_derivative_value,
     scalar_value,
+    strict_loads,
 )
 
 PI = math.pi
@@ -672,6 +673,21 @@ class TestReloadContract:
         with pytest.raises(ValueError):
             system_from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("at", [(0, 0, 0, 0), (2, 1, 1, 3)], ids=["first", "inner"])
+    @pytest.mark.parametrize("entry", [True, False], ids=["true", "false"])
+    @pytest.mark.parametrize("numbers", ["floats", "int64"])
+    def test_bool_among_numbers_is_a_value_error(self, numbers, entry, at):
+        # np.array reads a bool among floats or int64 integers as 1.0 or 0.0: every leaf is checked
+        data = self._document()
+        grid = data["samples"][0]
+        if numbers == "int64":
+            grid = [[[[k - 2**40 for k in range(4)] for _ in col] for col in row] for row in grid]
+        k, l, m, c = at
+        grid[k][l][m][c] = entry
+        data["samples"][0] = grid
+        with pytest.raises(ValueError, match="stem grid"):
+            system_from_json(json.dumps(data))
+
     @pytest.mark.parametrize("entry", [True, "1.0", None, 10**400])
     def test_grid_of_non_floats_is_a_value_error(self, entry):
         data = self._document()
@@ -704,15 +720,6 @@ class TestReloadContract:
         assert len(built) == 0
 
 
-def _strict_loads(text: str):
-    """`json.loads` that refuses NaN, Infinity and -Infinity."""
-
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    return json.loads(text, parse_constant=refuse)
-
-
 class TestExportIsExact:
     """The file holds every sample bit for bit, as strict JSON."""
 
@@ -725,7 +732,7 @@ class TestExportIsExact:
         system = build_stem_system(_MODELS[name], [(path_name, path)], radius=0.8, extra_truncations=(0.8,))
         text = system_to_json(system)
         assert isinstance(text, str)
-        stored = _strict_loads(text)["samples"]
+        stored = strict_loads(text)["samples"]
         assert len(stored) == len(system.entries)
         for sample, entry in zip(stored, system.entries):
             grid = entry.stem.sample_grid()
@@ -740,7 +747,7 @@ class TestExportIsExact:
             system = system.with_stem(entry.label, replace(entry.stem, samples=samples))
         text = system_to_json(system)
         restored = system_from_json(text)
-        for sample, before, after in zip(_strict_loads(text)["samples"], system.entries, restored.entries):
+        for sample, before, after in zip(strict_loads(text)["samples"], system.entries, restored.entries):
             expected = before.stem.samples.view(np.uint64)
             assert np.array_equal(np.array(sample, dtype=np.float64).view(np.uint64), expected)
             assert np.array_equal(after.stem.samples.view(np.uint64), expected)
