@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from orjson import dumps
+from orjson import OPT_SERIALIZE_NUMPY, dumps
 
 from .errors import (
     DisconnectedSegments,
@@ -335,7 +335,8 @@ class NPartPath:
         return lift(self, units)
 
     def to_json(self) -> str:
-        return dumps({"segments": [s.to_json_obj() for s in self.segments]}).decode()
+        # a segment built from numpy floats, as a truncation at a numpy t, keeps them in its fields
+        return dumps({"segments": [s.to_json_obj() for s in self.segments]}, option=OPT_SERIALIZE_NUMPY).decode()
 
     @classmethod
     def from_json(cls, text: str) -> "NPartPath":

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +176,16 @@ def test_json_round_trip():
     restored = NPartPath.from_json(beta.to_json())
     for t in (0.0, 0.3, 0.5, 0.9, 1.0):
         assert abs(restored.at(t) - beta.at(t)) < 1e-15
+
+
+def test_json_of_numpy_float_fields_equals_its_python_float_twin():
+    # numpy floats reach the fields through a numpy truncation parameter or coordinates
+    numpy_path = make_npart_path([Arc(0j, np.float64(1.0), 0.0, np.float64(math.pi)), half_turns(1).reversed()])
+    python_path = make_npart_path([Arc(0j, 1.0, 0.0, math.pi), half_turns(1).reversed()])
+    for t in (0.25, 0.75, 1.0):
+        text = numpy_path.truncate(np.float64(t)).to_json()
+        assert text == python_path.truncate(t).to_json()
+        assert NPartPath.from_json(text).to_json() == text
 
 
 _finite = st.floats(-1e6, 1e6)
