@@ -49,7 +49,6 @@ from .calculus import (
     AxSymDomain,
     SliceRegularPoly,
     leibniz,
-    pointwise_star_check,
     regular_conjugate,
     regular_reciprocal,
     slice_derivative,

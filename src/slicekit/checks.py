@@ -63,17 +63,13 @@ def _result(name: str, suite: str, deviation: float, tolerance: float) -> CheckR
     return CheckResult(name, suite, float(deviation), tolerance, bool(deviation <= tolerance))
 
 
-def _random_quaternions(rng: np.random.Generator, count: int) -> tuple[Quaternion, ...]:
-    """`count` quaternions with components uniform in [-1, 1): the stream of `count` draws of 4."""
-    return tuple(Quaternion(*q) for q in rng.uniform(-1, 1, (count, 4)).tolist())
-
-
 def _random_stem_value(n: int, rng: np.random.Generator) -> StemValue:
-    return StemValue(n, _random_quaternions(rng, 1 << n))
+    return StemValue(n, rng.uniform(-1, 1, (1 << n, 4)))
 
 
 def _random_poly(rng: np.random.Generator, degree: int) -> calculus.SliceRegularPoly:
-    return calculus.SliceRegularPoly(_random_quaternions(rng, degree + 1))
+    """Coefficients with components uniform in [-1, 1): the stream of `degree + 1` draws of 4."""
+    return calculus.SliceRegularPoly(rng.uniform(-1, 1, (degree + 1, 4)).tolist())
 
 
 def _coeff_distance(f: calculus.SliceRegularPoly, g: calculus.SliceRegularPoly) -> float:
@@ -138,12 +134,9 @@ def check_representation_vectors(rng: np.random.Generator) -> CheckResult:
     reference = eta(2, Quaternion(0, 1, 0, 0))
     g_sqrt = representation.representation_vector(monodromy.SqrtModel(), beta, reference)
     g_log = representation.representation_vector(monodromy.LogModel(), beta, reference)
-    expect_sqrt = (Quaternion(), Quaternion(), Quaternion(-1.0), Quaternion())
-    expect_log = (Quaternion(), Quaternion(PI), Quaternion(), Quaternion(PI))
-    worst = nan_max(
-        [(a - b).norm() for a, b in zip(g_sqrt.entries, expect_sqrt)]
-        + [(a - b).norm() for a, b in zip(g_log.entries, expect_log)]
-    )
+    expect_sqrt = StemValue(2, (0.0, 0.0, -1.0, 0.0))
+    expect_log = StemValue(2, (0.0, PI, 0.0, PI))
+    worst = nan_max([(g_sqrt - expect_sqrt).max_norm(), (g_log - expect_log).max_norm()])
     return _result("representation-vectors", "repformula", worst, 1e-9)
 
 
@@ -208,7 +201,7 @@ def check_zero_padding(rng: np.random.Generator) -> CheckResult:
             b = _random_stem_value(n, rng)
             padded = StemValue.padded(a).star(StemValue.padded(b))
             expected = StemValue.padded(a.star(b))
-            exact = exact and all(x == y for x, y in zip(padded.entries, expected.entries))
+            exact = exact and padded == expected
     return _result("star-zero-padding", "star", 0.0 if exact else 1.0, 0.0)
 
 
@@ -230,11 +223,8 @@ def check_structure_identities(rng: np.random.Generator) -> CheckResult:
         m = slice_matrix(j)
         lhs = qmat_mul(slice_diag(j), m)
         sigma_t = sigma_matrix(n).T
-        rhs = QuaternionMatrix(
-            m.rows,
-            m.cols,
-            [q for i in range(m.rows) for q in apply_real_matrix(sigma_t, StemValue(n, m.row(i))).entries],
-        )
+        rows = [apply_real_matrix(sigma_t, StemValue(n, m.row(i))).entries for i in range(m.rows)]
+        rhs = QuaternionMatrix.from_rows(rows)
         worst = nan_max([worst, (lhs - rhs).max_norm()])
     return _result("structure-identities", "star", worst, 1e-12)
 

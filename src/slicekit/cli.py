@@ -181,7 +181,7 @@ def cmd_repformula(args) -> int:
         g, g_alt = representation_vectors(model, path, [j, eta(path.parts, Quaternion(0, 0, 1, 0))], args.x0)
     deviation = (g - g_alt).max_norm()
     payload = {
-        "G": [q.to_list() for q in g.entries],
+        "G": g.components.tolist(),
         "invariance_dev": deviation,
     }
     if units:

@@ -179,14 +179,3 @@ def qmat_inverse(a: QuaternionMatrix) -> QuaternionMatrix:
         raise Singular(message, rank=rank, margin=margin, tolerance=RANK_CUTOFF)
     # the top block row of the adjoint's inverse is [A1, A2] of the quaternionic inverse
     return QuaternionMatrix._of(*np.split(np.linalg.inv(adjoint)[: a.rows], 2, axis=1))
-
-
-def left_linearly_independent(vectors: Sequence[Sequence[Quaternion]]) -> bool:
-    """True iff no nontrivial left combination sum(q_i * v_i) vanishes.
-
-    Equivalent to the stacked matrix having rank equal to the vector count.
-    """
-    if not vectors:
-        return True
-    stacked = QuaternionMatrix.from_rows([list(v) for v in vectors])
-    return qmat_rank(stacked) == len(vectors)

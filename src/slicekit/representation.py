@@ -51,8 +51,7 @@ def representation_vectors(
     size = 1 << path.parts
     vectors = []
     for k, inverse in enumerate(inverses):
-        column = inverse.apply_column(values[None, k * size : (k + 1) * size])[0]
-        vectors.append(StemValue(path.parts, tuple(Quaternion(*q) for q in column.tolist())))
+        vectors.append(StemValue(path.parts, inverse.apply_column(values[None, k * size : (k + 1) * size])[0]))
     return vectors
 
 

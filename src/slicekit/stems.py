@@ -15,7 +15,8 @@ array of disk points through one closing-line continuation
 and one stacked product with the inverse reference matrix.  Values are
 (P, 2**N, 4) arrays of quaternion components, bit for bit the values a point
 by point evaluation gives; the export grid and every probe list of the
-validator go through one call.
+validator go through one call.  `at`, `map` and the system sums and star
+products wrap columns of it as `StemValue`s, which build no `Quaternion`.
 
 A grid-backed stem (a JSON reload) is one read-only float64 array of shape
 (n_r, n_a, 2**N, 4).  Interpolation gathers the four corners of every point
@@ -36,36 +37,19 @@ from typing import Callable, Sequence
 import numpy as np
 from orjson import OPT_SERIALIZE_NUMPY, dumps
 
-from .errors import BranchPointCrossing, IncompatibleSupports, NonFiniteResult, OutOfDomain
+from .errors import BranchPointCrossing, IncompatibleSupports, NonFiniteResult, OutOfDomain, SliceKitError
 from .monodromy import SliceFunctionModel, continue_closing_lines, continue_segment, final_states
-from .paths import Line, NPartPath, _json_number, segment_from_json_obj
+from .paths import Line, NPartPath, _json_number, make_npart_path, segment_from_json_obj
 from .quat import I as UNIT_I
 from .quat import Quaternion
 from .sliceunits import eta, eta_inverse
-from .stemtensor import StemValue, nan_max, sigma_matrix, star_vector
+from .stemtensor import StemValue, max_norms, nan_max, sigma_matrix, star_vector
 from .tolerances import DISK_RIM_TOL, FD_STEP, PARAMETER_TOL, START_TOL, SUPPORT_TOL
 from .tolerances import AXIAL_TOL, GRID_HOLOMORPHY_TOL, HOLOMORPHY_TOL, INITIAL_TOL, OVERLAP_TOL  # validator bounds
 
 DEFAULT_GRID = (17, 64)
 _SPLIT_SAMPLES = 65  # points of the path between two truncations searched for a split between their disks
 _OVERLAP_CAP = 40  # overlap points compared per pair of stems in the local-compatibility check
-
-
-def _components(values: Sequence[StemValue], n: int) -> np.ndarray:
-    """(P, 2**n, 4) array of the (w, x, y, z) of P stem values."""
-    table = [[(q.w, q.x, q.y, q.z) for q in v.entries] for v in values]
-    return np.array(table, dtype=float).reshape(len(table), 1 << n, 4)
-
-
-def _stem_values(values: np.ndarray, n: int) -> list[StemValue]:
-    """The stem values of a (P, 2**n, 4) component array, bit for bit."""
-    return [StemValue(n, tuple(Quaternion(*q) for q in col)) for col in values.tolist()]
-
-
-def _max_norms(values: np.ndarray) -> list[float]:
-    """`StemValue.max_norm` of every column of a (..., 2**N, 4) array, in the same float operations, flattened."""
-    w, x, y, z = np.moveaxis(values, -1, 0)
-    return np.sqrt(w * w + x * x + y * y + z * z).max(axis=-1).ravel().tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,14 +102,14 @@ class SampledStem:
 
     def at(self, z: complex) -> StemValue:
         """Stem value at one disk point."""
-        return _stem_values(self.values([z]), self.N)[0]
+        return StemValue(self.N, self.values([z])[0])
 
     def map(self, transform: Callable[[complex, StemValue], StemValue]) -> "SampledStem":
         """Pointwise-transformed stem on the same disk."""
 
         def evaluator(points: list[complex]) -> np.ndarray:
-            columns = _stem_values(self.values(points), self.N)
-            return _components([transform(z, v) for z, v in zip(points, columns)], self.N)
+            columns = [transform(z, StemValue(self.N, v)).components for z, v in zip(points, self.values(points))]
+            return np.array(columns).reshape(len(points), 1 << self.N, 4)
 
         return replace(self, evaluator=evaluator, samples=None)
 
@@ -231,7 +215,7 @@ def _cr_residuals(stem: SampledStem, points: Sequence[complex]) -> list[float]:
     values = stem.values(neighbours).reshape(len(points), 4, 1 << stem.N, 4)
     fx = (values[:, 0] - values[:, 1]) * (0.5 / FD_STEP)
     fy = (values[:, 2] - values[:, 3]) * (0.5 / FD_STEP)
-    return _max_norms(fx + sigma_matrix(stem.N).astype(float) @ fy)
+    return max_norms(fx + sigma_matrix(stem.N).astype(float) @ fy)
 
 
 def _grid_cr_residual(stem: SampledStem) -> float:
@@ -253,7 +237,7 @@ def _grid_cr_residual(stem: SampledStem) -> float:
     d_phi = (np.roll(samples, -1, axis=1) - np.roll(samples, 1, axis=1))[1:-1] * (0.5 / dphi)
     fx = d_r * cos_p - d_phi * (sin_p / r)
     fy = d_r * sin_p + d_phi * (cos_p / r)
-    return nan_max([0.0] + _max_norms(fx + sigma_matrix(stem.N).astype(float) @ fy))
+    return nan_max([0.0] + max_norms(fx + sigma_matrix(stem.N).astype(float) @ fy))
 
 
 # -- systems ----------------------------------------------------------------
@@ -471,7 +455,7 @@ def _check_local_compatibility(system: StemSystem) -> ConditionResult:
                     continue
                 points = _overlap_points(e1.stem, e2.stem)
                 if points:
-                    worst = nan_max([worst] + _max_norms(e1.stem.values(points) - e2.stem.values(points)))
+                    worst = nan_max([worst] + max_norms(e1.stem.values(points) - e2.stem.values(points)))
                     checked += len(points)
     return ConditionResult("local-compatibility", worst <= OVERLAP_TOL, worst, OVERLAP_TOL, checked)
 
@@ -493,7 +477,7 @@ def _check_axial_compatibility(system: StemSystem) -> ConditionResult:
             points = [complex(x, 0.0) for x in np.linspace(center.real - reach, center.real + reach, 9)]
             short = short_entry.stem.values(points)
             padded = np.concatenate([short, np.zeros_like(short)], axis=1)  # StemValue.padded
-            worst = nan_max([worst] + _max_norms(long_entry.stem.values(points) - padded))
+            worst = nan_max([worst] + max_norms(long_entry.stem.values(points) - padded))
             checked += len(points)
     return ConditionResult("axial-compatibility", worst <= AXIAL_TOL, worst, AXIAL_TOL, checked)
 
@@ -507,10 +491,10 @@ def _check_initial_compatibility(system: StemSystem) -> ConditionResult:
         points = [complex(x, 0.0) for x in np.linspace(x0 - reach, x0 + reach, 9)]
         columns = [e.stem.values(points) for e in initial_entries]
         for col in columns:
-            worst = nan_max([worst] + _max_norms(col[:, 1:, None]))  # every entry above the first, one by one
+            worst = nan_max([worst] + max_norms(col[:, 1:, None]))  # every entry above the first, one by one
             checked += len(points)
         for col in columns[1:]:
-            worst = nan_max([worst] + _max_norms(col[:, :1] - columns[0][:, :1]))
+            worst = nan_max([worst] + max_norms(col[:, :1] - columns[0][:, :1]))
     return ConditionResult("initial-compatibility", worst <= INITIAL_TOL, worst, INITIAL_TOL, checked)
 
 
@@ -529,8 +513,9 @@ def _combine(s1: StemSystem, s2: StemSystem, op, name: str) -> StemSystem:
 
 def _pointwise(op, a: SampledStem, b: SampledStem):
     def evaluator(points: list[complex]) -> np.ndarray:
-        pairs = zip(_stem_values(a.values(points), a.N), _stem_values(b.values(points), b.N))
-        return _components([op(x, y) for x, y in pairs], a.N)
+        pairs = zip(a.values(points), b.values(points))
+        columns = [op(StemValue(a.N, x), StemValue(b.N, y)).components for x, y in pairs]
+        return np.array(columns).reshape(len(points), 1 << a.N, 4)
 
     return evaluator
 
@@ -598,9 +583,12 @@ def system_from_json(text: str) -> StemSystem:
     """The system `system_to_json` wrote, grid-backed; a malformed document is a ValueError.
 
     paths, radii and samples are lists of one length; every path object
-    holds at least one segment, a string label and anchor, a number t and a
-    boolean closed, and no two share a label; every radius is a finite
-    positive number, and every grid is checked by `_json_grid`.
+    holds at least one segment, a string label and anchor, a number t in
+    [0, 1] and a boolean closed, and no two share a label; its segments make
+    a path as `make_npart_path` checks it, connected with real junctions;
+    every anchor holds its whole path (t = 1); every radius is a finite
+    positive number, and every grid is checked by `_json_grid`.  A failure
+    names the label or anchor it concerns.
     """
     data = json.loads(text)
     lists = [data.get(key) if isinstance(data, dict) else None for key in ("paths", "radii", "samples")]
@@ -614,8 +602,12 @@ def system_from_json(text: str) -> StemSystem:
         if not typed or not obj["segments"]:
             message = f"stem system JSON expects path objects with segments, label, anchor, t and closed, got {obj!r}"
             raise ValueError(message)
-        path = NPartPath(tuple(segment_from_json_obj(o) for o in obj["segments"]))
-        _json_number(obj.get("t"))
+        try:
+            path = make_npart_path([segment_from_json_obj(o) for o in obj["segments"]])
+        except SliceKitError as exc:  # DisconnectedSegments or NonRealJunction
+            raise ValueError(f"stem system JSON path {obj['label']!r}: {exc}") from exc
+        if not 0.0 <= _json_number(obj.get("t")) <= 1.0:
+            raise ValueError(f"stem system JSON path {obj['label']!r} has t = {obj['t']!r} outside [0, 1]")
         if not _json_number(radius) > 0.0:
             raise ValueError(f"stem radius must be a finite positive number, got {radius!r}")
         stem = SampledStem(N=path.parts, center=path.endpoint, radius=radius, samples=_json_grid(sample, path.parts))
@@ -625,4 +617,7 @@ def system_from_json(text: str) -> StemSystem:
     labels = [e.label for e in entries]
     if len(set(labels)) != len(labels):
         raise ValueError(f"stem system JSON repeats a label: {labels}")
+    for anchor in anchors:
+        if not any(e.anchor == anchor and e.t == 1.0 for e in entries):
+            raise ValueError(f"stem system JSON anchor {anchor!r} has no whole path (t = 1)")
     return StemSystem(x0=float(_json_number(data.get("x0"))), entries=tuple(entries), anchors=tuple(anchors))

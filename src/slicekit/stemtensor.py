@@ -3,9 +3,10 @@
 A stem value is a column of 2**N quaternions.  The basis isomorphism onto the
 tensor algebra is the identity on entries: entry m is the H coefficient of
 the basis element b(m), so one `StemValue` serves as stem value, tensor
-element and invariant vector alike.  The N complex slots commute with
-everything and the single H slot keeps quaternion order, so multiplication
-reduces to structure constants on the basis
+element and invariant vector alike, stored as the (2**N, 4) float64 array of
+the batched stem evaluator, the grid and the validators.  The N complex slots
+commute with everything and the single H slot keeps quaternion order, so
+multiplication reduces to structure constants on the basis
 
     b(m) = prod_{l=N..1} (i_l * i_{l-1})**m_l,   (m_N ... m_1)_2 = m - 1,
 
@@ -26,10 +27,8 @@ the small products of `check --suite all` stay on the loop.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -87,64 +86,90 @@ def nan_max(values: list[float]) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-@dataclass(frozen=True)
+@np.errstate(all="ignore")
+def max_norms(values: np.ndarray) -> list[float]:
+    """`StemValue.max_norm` of every column of a (..., 2**N, 4) array, flattened: `Quaternion.norm`'s float
+    operations, and a NaN kept as `nan_max` keeps it."""
+    squares = values * values  # w*w, x*x, y*y and z*z, summed in that order
+    return np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2] + squares[..., 3]).max(axis=-1).ravel().tolist()
+
+
+@dataclass(frozen=True, eq=False)
 class StemValue:
-    """2**N quaternions in one column: a stem value, a tensor element or an invariant vector."""
+    """2**N quaternions in one column, the read-only (2**N, 4) float64 array `components` of their (w, x, y, z).
+
+    The constructor also takes 2**N quaternion-likes, and `entries` builds `Quaternion`s on read.  Arithmetic is
+    entrywise, bit for bit that of `Quaternion`, and overflows silently; -0.0 == 0.0 and NaN is unequal.
+    """
 
     N: int
-    entries: tuple[Quaternion, ...]
+    components: np.ndarray
 
     def __post_init__(self):
-        if len(self.entries) != 1 << self.N:
+        entries = self.components
+        if not isinstance(entries, np.ndarray):
+            entries = [(q.w, q.x, q.y, q.z) for q in map(as_quaternion, entries)]
+        components = np.array(entries, dtype=np.float64, order="C")  # a copy: no caller holds a writeable alias
+        if components.shape != (1 << self.N, 4):
             raise ShapeMismatch(f"stem value of order {self.N} needs {1 << self.N} entries")
-        object.__setattr__(self, "entries", tuple(map(as_quaternion, self.entries)))
+        components.setflags(write=False)
+        object.__setattr__(self, "components", components)
 
+    @property
+    def entries(self) -> tuple[Quaternion, ...]:
+        """The entries as `Quaternion`s, built from `components` on every read."""
+        return tuple(Quaternion(*q) for q in self.components.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, StemValue) and self.N == other.N and np.array_equal(self.components, other.components)
+
+    @np.errstate(all="ignore")
     def __add__(self, other: "StemValue") -> "StemValue":
         if self.N != other.N:
             raise ShapeMismatch("stem values of different order")
-        return StemValue(self.N, tuple(map(operator.add, self.entries, other.entries)))
+        return StemValue(self.N, self.components + other.components)
 
+    @np.errstate(all="ignore")
     def __sub__(self, other: "StemValue") -> "StemValue":
         if self.N != other.N:
             raise ShapeMismatch("stem values of different order")
-        return StemValue(self.N, tuple(map(operator.sub, self.entries, other.entries)))
+        return StemValue(self.N, self.components - other.components)
 
+    @np.errstate(all="ignore")
     def scale(self, factor: float) -> "StemValue":
         """Every entry times the real `factor`."""
-        return StemValue(self.N, tuple([e * factor for e in self.entries]))
+        return StemValue(self.N, self.components * factor)
 
     def star(self, other: "StemValue") -> "StemValue":
         return star_vector(self, other)
 
     def max_norm(self) -> float:
         """Largest entry norm; NaN when any entry holds a NaN."""
-        return nan_max([e.norm() for e in self.entries])
+        return nan_max(max_norms(self.components))
 
     @classmethod
     def basis(cls, n: int, index: int) -> "StemValue":
         """Standard column e_{N,index} with a single 1."""
         if not 1 <= index <= 1 << n:
             raise IndexOutOfRange(f"basis index {index} outside 1..{1 << n}")
-        return cls(n, tuple(Quaternion(1.0 if m == index else 0.0) for m in range(1, (1 << n) + 1)))
+        column = np.zeros((1 << n, 4))
+        column[index - 1, 0] = 1.0
+        return cls(n, column)
 
     @classmethod
     def padded(cls, lower: "StemValue") -> "StemValue":
         """(a^T, 0)^T: embed an order-N value in order N+1 by zero padding."""
-        zeros = (Quaternion(),) * len(lower.entries)
-        return cls(lower.N + 1, lower.entries + zeros)
+        return cls(lower.N + 1, np.concatenate([lower.components, np.zeros_like(lower.components)]))
 
 
 def slot_imaginary(n: int, slot: int) -> StemValue:
     """The slot-`slot` imaginary as a stem value, e.g. slot N for z**(N)."""
     if not 1 <= slot <= n:
         raise IndexOutOfRange(f"slot {slot} outside 1..{n}")
-    coeffs = [Quaternion() for _ in range(1 << n)]
-    # basis index whose pattern is exactly {slot}: bits l..N all set from l=slot upward
-    for m in range(1, (1 << n) + 1):
-        if _slot_pattern(n, m) == 1 << (slot - 1):
-            coeffs[m - 1] = Quaternion(float(_basis_sign(n, m)))
-            return StemValue(n, tuple(coeffs))
-    raise IndexOutOfRange(f"no basis element with bare slot {slot}")  # pragma: no cover
+    m = 1 << slot  # bits 1..slot of m - 1 set: bits l and l + 1 differ at l = slot alone, so the pattern is {slot}
+    column = np.zeros((1 << n, 4))
+    column[m - 1, 0] = _basis_sign(n, m)
+    return StemValue(n, column)
 
 
 #: live term pairs from which `star_vector` and `calculus.star_product` run `star_kernel` in place of
@@ -171,11 +196,6 @@ def _product_table(n: int) -> tuple[tuple[tuple[int, bool], ...], ...]:
     )
 
 
-def _component_columns(qs: Sequence[Quaternion]) -> np.ndarray:
-    """(4, len) array: the w, x, y and z components of the quaternions, one row each."""
-    return np.array([[q.w for q in qs], [q.x for q in qs], [q.y for q in qs], [q.z for q in qs]], dtype=float)
-
-
 @lru_cache(maxsize=None)
 def _product_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """`_product_table` as arrays indexed [ma - 1, mb - 1]: the output c - 1 and the sign as +-1.0."""
@@ -186,74 +206,74 @@ def _product_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def star_kernel(
-    left: Sequence[Quaternion], right: Sequence[Quaternion], out: np.ndarray, size: int, sign: np.ndarray | None = None
-) -> list[list[float]]:
+    left: np.ndarray, right: np.ndarray, out: np.ndarray, size: int, sign: np.ndarray | None = None
+) -> np.ndarray:
     """Array form of the star loops: output c sums sign[r, j] * left[r] * right[j] over the pairs with out[r, j] == c.
 
-    `out` and `sign` have one row per entry of `left` and one column per
-    entry of `right`, so the work is one term per pair; `sign` (+-1.0)
-    defaults to +1.  Every term is `hamilton_components` of its two entries,
-    and `np.bincount`, which adds its weights one after another onto +0.0,
-    sums them in row-major order, the loops' order: each output equals the
-    loops bit for bit, signed zeros, inf and NaN included (x - w is x + (-w),
-    and x * -1.0 is -x).  Overflow stays silent, as in the loops.  Returns one
-    [w, x, y, z] list for each of the `size` outputs.
+    `left` and `right` are (rows, 4) and (cols, 4) arrays of quaternion
+    components; `out` and `sign` have one row per entry of `left` and one
+    column per entry of `right`, so the work is one term per pair; `sign`
+    (+-1.0) defaults to +1.  Every term is `hamilton_components` of its two
+    entries, and `np.bincount`, which adds its weights one after another onto
+    +0.0, sums them in row-major order, the loops' order: each output equals
+    the loops bit for bit, signed zeros, inf and NaN included (x - w is
+    x + (-w), and x * -1.0 is -x).  Overflow stays silent, as in the loops.
+    Returns the (size, 4) array of the outputs.
     """
     rows, cols = out.shape
     # both operands as whole (4, rows, cols) arrays: flat loops beat broadcast ones
-    left = np.repeat(_component_columns(left)[:, :, None], cols, axis=2)
-    right = np.repeat(_component_columns(right)[:, None, :], rows, axis=1)
+    left = np.repeat(left.T[:, :, None], cols, axis=2)
+    right = np.repeat(right.T[:, None, :], rows, axis=1)
     with np.errstate(all="ignore"):
         terms = hamilton_components(left, right)
         if sign is not None:
             terms = [part * sign for part in terms]
         sums = [np.bincount(out.ravel(), part.ravel(), size) for part in terms]
-    return np.array(sums).T.tolist()
+    return np.array(sums).T
 
 
 def star_vector(a: StemValue, b: StemValue) -> StemValue:
     """Star product: bilinear extension of the basis law, H entries keep order a, b.
 
-    Sums run over the nonzero entries of `a`, then of `b`, in index order; each
-    term is the Hamilton product of the two entries (same float expressions as
-    `hamilton_product`), added or subtracted by the sign of `basis_product`.
-    From `ARRAY_KERNEL_PAIRS` live pairs on, `star_kernel` forms the same sums
-    in one array pass.
+    Sums run over the live entries (w*w + x*x + y*y + z*z != 0.0) of `a`, then
+    of `b`, in index order; each term is the Hamilton product of the two entries
+    (same float expressions as `hamilton_product`), added or subtracted by the
+    sign of `basis_product`.  From `ARRAY_KERNEL_PAIRS` live pairs on,
+    `star_kernel` forms the same sums in one array pass.
     """
     if a.N != b.N:
         raise ShapeMismatch("stem values of different order")
-    live_a = [ma for ma, q in enumerate(a.entries) if q.norm2() != 0.0]
-    right = [(mb, q.w, q.x, q.y, q.z) for mb, q in enumerate(b.entries) if q.norm2() != 0.0]
-    if len(live_a) * len(right) >= ARRAY_KERNEL_PAIRS:
-        live_b = [mb for mb, *_ in right]
+    left, right = (
+        [(m, w, x, y, z) for m, (w, x, y, z) in enumerate(rows) if w * w + x * x + y * y + z * z != 0.0]
+        for rows in (a.components.tolist(), b.components.tolist())
+    )
+    if len(left) * len(right) >= ARRAY_KERNEL_PAIRS:
+        live_a, live_b = [m for m, *_ in left], [m for m, *_ in right]
         cells = np.add.outer(np.array(live_a) << a.N, live_b)  # flat positions in the 2**N x 2**N tables
         outputs, sign = (part.take(cells) for part in _product_arrays(a.N))
-        left, right = [a.entries[ma] for ma in live_a], [b.entries[mb] for mb in live_b]
-        acc = star_kernel(left, right, outputs, len(b.entries), sign)
-    else:
-        table = _product_table(a.N)
-        acc = [[0.0, 0.0, 0.0, 0.0] for _ in a.entries]
-        for ma in live_a:
-            qa, row = a.entries[ma], table[ma]
-            aw, ax, ay, az = qa.w, qa.x, qa.y, qa.z
-            for mb, bw, bx, by, bz in right:
-                w = aw * bw - ax * bx - ay * by - az * bz
-                x = aw * bx + ax * bw + ay * bz - az * by
-                y = aw * by - ax * bz + ay * bw + az * bx
-                z = aw * bz + ax * by - ay * bx + az * bw
-                c, negative = row[mb]
-                out = acc[c]
-                if negative:
-                    out[0] -= w
-                    out[1] -= x
-                    out[2] -= y
-                    out[3] -= z
-                else:
-                    out[0] += w
-                    out[1] += x
-                    out[2] += y
-                    out[3] += z
-    return StemValue(a.N, tuple([Quaternion(*out) for out in acc]))
+        return StemValue(a.N, star_kernel(a.components[live_a], b.components[live_b], outputs, 1 << a.N, sign))
+    table = _product_table(a.N)
+    acc = [[0.0, 0.0, 0.0, 0.0] for _ in range(1 << a.N)]
+    for ma, aw, ax, ay, az in left:
+        row = table[ma]
+        for mb, bw, bx, by, bz in right:
+            w = aw * bw - ax * bx - ay * by - az * bz
+            x = aw * bx + ax * bw + ay * bz - az * by
+            y = aw * by - ax * bz + ay * bw + az * bx
+            z = aw * bz + ax * by - ay * bx + az * bw
+            c, negative = row[mb]
+            out = acc[c]
+            if negative:
+                out[0] -= w
+                out[1] -= x
+                out[2] -= y
+                out[3] -= z
+            else:
+                out[0] += w
+                out[1] += x
+                out[2] += y
+                out[3] += z
+    return StemValue(a.N, np.array(acc))
 
 
 @lru_cache(maxsize=None)
@@ -272,14 +292,13 @@ def sigma_matrix(n: int) -> np.ndarray:
     return sigma
 
 
+@np.errstate(all="ignore")
 def apply_real_matrix(mat: np.ndarray, value: StemValue) -> StemValue:
     """Real square matrix acting on a stem value (reals commute with H)."""
-    size = len(value.entries)
+    size = 1 << value.N
     if mat.shape != (size, size):
         raise ShapeMismatch(f"{mat.shape} matrix against a stem value of {size} entries")
-    comps = np.array([[q.w, q.x, q.y, q.z] for q in value.entries], dtype=float)
-    out = mat.astype(float) @ comps
-    return StemValue(value.N, tuple(Quaternion(*row) for row in out))
+    return StemValue(value.N, mat.astype(float) @ value.components)
 
 
 # -- independent Kronecker representation (oracle) --------------------------
@@ -328,14 +347,13 @@ def kron_matrix(a: StemValue) -> np.ndarray:
     own blocks.
     """
     size = 1 << a.N
-    comps = np.array([(q.w, q.x, q.y, q.z) for q in a.entries], dtype=float)
-    w, x, y, z = comps.T
+    w, x, y, z = a.components.T
     rows, cols, ms, signs = _kron_scatter(a.N)
     live = (w * w + x * x + y * y + z * z != 0.0)[ms]
     ms = ms[live]
     out = np.zeros((size, 4, size, 4))
     # sign * L(a_m) for every term at once; products of +-1 are exact
-    out[rows[live], :, cols[live], :] = (signs[live, None, None] * _LEFT_SIGN) * comps[ms][:, _LEFT_INDEX] + 0.0
+    out[rows[live], :, cols[live], :] = (signs[live, None, None] * _LEFT_SIGN) * a.components[ms][:, _LEFT_INDEX] + 0.0
     return out.reshape(4 * size, 4 * size)
 
 
@@ -350,7 +368,7 @@ def tensor_from_kron(n: int, mat: np.ndarray) -> StemValue:
     first = cols == 0
     entries = np.empty((1 << n, 4))
     entries[ms[first]] = signs[first, None] * mat[:, 0].reshape(-1, 4)[rows[first]]
-    return StemValue(n, tuple(Quaternion(*e) for e in entries.tolist()))
+    return StemValue(n, entries)
 
 
 def oracle_star(a: StemValue, b: StemValue) -> StemValue:

@@ -34,8 +34,9 @@ references of the second kind for the batched stem code: one closing-line
 once), and one `Quaternion` difference per grid neighbour.  The batched
 evaluator and the array residual must match them bit for bit.  The
 interpolation loop is the grid stem's evaluation as it was before the grid
-became one array: four `StemValue` corners per point, scaled and summed from
-a zero column.  The one-gather interpolation must give the same bits.
+became one array: four corners per point, each entry scaled and summed from
+a zero `Quaternion` in `Quaternion` arithmetic, so it shares no array code
+with the library.  The one-gather interpolation must give the same bits.
 
 The per-lift fold is the continuation as one `SheetState` per lift: the
 whole path walked again for every lift, each slice switch solving the datum
@@ -53,6 +54,12 @@ component Horner sum `_horner` those of `poly_eval`.
 
 `strict_loads` is the reader every JSON document slicekit writes must pass:
 the stdlib parser, refusing the `NaN` and `Infinity` that strict JSON lacks.
+
+`pointwise_star_check`, `conjugate_via_components` and
+`left_linearly_independent` are identities composed from library calls that
+only the tests evaluate: the star product against f(q) * g(f(q)^-1 q f(q)),
+the conjugate rebuilt from star sandwiches, and independence as full
+quaternionic rank.
 """
 
 import cmath
@@ -115,6 +122,54 @@ def left_combination_min_singular(vectors) -> float:
     return float(np.linalg.svd(system, compute_uv=False)[-1])
 
 
+def pointwise_star_check(f: SliceRegularPoly, g: SliceRegularPoly, q: Quaternion) -> float:
+    """Deviation of the star product from f(q) * g(f(q)^-1 q f(q)).
+
+    Raises ZeroDivisor when f(q) = 0 (the conjugated point is undefined).
+    """
+    fq = f(q)
+    moved = quat_inverse(fq) * q * fq
+    return (calculus.star_product(f, g)(q) - fq * g(moved)).norm()
+
+
+def conjugate_via_components(f: SliceRegularPoly) -> SliceRegularPoly:
+    """The conjugate built from star-sandwich component extraction.
+
+    g4 = (f - i*f*i)/2 keeps the 1 and i parts, g0 = (g4 - j*g4*j)/2 keeps the
+    real part, and the complementary sandwiches peel off the other three real
+    component polynomials; reassembling with flipped signs must agree with
+    coefficient conjugation.
+    """
+    star_product = calculus.star_product
+    i_c = SliceRegularPoly.constant(Quaternion(0, 1, 0, 0))
+    j_c = SliceRegularPoly.constant(Quaternion(0, 0, 1, 0))
+    k_c = SliceRegularPoly.constant(Quaternion(0, 0, 0, 1))
+
+    def sandwich(u: SliceRegularPoly, c: SliceRegularPoly) -> SliceRegularPoly:
+        return star_product(star_product(c, u), c)
+
+    g4 = (f - sandwich(f, i_c)).scale(0.5)
+    g0 = (g4 - sandwich(g4, j_c)).scale(0.5)
+    g1 = star_product(g4 - g0, SliceRegularPoly.constant(Quaternion(0, -1, 0, 0)))
+    h5 = (f + sandwich(f, i_c)).scale(0.5)
+    g2_part = (h5 - sandwich(h5, j_c)).scale(0.5)
+    g2 = star_product(g2_part, SliceRegularPoly.constant(Quaternion(0, 0, -1, 0)))
+    g3_part = (h5 + sandwich(h5, j_c)).scale(0.5)
+    g3 = star_product(g3_part, SliceRegularPoly.constant(Quaternion(0, 0, 0, -1)))
+    return g0 - star_product(g1, i_c) - star_product(g2, j_c) - star_product(g3, k_c)
+
+
+def left_linearly_independent(vectors) -> bool:
+    """True iff no nontrivial left combination sum(q_i * v_i) vanishes.
+
+    Equivalent to the stacked matrix having rank equal to the vector count.
+    """
+    if not vectors:
+        return True
+    stacked = QuaternionMatrix.from_rows([list(v) for v in vectors])
+    return qmat_rank(stacked) == len(vectors)
+
+
 def numeric_slice_derivative(f, z0: complex, unit, order: int = 1, h: float = 1e-4) -> Quaternion:
     """Finite-difference slice derivative of f at z0 on the given slice.
 
@@ -143,7 +198,7 @@ def per_term_star_vector(a: StemValue, b: StemValue) -> StemValue:
                 continue
             c, sign = basis_product(a.N, ma, mb)
             term = ca * cb
-            out[c - 1] = out[c - 1] + (term if sign > 0 else -term)
+            out[c - 1] = out[c - 1] + term if sign > 0 else out[c - 1] - term
     return StemValue(a.N, tuple(out))
 
 
@@ -405,7 +460,7 @@ def grid_cr_residual_loop(stem) -> float:
 
 
 def interpolate_loop(stem, points) -> list[StemValue]:
-    """Bilinear polar interpolation of a grid-backed stem, one point and one `StemValue` corner at a time."""
+    """Bilinear polar interpolation of a grid-backed stem, one point, corner and `Quaternion` entry at a time."""
     grid_samples = stem.grid_samples  # built once: the property builds the tuples on every read
     out_values = []
     for z in points:
@@ -424,10 +479,10 @@ def interpolate_loop(stem, points) -> list[StemValue]:
             (grid_samples[min(k + 1, n_r - 1)][l], fr * (1 - fp)),
             (grid_samples[min(k + 1, n_r - 1)][l2], fr * fp),
         ]
-        out = StemValue(stem.N, (Quaternion(),) * (1 << stem.N))
+        out = [Quaternion()] * (1 << stem.N)
         for col, weight in corners:
-            out = out + StemValue(stem.N, col).scale(weight)
-        out_values.append(out)
+            out = [acc + entry * weight for acc, entry in zip(out, col)]
+        out_values.append(StemValue(stem.N, out))
     return out_values
 
 
@@ -450,6 +505,11 @@ def quaternions_with_live(count: int, live: int, rng: np.random.Generator) -> li
     positions = set(rng.choice(count - 1, live - 1, replace=False).tolist()) | {count - 1}
     dead = [Quaternion(0.0, -0.0, -0.0, 0.0), Quaternion(*rng.uniform(-1e-170, 1e-170, 4))]
     return [Quaternion(*rng.uniform(-1, 1, 4)) if m in positions else dead[m % 2] for m in range(count)]
+
+
+def components(quaternions) -> np.ndarray:
+    """(len, 4) float64 array of the quaternions' (w, x, y, z): the operand form of `star_kernel`."""
+    return np.array([(q.w, q.x, q.y, q.z) for q in quaternions], dtype=float).reshape(-1, 4)
 
 
 def bits(quaternions) -> list[tuple[str, ...]]:

@@ -7,7 +7,6 @@ from slicekit.errors import ShapeMismatch, Singular
 from slicekit.qmat import (
     QuaternionMatrix,
     complex_adjoint,
-    left_linearly_independent,
     qmat_inverse,
     qmat_mul,
     qmat_rank,
@@ -21,6 +20,7 @@ from oracles import (
     block_apply_column,
     block_complex_adjoint,
     left_combination_min_singular,
+    left_linearly_independent,
     per_entry_apply_column,
     per_entry_qmat_mul,
     sparse_quaternions,

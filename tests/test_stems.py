@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,6 @@ from slicekit.stemtensor import StemValue, apply_real_matrix, sigma_matrix
 from slicekit.stems import (
     SampledStem,
     _grid_cr_residual,
-    _stem_values,
     build_stem_system,
     stem_add,
     stem_cr_residual,
@@ -422,7 +422,7 @@ class TestBatchedEvaluator:
         points = _disk_points(path.endpoint, 0.8)
         batched = family(points, n)
         assert batched.shape == (len(points), 1 << path.parts, 4)
-        for z, column in zip(points, _stem_values(batched, path.parts)):
+        for z, column in zip(points, (StemValue(path.parts, v) for v in batched)):
             assert bits(column.entries) == bits(reference(z, n).entries), z
         # a point's value does not depend on the batch it is evaluated in
         assert bits(stem_from_slice(model, path, 0.8).at(points[7]).entries) == bits(reference(points[7]).entries)
@@ -433,7 +433,7 @@ class TestBatchedEvaluator:
         reference = per_point_stem_family(_POLY, beta_path(), 1.5)
         rim = 1.0 + 1.0 * complex(math.cos(math.pi), math.sin(math.pi))
         points = [1.0 - 1.0 + 0j, -0.5 + 0j, complex(-0.5, -0.0), rim]
-        for z, column in zip(points, _stem_values(stem.values(points), 2)):
+        for z, column in zip(points, (StemValue(2, v) for v in stem.values(points))):
             assert bits(column.entries) == bits(reference(z).entries), z
 
     @pytest.mark.parametrize("name", sorted(_MODELS))
@@ -448,7 +448,7 @@ class TestBatchedEvaluator:
             for l in range(12):
                 phi = 2 * math.pi * l / 12
                 expected = reference(stem.center + r * complex(math.cos(phi), math.sin(phi)))
-                assert bits(_stem_values(grid[k, l][None], 3)[0].entries) == bits(expected.entries)
+                assert bits(StemValue(3, grid[k, l]).entries) == bits(expected.entries)
 
     def test_cr_residuals_match_one_point_calls(self):
         stem = stem_from_slice(LogModel(), _loop3(), 0.8)
@@ -544,7 +544,7 @@ class TestInterpolation:
         expected = [bits(v.entries) for v in interpolate_loop(stem, points)]
         values = stem.values(points)
         assert values.shape == (len(points), 1 << stem.N, 4)
-        assert [bits(v.entries) for v in _stem_values(values, stem.N)] == expected
+        assert [bits(StemValue(stem.N, v).entries) for v in values] == expected
         assert _hex(values) == [h for column in expected for entry in column for h in entry]
 
     @pytest.mark.parametrize("path_name", ["beta", "loop3"])
@@ -819,10 +819,33 @@ class TestSystemFromJsonBoundary:
             lambda d: d["paths"][0].__setitem__("t", None),
             lambda d: d["paths"][1].__setitem__("label", d["paths"][0]["label"]),
             lambda d: d.pop("x0"),
+            lambda d: d["paths"][0].__setitem__("t", 7.5),
+            lambda d: d["paths"][0].__setitem__("t", -0.5),
+            # the whole path with its second arc's centre moved: disconnected, centred where no continuation reaches
+            lambda d: d["paths"][3]["segments"][1].__setitem__("center", [5, 3]),
+            # both arcs meet at i: connected, but the junction is off the real axis
+            lambda d: [s.__setitem__(k, math.pi / 2) for s, k in zip(d["paths"][3]["segments"], ("theta1", "theta0"))],
+            # the anchor without its whole path: the validator has no t = 1 entry to compare against
+            lambda d: [d[key].pop(3) for key in ("paths", "radii", "samples")],
         ],
     )
     def test_malformed_document_is_a_value_error(self, corrupt):
         data = self._document()
         corrupt(data)
         with pytest.raises(ValueError):
+            system_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda d: d["paths"][0].__setitem__("t", 7.5), "beta[0/2]"),
+            (lambda d: d["paths"][3]["segments"][1].__setitem__("center", [5, 3]), "beta[2/2-]"),
+            (lambda d: [d[key].pop(3) for key in ("paths", "radii", "samples")], "'beta'"),
+        ],
+    )
+    def test_path_errors_name_the_label(self, corrupt, named):
+        data = self._document()
+        assert data["paths"][3]["label"] == "beta[2/2-]" and data["paths"][3]["t"] == 1.0
+        corrupt(data)
+        with pytest.raises(ValueError, match=re.escape(named)):
             system_from_json(json.dumps(data))

@@ -7,14 +7,21 @@ import pytest
 
 from slicekit import stemtensor
 from slicekit.errors import ShapeMismatch
+from slicekit.monodromy import PolynomialModel
+from slicekit.paths import beta_path
 from slicekit.quat import Quaternion
+from slicekit.representation import representation_vectors
+from slicekit.sliceunits import eta, random_slice_unit_matrix
+from slicekit.stems import stem_from_slice
 from slicekit.stemtensor import (
     ARRAY_KERNEL_PAIRS,
     StemValue,
     _product_arrays,
     _product_table,
+    apply_real_matrix,
     basis_product,
     kron_matrix,
+    nan_max,
     oracle_star,
     sigma_matrix,
     slot_imaginary,
@@ -25,6 +32,8 @@ from slicekit.stemtensor import (
 
 from oracles import (
     bits,
+    components,
+    per_point_stem_family,
     per_term_kron_matrix,
     per_term_star_vector,
     quaternions_with_live,
@@ -223,8 +232,7 @@ def _kernel_star_vector(a, b):
     """star_vector through `star_kernel` alone, at any size: live entries of a against live entries of b."""
     live_a, live_b = ([m for m, q in enumerate(x.entries) if q.norm2() != 0.0] for x in (a, b))
     outputs, sign = (part[np.ix_(live_a, live_b)] for part in _product_arrays(a.N))
-    left, right = [a.entries[m] for m in live_a], [b.entries[m] for m in live_b]
-    return StemValue(a.N, tuple(Quaternion(*out) for out in star_kernel(left, right, outputs, 1 << a.N, sign)))
+    return StemValue(a.N, star_kernel(a.components[live_a], b.components[live_b], outputs, 1 << a.N, sign))
 
 
 def _pair_counts(pairs, limit):
@@ -251,14 +259,14 @@ class TestArrayKernel:
 
     def test_kernel_sums_rows_in_order_onto_plus_zero(self):
         # 0.5 + 1e16 - 1e16 is 0 in row order but 0.5 backwards; -0.0 terms sum to +0.0; output 2 gets no term
-        left = [Quaternion(0.5), Quaternion(1e16), Quaternion(-1e16), Quaternion(-0.0)]
+        left = components([Quaternion(0.5), Quaternion(1e16), Quaternion(-1e16), Quaternion(-0.0)])
         out = np.array([[0], [0], [0], [1]])
         sign = np.array([[1.0], [1.0], [1.0], [-1.0]])
-        sums = star_kernel(left, [Quaternion(1.0)], out, 3, sign)
-        assert [[c.hex() for c in q] for q in sums] == [[(0.0).hex()] * 4] * 3
+        sums = star_kernel(left, components([Quaternion(1.0)]), out, 3, sign)
+        assert [[c.hex() for c in q] for q in sums.tolist()] == [[(0.0).hex()] * 4] * 3
         # a lone term of -0.0 (w of 1 * (-0.0 + i)) sums to +0.0, as 0.0 + (-0.0) does in the loop
-        sums = star_kernel([Quaternion(1.0)], [Quaternion(-0.0, 1.0)], np.array([[0]]), 1)
-        assert [c.hex() for c in sums[0]] == [(0.0).hex(), (1.0).hex(), (0.0).hex(), (0.0).hex()]
+        sums = star_kernel(components([Quaternion(1.0)]), components([Quaternion(-0.0, 1.0)]), np.array([[0]]), 1)
+        assert [c.hex() for c in sums.tolist()[0]] == [(0.0).hex(), (1.0).hex(), (0.0).hex(), (0.0).hex()]
 
     def test_kernel_work_is_one_term_per_live_pair(self, monkeypatch, rng):
         # a sparse b: 256 x live_b pairs at N = 8 form that many terms, not 256 x 256 slots
@@ -281,7 +289,7 @@ class TestArrayKernel:
         finally:
             tracemalloc.stop()
         assert shapes == [(1 << n, live_b)]
-        # the Quaternions of the result take about 40 kB; one (4, 256, 256) float array is 2 MB
+        # the result's (256, 4) array takes 8 kB; one (4, 256, 256) float array is 2 MB
         assert peak < 2**20
         assert bits(got.entries) == bits(per_term_star_vector(a, b).entries)
 
@@ -323,3 +331,115 @@ class TestArrayKernel:
                 assert bits(got.entries) == bits(per_term_star_vector(x, y).entries)
                 seen.update(c.hex() for q in got.entries for c in q.to_list())
         assert {"nan", "inf", "-inf"} <= seen
+
+
+# -- the column array against per-entry Quaternion arithmetic ---------------------------------------------------------
+
+#: signed zeros, NaN of either sign, infinities, subnormals, the smallest normal, an underflowing square, a huge value
+_SPECIALS = (
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-170, 1e300, -1.5,
+)  # fmt: skip
+
+
+def _u64(values) -> list[int]:
+    """The bits of float values through a uint64 view: -0.0 and 0.0 differ, and so do NaN signs and payloads."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).ravel().tolist()
+
+
+def _special_columns(n, rng) -> list[StemValue]:
+    """Sparse columns (signed zeros, underflowing norms), columns drawn from NaN, inf, subnormal and huge values."""
+    size = 1 << n
+    columns = [sparse_quaternions(size, rng) for _ in range(3)]
+    columns += [[Quaternion(*rng.choice(_SPECIALS, 4)) for _ in range(size)] for _ in range(3)]
+    columns.append([Quaternion(-0.0, -0.0, -0.0, -0.0)] * size)
+    return [StemValue(n, tuple(column)) for column in columns]
+
+
+class TestColumnArrayBits:
+    """Every operation on the (2**N, 4) array gives the bits of its entries' `Quaternion` arithmetic."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sum_difference_scale_and_max_norm(self, n, rng):
+        columns = _special_columns(n, rng)
+        for a in columns:
+            for factor in (0.5, -1.0, 0.0, -0.0, 3e300, 5e-324, math.inf):
+                assert _u64(a.scale(factor).components) == _u64(components([q * factor for q in a.entries]))
+            assert _u64([a.max_norm()]) == _u64([nan_max([q.norm() for q in a.entries])])
+            for b in columns:
+                assert _u64((a + b).components) == _u64(components([x + y for x, y in zip(a.entries, b.entries)]))
+                assert _u64((a - b).components) == _u64(components([x - y for x, y in zip(a.entries, b.entries)]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_padded_basis_and_slot_imaginary(self, n, rng):
+        size = 1 << n
+        for a in _special_columns(n, rng):
+            assert _u64(StemValue.padded(a).components) == _u64(components(a.entries + (Quaternion(),) * size))
+        for m in range(1, size + 1):
+            expected = [Quaternion(1.0 if k == m else 0.0) for k in range(1, size + 1)]
+            assert _u64(StemValue.basis(n, m).components) == _u64(components(expected))
+        for slot in range(1, n + 1):
+            m = next(m for m in range(1, size + 1) if stemtensor._slot_pattern(n, m) == 1 << (slot - 1))
+            expected = [Quaternion(float(stemtensor._basis_sign(n, m)) if k == m else 0.0) for k in range(1, size + 1)]
+            assert _u64(slot_imaginary(n, slot).components) == _u64(components(expected))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_apply_real_matrix(self, n, rng):
+        for a in _special_columns(n, rng):
+            for mat in (sigma_matrix(n), sigma_matrix(n).T, rng.uniform(-1, 1, (1 << n, 1 << n))):
+                got = _u64(apply_real_matrix(mat, a).components)
+                with np.errstate(all="ignore"):  # the matrix product of the entries' components, as built per entry
+                    assert got == _u64(mat.astype(float) @ components(a.entries))
+                if mat.dtype == np.int64 and np.isfinite(a.components).all():
+                    # one +-1 per row of sigma: one exact product plus zero terms, in any order of summation;
+                    # which NaN a product returns is the BLAS's choice, so only finite columns are pinned here
+                    rows = [[float(v) for v in row] for row in mat]
+                    expected = [sum((c * q for c, q in zip(row, a.entries)), Quaternion()) for row in rows]
+                    assert got == _u64(components(expected))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_both_star_vector_paths(self, n, rng):
+        columns = _special_columns(n, rng)
+        for a in columns:
+            for b in columns:
+                expected = _u64(components(per_term_star_vector(a, b).entries))
+                assert _u64(star_vector(a, b).components) == expected
+                assert _u64(_kernel_star_vector(a, b).components) == expected
+
+    def test_constructor_boundary(self):
+        column = np.arange(16.0).reshape(4, 4)
+        value = StemValue(2, column)
+        column[0, 0] = 99.0  # the value holds a copy
+        assert value.components[0, 0] == 0.0 and not value.components.flags.writeable
+        assert value == StemValue(2, tuple(Quaternion(*q) for q in np.arange(16.0).reshape(4, 4).tolist()))
+        assert value == StemValue(2, [[0, 1, 2, 3], [4, 5, 6, 7], (8, 9, 10, 11), Quaternion(12, 13, 14, 15)])
+        assert [q.to_list() for q in value.entries] == np.arange(16.0).reshape(4, 4).tolist()
+        assert StemValue(1, (Quaternion(-0.0), 0.0)) == StemValue(1, (0.0, 0.0))
+        assert StemValue(1, (Quaternion(math.nan), 0.0)) != StemValue(1, (Quaternion(math.nan), 0.0))
+        assert StemValue(1, (1.0, 0.0)) != StemValue(2, (1.0, 0.0, 0.0, 0.0))
+        for bad in (np.zeros((4, 3)), np.zeros((2, 4)), np.zeros((1, 4, 4)), (Quaternion(),) * 3):
+            with pytest.raises(ShapeMismatch):
+                StemValue(2, bad)
+
+
+def test_column_producers_build_no_quaternion(monkeypatch, rng):
+    n = 3
+    a, b = _random_stem(n, rng), _random_stem(n, rng)
+    sparse = StemValue(n, tuple(quaternions_with_live(1 << n, 1 << n, rng)))
+    # a polynomial has no initial datum: the square root's Quaternion(1.0) is built once per continuation
+    model, path = PolynomialModel((Quaternion(0, 0, 1, 0), Quaternion(1.0), Quaternion(0, 1, 0, 0))), beta_path()
+    js = [eta(2, Quaternion(0, 1, 0, 0)), random_slice_unit_matrix(2, rng)]
+    stem = stem_from_slice(model, path, 0.5)
+    built = []
+    init = Quaternion.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quaternion, "__init__", counted)
+    star_vector(a, b)  # the loop
+    star_vector(StemValue(6, np.ones((64, 4))), StemValue(6, np.ones((64, 4))))  # the kernel
+    apply_real_matrix(sigma_matrix(n), sparse)
+    stem.at(stem.center + 0.1j)
+    representation_vectors(model, path, js)
+    assert built == []
