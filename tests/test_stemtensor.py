@@ -33,7 +33,6 @@ from slicekit.stemtensor import (
 from oracles import (
     bits,
     components,
-    per_point_stem_family,
     per_term_kron_matrix,
     per_term_star_vector,
     quaternions_with_live,
@@ -424,7 +423,6 @@ class TestColumnArrayBits:
 def test_column_producers_build_no_quaternion(monkeypatch, rng):
     n = 3
     a, b = _random_stem(n, rng), _random_stem(n, rng)
-    sparse = StemValue(n, tuple(quaternions_with_live(1 << n, 1 << n, rng)))
     # a polynomial has no initial datum: the square root's Quaternion(1.0) is built once per continuation
     model, path = PolynomialModel((Quaternion(0, 0, 1, 0), Quaternion(1.0), Quaternion(0, 1, 0, 0))), beta_path()
     js = [eta(2, Quaternion(0, 1, 0, 0)), random_slice_unit_matrix(2, rng)]
@@ -439,7 +437,7 @@ def test_column_producers_build_no_quaternion(monkeypatch, rng):
     monkeypatch.setattr(Quaternion, "__init__", counted)
     star_vector(a, b)  # the loop
     star_vector(StemValue(6, np.ones((64, 4))), StemValue(6, np.ones((64, 4))))  # the kernel
-    apply_real_matrix(sigma_matrix(n), sparse)
+    apply_real_matrix(sigma_matrix(n), a)
     stem.at(stem.center + 0.1j)
     representation_vectors(model, path, js)
     assert built == []
