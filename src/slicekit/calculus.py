@@ -5,6 +5,13 @@ so every construction here lives on axially symmetric schlicht domains where
 the star product is just coefficient convolution (the unique regular
 extension of the pointwise product on the real axis).
 
+A polynomial is one read-only (K, 4) float64 array of its coefficients'
+(w, x, y, z), the layout of a stem column; no operation builds a
+`Quaternion` per coefficient.  The loops of products, sums, scaling,
+derivatives and evaluation run on the rows as Python floats
+(`components.tolist()`), in the float operations of `Quaternion`
+arithmetic, and each result becomes an array once.
+
 `star_product` has two paths that agree bit for bit: a per-term loop below
 `stemtensor.ARRAY_KERNEL_PAIRS` (256) live pairs, nonzero left coefficients
 times right coefficients, and `stemtensor.star_kernel` from there on, which
@@ -36,7 +43,7 @@ from .monodromy import (
     _sqrt_factor,
 )
 from .paths import NPartPath, _json_number
-from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse
+from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse, quaternion_rows
 from .stemtensor import (
     ARRAY_KERNEL_PAIRS,
     StemValue,
@@ -50,54 +57,91 @@ from .stems import stem_derivative_family
 from .tolerances import FD_STEP, ON_AXIS_TOL, SYMMETRIZATION_ZERO_TOL
 
 
-def _trim(coeffs: tuple[Quaternion, ...]) -> tuple[Quaternion, ...]:
-    n = len(coeffs)
-    while n > 1 and coeffs[n - 1].norm2() == 0.0:
+def _is_zero(row) -> bool:
+    """The trim test of one (w, x, y, z) row of Python floats: w*w + x*x + y*y + z*z == 0.0, in that order."""
+    w, x, y, z = row
+    return w * w + x * x + y * y + z * z == 0.0
+
+
+def _trimmed(rows: np.ndarray) -> np.ndarray:
+    """A (K, 4) array without trailing rows that `_is_zero`, down to one row; one zero row for none."""
+    n = len(rows)
+    while n > 1 and _is_zero(rows[n - 1].tolist()):
         n -= 1
-    return coeffs[:n]
+    return rows[:n] if n else np.zeros((1, 4))
 
 
-@dataclass(frozen=True)
+def _poly(rows: list) -> "SliceRegularPoly":
+    """The polynomial of (w, x, y, z) rows of Python floats computed inside slicekit: trimmed, then one new array."""
+    n = len(rows)
+    while n > 1 and _is_zero(rows[n - 1]):
+        n -= 1
+    return SliceRegularPoly._of(np.array(rows[:n]))
+
+
+@dataclass(frozen=True, eq=False)
 class SliceRegularPoly:
-    """Entire slice regular polynomial q -> sum q**n * a_n."""
+    """Entire slice regular polynomial q -> sum q**n * a_n, held as the read-only (K, 4) float64 array
+    `components` of the (w, x, y, z) of a_0 .. a_(K-1).
 
-    coefficients: tuple[Quaternion, ...]
+    The constructor takes a (K, 4) array or K quaternion-likes (reals, 4-sequences, `Quaternion`s and
+    `ImaginaryUnit`s) and copies them; another array shape is a ShapeMismatch.  Trailing coefficients with
+    w*w + x*x + y*y + z*z == 0.0 are dropped, down to one.  `coefficients` builds the `Quaternion`s on read.
+    Every operation gives the bits of per-coefficient `Quaternion` arithmetic; -0.0 == 0.0 and NaN is unequal.
+    """
+
+    components: np.ndarray
 
     def __post_init__(self):
-        coeffs = tuple(as_quaternion(c) for c in self.coefficients) or (Quaternion(),)
-        object.__setattr__(self, "coefficients", _trim(coeffs))
+        components = _trimmed(quaternion_rows(self.components))
+        components.setflags(write=False)
+        object.__setattr__(self, "components", components)
+
+    @classmethod
+    def _of(cls, rows: np.ndarray) -> "SliceRegularPoly":
+        """The polynomial of a trimmed (K, 4) float64 array made inside slicekit: no copy and no check."""
+        poly = object.__new__(cls)
+        rows.setflags(write=False)
+        object.__setattr__(poly, "components", rows)
+        return poly
+
+    @property
+    def coefficients(self) -> tuple[Quaternion, ...]:
+        """The coefficients as `Quaternion`s, built from `components` on every read."""
+        return tuple(Quaternion(*q) for q in self.components.tolist())
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.components) - 1
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SliceRegularPoly) and np.array_equal(self.components, other.components)
 
     def __call__(self, q) -> Quaternion:
         q = as_quaternion(q)
-        return Quaternion(*_horner(self.coefficients, (q.w, q.x, q.y, q.z)))
+        return Quaternion(*_horner(self.components.tolist(), (q.w, q.x, q.y, q.z)))
 
     def __add__(self, other: "SliceRegularPoly") -> "SliceRegularPoly":
-        a, b = self.coefficients, other.coefficients
+        a, b = self.components.tolist(), other.components.tolist()
         if len(a) < len(b):
             a, b = b, a
-        merged = list(a)
-        for idx, coeff in enumerate(b):
-            merged[idx] = merged[idx] + coeff
-        return SliceRegularPoly(tuple(merged))
+        summed = [[aw + bw, ax + bx, ay + by, az + bz] for (aw, ax, ay, az), (bw, bx, by, bz) in zip(a, b)]
+        return _poly(summed + a[len(b) :])
 
     def __sub__(self, other: "SliceRegularPoly") -> "SliceRegularPoly":
         return self + (-other)
 
     def __neg__(self) -> "SliceRegularPoly":
-        return SliceRegularPoly(tuple(-c for c in self.coefficients))
+        return SliceRegularPoly._of(np.negative(self.components))  # every w*w + x*x + y*y + z*z is kept: still trimmed
 
     def __mul__(self, other: "SliceRegularPoly") -> "SliceRegularPoly":
         return star_product(self, other)
 
     def scale(self, factor: float) -> "SliceRegularPoly":
-        return SliceRegularPoly(tuple(c * factor for c in self.coefficients))
+        return _poly([[w * factor, x * factor, y * factor, z * factor] for w, x, y, z in self.components.tolist()])
 
     def to_json_obj(self) -> dict:
-        return {"coeffs": [c.to_list() for c in self.coefficients]}
+        return {"coeffs": self.components.tolist()}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SliceRegularPoly":
@@ -109,55 +153,53 @@ class SliceRegularPoly:
         if not (set(map(type, numbers)) <= {float} and all(map(math.isfinite, numbers))):
             for value in numbers:
                 _json_number(value)
-        return cls(tuple(Quaternion(*c) for c in coeffs))
+        return cls._of(_trimmed(np.array(numbers, dtype=np.float64).reshape(-1, 4)))
 
     @classmethod
     def constant(cls, value) -> "SliceRegularPoly":
-        return cls((as_quaternion(value),))
+        return cls((value,))
 
     @classmethod
     def identity(cls) -> "SliceRegularPoly":
-        return cls((Quaternion(), Quaternion(1.0)))
+        return cls((0.0, 1.0))
 
 
-ONE_POLY = SliceRegularPoly((Quaternion(1.0),))
+ONE_POLY = SliceRegularPoly((1.0,))
 
 
 def star_product(f: SliceRegularPoly, g: SliceRegularPoly) -> SliceRegularPoly:
     """Coefficient convolution c_n = sum_k a_k * b_(n-k), order preserved.
 
-    Each c_n sums over k in increasing order, skipping zero a_k (but not zero
-    b_(n-k)); each term is the Hamilton product a_k * b_(n-k) with the float
-    expressions of `hamilton_product`.  From `ARRAY_KERNEL_PAIRS` live pairs
-    (nonzero a_k times all b) on, `star_kernel` forms the same sums in one
-    array pass.
+    Each c_n sums over k in increasing order from +0.0, skipping zero a_k
+    (but not zero b_(n-k)); each term is the Hamilton product a_k * b_(n-k)
+    with the float expressions of `hamilton_product`, on Python floats.  From
+    `ARRAY_KERNEL_PAIRS` live pairs (nonzero a_k times all b) on,
+    `star_kernel` forms the same sums in one array pass.
     """
-    a, b = f.coefficients, g.coefficients
-    live = [k for k, ak in enumerate(a) if ak.norm2() != 0.0]
-    if len(live) * len(b) >= ARRAY_KERNEL_PAIRS:
-        out = np.add.outer(live, np.arange(len(b)))  # a_k * b_j goes to c_(k + j)
-        # (rows, 4) operands built from one list per component: numpy converts four lists faster than 4-tuples
-        left, right = (
-            np.array([[q.w for q in c], [q.x for q in c], [q.y for q in c], [q.z for q in c]]).T for c in (a, b)
-        )
-        acc = star_kernel(left[live], right, out, len(a) + len(b) - 1).tolist()
-    else:
-        acc = [[0.0, 0.0, 0.0, 0.0] for _ in range(len(a) + len(b) - 1)]
-        right = [(q.w, q.x, q.y, q.z) for q in b]
-        for k in live:
-            ak = a[k]
-            aw, ax, ay, az = ak.w, ak.x, ak.y, ak.z
-            for out, (bw, bx, by, bz) in zip(acc[k : k + len(b)], right):
-                out[0] += aw * bw - ax * bx - ay * by - az * bz
-                out[1] += aw * bx + ax * bw + ay * bz - az * by
-                out[2] += aw * by - ax * bz + ay * bw + az * bx
-                out[3] += aw * bz + ax * by - ay * bx + az * bw
-    return SliceRegularPoly(tuple([Quaternion(*out) for out in acc]))
+    a = f.components.tolist()
+    live = [k for k, (w, x, y, z) in enumerate(a) if w * w + x * x + y * y + z * z != 0.0]
+    length = len(g.components)
+    size = len(a) + length - 1
+    if len(live) * length >= ARRAY_KERNEL_PAIRS:
+        out = np.add.outer(live, np.arange(length))  # a_k * b_j goes to c_(k + j)
+        return SliceRegularPoly._of(_trimmed(star_kernel(f.components[live], g.components, out, size)))
+    b = g.components.tolist()
+    acc = [[0.0, 0.0, 0.0, 0.0] for _ in range(size)]
+    for k in live:
+        aw, ax, ay, az = a[k]
+        for out, (bw, bx, by, bz) in zip(acc[k : k + length], b):
+            out[0] += aw * bw - ax * bx - ay * by - az * bz
+            out[1] += aw * bx + ax * bw + ay * bz - az * by
+            out[2] += aw * by - ax * bz + ay * bw + az * bx
+            out[3] += aw * bz + ax * by - ay * bx + az * bw
+    return _poly(acc)
 
 
 def regular_conjugate(f: SliceRegularPoly) -> SliceRegularPoly:
-    """Coefficientwise quaternion conjugation."""
-    return SliceRegularPoly(tuple(c.conjugate() for c in f.coefficients))
+    """Coefficientwise quaternion conjugation: x, y and z change sign, as `Quaternion.conjugate` does."""
+    rows = np.negative(f.components)
+    rows[:, 0] = f.components[:, 0]
+    return SliceRegularPoly._of(rows)  # every w*w + x*x + y*y + z*z is kept: still trimmed
 
 
 def symmetrization(f: SliceRegularPoly) -> SliceRegularPoly:
@@ -169,12 +211,12 @@ def slice_derivative(f: SliceRegularPoly, n: int = 1) -> SliceRegularPoly:
     """n-th slice derivative: a_k -> (k+n)!/k! * a_(k+n)."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
-    return SliceRegularPoly(_poly_derivative(f.coefficients, n))
+    return _poly(_poly_derivative(f.components.tolist(), n))
 
 
 def leibniz(f: SliceRegularPoly, g: SliceRegularPoly, n: int) -> SliceRegularPoly:
     """sum_m binom(n, m) f^(m) * g^(n-m); equals the derivative of f * g."""
-    acc = SliceRegularPoly((Quaternion(),))
+    acc = SliceRegularPoly(())
     for m in range(n + 1):
         term = star_product(slice_derivative(f, m), slice_derivative(g, n - m))
         acc = acc + term.scale(float(math.comb(n, m)))
@@ -268,7 +310,7 @@ class StarReciprocal:
 
 
 def _symmetrization_roots(sym: SliceRegularPoly) -> list[complex]:
-    reals = [c.w for c in sym.coefficients]
+    reals = sym.components[:, 0].tolist()
     if len(reals) <= 1:
         return []
     roots = np.roots(list(reversed(reals)))
@@ -308,7 +350,7 @@ def _probe_zero(sym: SliceRegularPoly, domain: AxSymDomain) -> Quaternion | None
         inside &= _mapped(abs, offset) < domain.radius
     point = tuple(c[inside] for c in (w, x, y, z))
     with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow to inf and nan silently too
-        aw, ax, ay, az = _horner(sym.coefficients, point)
+        aw, ax, ay, az = _horner(sym.components.tolist(), point)
         below = np.flatnonzero(np.sqrt(aw * aw + ax * ax + ay * ay + az * az) < SYMMETRIZATION_ZERO_TOL)
     return Quaternion(*(float(c[below[0]]) for c in point)) if len(below) else None
 
@@ -325,7 +367,8 @@ def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciproc
     point below the cut-off, innermost first, is the witness.
     """
     sym = symmetrization(f)
-    if max(c.norm() for c in sym.coefficients) < SYMMETRIZATION_ZERO_TOL:
+    norms = [math.sqrt(w * w + x * x + y * y + z * z) for w, x, y, z in sym.components.tolist()]
+    if max(norms) < SYMMETRIZATION_ZERO_TOL:
         raise SymmetrizationZero("symmetrization is identically zero", witness=Quaternion())
     for root in _symmetrization_roots(sym):
         witness = Quaternion(root.real, abs(root.imag), 0.0, 0.0)
@@ -383,7 +426,7 @@ def taylor_eval(f_model, q0, q, terms: int) -> Quaternion:
     if isinstance(f_model, SliceRegularPoly):
         derivatives = [slice_derivative(f_model, n)(q0) for n in range(terms)]
     elif isinstance(f_model, PolynomialModel):
-        return taylor_eval(SliceRegularPoly(f_model.coefficients), q0, q, terms)
+        return taylor_eval(SliceRegularPoly(f_model.components), q0, q, terms)
     else:
         z0, unit0 = _slice_split(q0)
         if z0.real <= 0:

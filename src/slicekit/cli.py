@@ -10,14 +10,17 @@ Every JSON document is written by orjson: compact, each number in its
 shortest round-trip digits (`1e-7`, `1e16`, `-0.0`), so `json.loads` reads
 back the same float64 bits.  A payload holds Python floats, ints, bools and
 strings only.  A NaN or infinite `check` deviation is written as `null`; the
-other commands raise `NonFiniteResult` before printing.  Inputs are read with
-the stdlib `json`.
+other commands raise `NonFiniteResult` before printing.  Every JSON input
+(`--f`, `--g`, `--coeffs`, `--path`, `--J` and `--units`) is read by
+`orjson.loads`, which refuses `NaN`, `Infinity` and numbers beyond the float
+range as it parses, and reads an integer outside the 64-bit range as its
+nearest float.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import math
 import os
 import sys
@@ -26,7 +29,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from orjson import dumps
+from orjson import dumps, loads
 
 from . import checks
 from .calculus import SliceRegularPoly, regular_conjugate, star_product, symmetrization
@@ -41,18 +44,17 @@ from .stems import build_stem_system, system_to_json, validate_stem_system
 SEED_ENV = "SLICEKIT_SEED"
 
 
-def _read_maybe_file(arg: str) -> str:
-    path = Path(arg)
-    try:
-        exists = path.exists()
-    except (OSError, ValueError):  # too long, or otherwise impossible as a file name
+def _read_maybe_file(arg: str) -> str | bytes:
+    """The bytes of the file named `arg`, for orjson to read; `arg` itself when no such file exists."""
+    if not os.path.exists(arg):  # also false for a name too long, or otherwise impossible, as a file name
         return arg
-    return path.read_text() if exists else arg
+    with open(arg, "rb") as handle:
+        return handle.read()
 
 
 def _parse_units(text: str, path: NPartPath) -> tuple[ImaginaryUnit, ...]:
     """One lift unit per part of `path`; a different count is a usage error (exit 2)."""
-    units = tuple(unit_from_json(json.loads(p)) for p in text.split(";") if p.strip())
+    units = tuple(unit_from_json(loads(p)) for p in text.split(";") if p.strip())
     if len(units) != path.parts:
         raise ValueError(f"{path.parts}-part path needs {path.parts} units, got {len(units)}")
     return units
@@ -63,7 +65,7 @@ def _parse_path(arg: str) -> NPartPath:
 
 
 def _parse_poly(arg: str) -> SliceRegularPoly:
-    return SliceRegularPoly.from_json_obj(json.loads(_read_maybe_file(arg)))
+    return SliceRegularPoly.from_json_obj(loads(_read_maybe_file(arg)))
 
 
 def _finite_float(admissible, requirement: str):
@@ -91,9 +93,10 @@ def _require_finite(label: str, rows: list[list[float]], name: Callable[[int], s
     `name(k)` names entry k; NonFiniteResult's `index` is the first entry
     holding a non-finite number.
     """
-    index = next((k for k, row in enumerate(rows) if not all(map(math.isfinite, row))), None)
-    if index is not None:
-        raise NonFiniteResult(f"{label} overflowed: {name(index)} is {rows[index]}", index=index)
+    if all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        return
+    index = next(k for k, row in enumerate(rows) if not all(map(math.isfinite, row)))
+    raise NonFiniteResult(f"{label} overflowed: {name(index)} is {rows[index]}", index=index)
 
 
 def _build_model(args) -> SliceFunctionModel:
@@ -101,7 +104,7 @@ def _build_model(args) -> SliceFunctionModel:
     if args.model in ("poly", "polynomial"):
         if not getattr(args, "coeffs", None):
             raise ValueError("--coeffs is required for the polynomial model")
-        coeffs = _parse_poly(args.coeffs).coefficients
+        coeffs = _parse_poly(args.coeffs).components
     return model_by_name(args.model, coeffs)
 
 
@@ -311,7 +314,7 @@ def main(argv=None) -> int:
         if getattr(args, "units_required", False) and not args.units:
             raise ValueError("--units is required for this command")
         return args.fn(args)
-    except (json.JSONDecodeError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # a JSON parse error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SliceKitError as exc:

@@ -37,7 +37,7 @@ from .errors import (
     NotAtRealPoint,
 )
 from .paths import NPartPath, PathSegment
-from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, inverse_components
+from .quat import Quaternion, embed_slice, hamilton_components, inverse_components, quaternion_rows
 from .tolerances import AT_CENTER_TOL, BRANCH_TOL, GERM_TOL, REAL_TOL, SEGMENT_START_TOL, START_TOL
 
 
@@ -73,12 +73,15 @@ class GermKey:
         return (self.point - other.point).norm() <= GERM_TOL and (self.value - other.value).norm() <= GERM_TOL
 
 
-def _horner(coeffs: Sequence[Quaternion], q: tuple) -> tuple:
-    """Right-coefficient Horner a0 + q*(a1 + q*(a2 + ...)) on (w, x, y, z) components, floats or arrays."""
+def _horner(rows: list, q: tuple) -> tuple:
+    """Right-coefficient Horner a0 + q*(a1 + q*(a2 + ...)) on (w, x, y, z) components, floats or arrays.
+
+    `rows` are the coefficients' (w, x, y, z) as Python floats, as `components.tolist()` gives them.
+    """
     acc = (0.0, 0.0, 0.0, 0.0)
-    for a in reversed(coeffs):
+    for aw, ax, ay, az in reversed(rows):
         h = hamilton_components(q, acc)
-        acc = (h[0] + a.w, h[1] + a.x, h[2] + a.y, h[3] + a.z)
+        acc = (h[0] + aw, h[1] + ax, h[2] + ay, h[3] + az)
     return acc
 
 
@@ -125,13 +128,17 @@ def _log_factor(n: int) -> float:
     return (-1.0) ** (n - 1) * size
 
 
-def _poly_derivative(coeffs: Sequence[Quaternion], n: int) -> tuple[Quaternion, ...]:
-    out = list(coeffs)
+def _poly_derivative(rows: list, n: int) -> list:
+    """The n-th slice derivative of coefficient rows as `_horner` takes them.
+
+    Each pass drops a_0 and multiplies a_k by float(k) once, as `Quaternion * float` does;
+    once no coefficient is left, the derivative is one zero row.
+    """
     for _ in range(n):
-        out = [out[k] * float(k) for k in range(1, len(out))]
-        if not out:
-            return (Quaternion(),)
-    return tuple(out)
+        rows = [[w * k, x * k, y * k, z * k] for k, (w, x, y, z) in zip(map(float, range(1, len(rows))), rows[1:])]
+        if not rows:
+            return [[0.0, 0.0, 0.0, 0.0]]
+    return rows
 
 
 class SliceFunctionModel:
@@ -232,8 +239,12 @@ class PolynomialModel(SliceFunctionModel):
     kind = "polynomial"
     datum_kind = "none"
 
-    def __init__(self, coefficients: Sequence[Quaternion]):
-        self.coefficients = tuple(as_quaternion(c) for c in coefficients)
+    def __init__(self, coefficients):
+        """`coefficients`: a (K, 4) array of (w, x, y, z) rows or K quaternion-likes, held as the read-only
+        float64 array `components`."""
+        components = quaternion_rows(coefficients)
+        components.setflags(write=False)
+        self.components = components
 
     def initial_datum(self) -> None:
         return None
@@ -248,10 +259,10 @@ class PolynomialModel(SliceFunctionModel):
         y = np.array([z.imag for z in points], dtype=float).reshape(r.shape)
         uw, ux, uy, uz = _lift_components(states.units)
         q = (x + y * uw, y * ux, y * uy, y * uz)
-        return _stacked(_horner(_poly_derivative(self.coefficients, n), q))
+        return _stacked(_horner(_poly_derivative(self.components.tolist(), n), q))
 
 
-def model_by_name(name: str, coefficients: Sequence[Quaternion] | None = None) -> SliceFunctionModel:
+def model_by_name(name: str, coefficients=None) -> SliceFunctionModel:
     if name == "sqrt":
         return SqrtModel()
     if name == "log":

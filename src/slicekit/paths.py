@@ -10,13 +10,12 @@ counts, not sampled point lists.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from orjson import OPT_SERIALIZE_NUMPY, dumps
+from orjson import OPT_SERIALIZE_NUMPY, dumps, loads
 
 from .errors import (
     DisconnectedSegments,
@@ -339,8 +338,8 @@ class NPartPath:
         return dumps({"segments": [s.to_json_obj() for s in self.segments]}, option=OPT_SERIALIZE_NUMPY).decode()
 
     @classmethod
-    def from_json(cls, text: str) -> "NPartPath":
-        data = json.loads(text)
+    def from_json(cls, text: str | bytes) -> "NPartPath":
+        data = loads(text)
         segments = data.get("segments") if isinstance(data, dict) else None
         if not isinstance(segments, list):
             raise ValueError('path JSON must be an object with a "segments" list')

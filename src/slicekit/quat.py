@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ZeroDivisor
+from .errors import ShapeMismatch, ZeroDivisor
 from .tolerances import TOL, UNIT_TOL
 
 # int and float first: isinstance against the numbers ABC is the slow path
@@ -161,6 +161,17 @@ def as_quaternion(value) -> Quaternion:
     if isinstance(value, complex):
         raise TypeError("complex numbers embed via embed_slice(z, I), not implicitly")
     return Quaternion.from_list(list(value))
+
+
+def quaternion_rows(values) -> np.ndarray:
+    """A new C-ordered (n, 4) float64 array of (w, x, y, z) rows: a copy of an (n, 4) array, else one row per
+    quaternion-like, read as `as_quaternion` reads it.  Any other array shape is a ShapeMismatch."""
+    if not isinstance(values, np.ndarray):
+        values = [(q.w, q.x, q.y, q.z) for q in map(as_quaternion, values)] or np.empty((0, 4))
+    rows = np.array(values, dtype=np.float64, order="C")
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ShapeMismatch(f"quaternions need (w, x, y, z) rows, got an array of shape {rows.shape}")
+    return rows
 
 
 def hamilton_product(a: Quaternion, b: Quaternion) -> Quaternion:

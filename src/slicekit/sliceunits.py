@@ -9,12 +9,11 @@ eta_N(I) is the canonical choice: scaled by 2**(-N/2) it is unitary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from orjson import dumps
+from orjson import dumps, loads
 
 from .errors import IndexOutOfRange, NotIndependent, ShapeMismatch
 from .paths import _json_number
@@ -105,8 +104,8 @@ class SliceUnitMatrix:
         return dumps({"N": self.N, "rows": rows}).decode()
 
     @classmethod
-    def from_json(cls, text: str) -> "SliceUnitMatrix":
-        data = json.loads(text)
+    def from_json(cls, text: str | bytes) -> "SliceUnitMatrix":
+        data = loads(text)
         n, rows = (data.get("N"), data.get("rows")) if isinstance(data, dict) else (None, None)
         shaped = type(n) is int and n >= 1 and isinstance(rows, list) and rows
         # every row holds N units, so 1 << N is no larger than the input

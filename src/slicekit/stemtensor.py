@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch
-from .quat import Quaternion, as_quaternion, hamilton_components
+from .quat import Quaternion, hamilton_components, quaternion_rows
 
 
 def _bit(value: int, position: int) -> int:
@@ -106,14 +106,20 @@ class StemValue:
     components: np.ndarray
 
     def __post_init__(self):
-        entries = self.components
-        if not isinstance(entries, np.ndarray):
-            entries = [(q.w, q.x, q.y, q.z) for q in map(as_quaternion, entries)]
-        components = np.array(entries, dtype=np.float64, order="C")  # a copy: no caller holds a writeable alias
+        components = quaternion_rows(self.components)  # a copy: no caller holds a writeable alias
         if components.shape != (1 << self.N, 4):
             raise ShapeMismatch(f"stem value of order {self.N} needs {1 << self.N} entries")
         components.setflags(write=False)
         object.__setattr__(self, "components", components)
+
+    @classmethod
+    def _of(cls, n: int, components: np.ndarray) -> "StemValue":
+        """The value of a new C-ordered (2**n, 4) float64 array made inside slicekit: no copy and no check."""
+        value = object.__new__(cls)
+        components.setflags(write=False)
+        object.__setattr__(value, "N", n)
+        object.__setattr__(value, "components", components)
+        return value
 
     @property
     def entries(self) -> tuple[Quaternion, ...]:
@@ -127,25 +133,25 @@ class StemValue:
     def __add__(self, other: "StemValue") -> "StemValue":
         if self.N != other.N:
             raise ShapeMismatch("stem values of different order")
-        return StemValue(self.N, self.components + other.components)
+        return StemValue._of(self.N, self.components + other.components)
 
     @np.errstate(all="ignore")
     def __sub__(self, other: "StemValue") -> "StemValue":
         if self.N != other.N:
             raise ShapeMismatch("stem values of different order")
-        return StemValue(self.N, self.components - other.components)
+        return StemValue._of(self.N, self.components - other.components)
 
     @np.errstate(all="ignore")
     def scale(self, factor: float) -> "StemValue":
         """Every entry times the real `factor`."""
-        return StemValue(self.N, self.components * factor)
+        return StemValue._of(self.N, self.components * factor)
 
     def star(self, other: "StemValue") -> "StemValue":
         return star_vector(self, other)
 
     def max_norm(self) -> float:
-        """Largest entry norm; NaN when any entry holds a NaN."""
-        return nan_max(max_norms(self.components))
+        """Largest entry norm, in `Quaternion.norm`'s float operations; NaN when any entry holds a NaN."""
+        return nan_max([math.sqrt(w * w + x * x + y * y + z * z) for w, x, y, z in self.components.tolist()])
 
     @classmethod
     def basis(cls, n: int, index: int) -> "StemValue":
@@ -154,12 +160,12 @@ class StemValue:
             raise IndexOutOfRange(f"basis index {index} outside 1..{1 << n}")
         column = np.zeros((1 << n, 4))
         column[index - 1, 0] = 1.0
-        return cls(n, column)
+        return cls._of(n, column)
 
     @classmethod
     def padded(cls, lower: "StemValue") -> "StemValue":
         """(a^T, 0)^T: embed an order-N value in order N+1 by zero padding."""
-        return cls(lower.N + 1, np.concatenate([lower.components, np.zeros_like(lower.components)]))
+        return cls._of(lower.N + 1, np.concatenate([lower.components, np.zeros_like(lower.components)]))
 
 
 def slot_imaginary(n: int, slot: int) -> StemValue:
@@ -169,7 +175,7 @@ def slot_imaginary(n: int, slot: int) -> StemValue:
     m = 1 << slot  # bits 1..slot of m - 1 set: bits l and l + 1 differ at l = slot alone, so the pattern is {slot}
     column = np.zeros((1 << n, 4))
     column[m - 1, 0] = _basis_sign(n, m)
-    return StemValue(n, column)
+    return StemValue._of(n, column)
 
 
 #: live term pairs from which `star_vector` and `calculus.star_product` run `star_kernel` in place of
@@ -229,7 +235,7 @@ def star_kernel(
         if sign is not None:
             terms = [part * sign for part in terms]
         sums = [np.bincount(out.ravel(), part.ravel(), size) for part in terms]
-    return np.array(sums).T
+    return np.stack(sums, axis=-1)
 
 
 def star_vector(a: StemValue, b: StemValue) -> StemValue:
@@ -251,7 +257,7 @@ def star_vector(a: StemValue, b: StemValue) -> StemValue:
         live_a, live_b = [m for m, *_ in left], [m for m, *_ in right]
         cells = np.add.outer(np.array(live_a) << a.N, live_b)  # flat positions in the 2**N x 2**N tables
         outputs, sign = (part.take(cells) for part in _product_arrays(a.N))
-        return StemValue(a.N, star_kernel(a.components[live_a], b.components[live_b], outputs, 1 << a.N, sign))
+        return StemValue._of(a.N, star_kernel(a.components[live_a], b.components[live_b], outputs, 1 << a.N, sign))
     table = _product_table(a.N)
     acc = [[0.0, 0.0, 0.0, 0.0] for _ in range(1 << a.N)]
     for ma, aw, ax, ay, az in left:
@@ -273,7 +279,7 @@ def star_vector(a: StemValue, b: StemValue) -> StemValue:
                 out[1] += x
                 out[2] += y
                 out[3] += z
-    return StemValue(a.N, np.array(acc))
+    return StemValue._of(a.N, np.array(acc))
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +304,7 @@ def apply_real_matrix(mat: np.ndarray, value: StemValue) -> StemValue:
     size = 1 << value.N
     if mat.shape != (size, size):
         raise ShapeMismatch(f"{mat.shape} matrix against a stem value of {size} entries")
-    return StemValue(value.N, mat.astype(float) @ value.components)
+    return StemValue._of(value.N, mat.astype(float) @ value.components)
 
 
 # -- independent Kronecker representation (oracle) --------------------------
@@ -368,7 +374,7 @@ def tensor_from_kron(n: int, mat: np.ndarray) -> StemValue:
     first = cols == 0
     entries = np.empty((1 << n, 4))
     entries[ms[first]] = signs[first, None] * mat[:, 0].reshape(-1, 4)[rows[first]]
-    return StemValue(n, entries)
+    return StemValue._of(n, entries)
 
 
 def oracle_star(a: StemValue, b: StemValue) -> StemValue:

@@ -52,6 +52,13 @@ once, as the array `derivative_values`; it, `lift_values`, `germ_key` and
 `evaluate_lifted` must give the bits of these formulas, and the library's
 component Horner sum `_horner` those of `poly_eval`.
 
+The per-coefficient polynomial forms (`per_term_convolution`,
+`per_coefficient_sum`, `per_coefficient_derivative` and the trim `trimmed`)
+are the scalar forms of `SliceRegularPoly`'s operations on its (K, 4) array:
+one `Quaternion` operation per coefficient, or per term of a product.  The
+array polynomial must give their bits; `u64` reads those bits, and
+`u64_any_nan` reads them with every NaN as one.
+
 `strict_loads` is the reader every JSON document slicekit writes must pass:
 the stdlib parser, refusing the `NaN` and `Infinity` that strict JSON lacks.
 
@@ -72,7 +79,7 @@ import numpy as np
 from slicekit import calculus
 from slicekit.calculus import SliceRegularPoly
 from slicekit.errors import BranchPoint, BranchPointCrossing, LengthMismatch, NotAtRealPoint, NotIndependent
-from slicekit.monodromy import GermKey, _log_factor, _poly_derivative, _sqrt_factor, continue_segment
+from slicekit.monodromy import GermKey, _log_factor, _sqrt_factor, continue_segment
 from slicekit.paths import Line
 from slicekit.qmat import QuaternionMatrix, _pairs, _quaternions, qmat_inverse, qmat_rank
 from slicekit.quat import I as UNIT_I
@@ -204,14 +211,36 @@ def per_term_star_vector(a: StemValue, b: StemValue) -> StemValue:
 
 def per_term_star_product(f: SliceRegularPoly, g: SliceRegularPoly) -> SliceRegularPoly:
     """Coefficient convolution summed term by term, zero a_i skipped, i increasing."""
-    a, b = f.coefficients, g.coefficients
+    return SliceRegularPoly(tuple(per_term_convolution(f.coefficients, g.coefficients)))
+
+
+def per_term_convolution(a, b) -> list[Quaternion]:
+    """`per_term_star_product` on `Quaternion` coefficient lists, trimmed as `trimmed` does."""
     out = [Quaternion() for _ in range(len(a) + len(b) - 1)]
     for i, ai in enumerate(a):
         if ai.norm2() == 0.0:
             continue
         for j, bj in enumerate(b):
             out[i + j] = out[i + j] + ai * bj
-    return SliceRegularPoly(tuple(out))
+    return trimmed(out)
+
+
+def trimmed(coeffs) -> list[Quaternion]:
+    """Coefficients without trailing ones of norm2() == 0.0, down to one; a zero one for none."""
+    out = list(coeffs) or [Quaternion()]
+    while len(out) > 1 and out[-1].norm2() == 0.0:
+        out.pop()
+    return out
+
+
+def per_coefficient_sum(a, b) -> list[Quaternion]:
+    """The sum of two coefficient lists: the longer one's coefficient plus the shorter one's, trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, coeff in enumerate(b):
+        out[k] = out[k] + coeff
+    return trimmed(out)
 
 
 def per_entry_qmat_mul(a: QuaternionMatrix, b: QuaternionMatrix) -> QuaternionMatrix:
@@ -343,6 +372,16 @@ def poly_eval(coeffs, q: Quaternion) -> Quaternion:
     return acc
 
 
+def per_coefficient_derivative(coeffs, n: int) -> list[Quaternion]:
+    """The n-th slice derivative, one `Quaternion * float` per coefficient and pass: a_k -> a_k * float(k)."""
+    out = list(coeffs)
+    for _ in range(n):
+        out = [out[k] * float(k) for k in range(1, len(out))]
+        if not out:
+            return [Quaternion()]
+    return out
+
+
 def scalar_derivative_value(model, state: SheetState, n: int) -> Quaternion:
     """Value of the n-th slice derivative of the model, continued to the state's sheet (n = 0: the value)."""
     if model.kind == "sqrt":
@@ -354,7 +393,8 @@ def scalar_derivative_value(model, state: SheetState, n: int) -> Quaternion:
             return Quaternion(math.log(state.r)) + state.theta * state.unit + state.datum
         coeff = _log_factor(n)
         return coeff * state.r ** (-n) * unit_exp(-n * state.theta, state.unit)
-    return poly_eval(_poly_derivative(model.coefficients, n), state.projected_point)
+    coefficients = [Quaternion(*row) for row in model.components.tolist()]
+    return poly_eval(per_coefficient_derivative(coefficients, n), state.projected_point)
 
 
 def scalar_value(model, state: SheetState) -> Quaternion:
@@ -510,6 +550,30 @@ def quaternions_with_live(count: int, live: int, rng: np.random.Generator) -> li
 def components(quaternions) -> np.ndarray:
     """(len, 4) float64 array of the quaternions' (w, x, y, z): the operand form of `star_kernel`."""
     return np.array([(q.w, q.x, q.y, q.z) for q in quaternions], dtype=float).reshape(-1, 4)
+
+
+#: signed zeros, NaN of either sign, infinities, subnormals, the smallest normal, an underflowing square, a huge value
+SPECIAL_FLOATS = (
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-170, 1e300, -1.5,
+)  # fmt: skip
+
+
+def u64(values) -> list[int]:
+    """The bits of float values through a uint64 view: -0.0 and 0.0 differ, and so do NaN signs and payloads."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).ravel().tolist()
+
+
+def u64_any_nan(values) -> list[int]:
+    """`u64` with every NaN read as one quiet NaN.
+
+    Which NaN an add or multiply of two NaNs returns is the interpreter's
+    choice: CPython 3.11 returns the second operand's until it specializes
+    the operation, then the first one's.  Operations with one NaN operand
+    keep its bits, and `u64` pins those.
+    """
+    values = np.array(values, dtype=np.float64)
+    values[np.isnan(values)] = np.nan
+    return u64(values)
 
 
 def bits(quaternions) -> list[tuple[str, ...]]:

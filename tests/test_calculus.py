@@ -21,22 +21,31 @@ from slicekit.calculus import (
     taylor_eval,
 )
 from slicekit.checks import _coeff_distance, _random_poly
-from slicekit.errors import OutOfBall, SymmetrizationZero, ZeroDivisor
+from slicekit.errors import OutOfBall, ShapeMismatch, SymmetrizationZero, ZeroDivisor
 from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_lifted
 from slicekit.paths import Line, beta_path, make_npart_path
+from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, random_imaginary_unit
 from slicekit.stemtensor import ARRAY_KERNEL_PAIRS, star_kernel
 
 from oracles import (
+    SPECIAL_FLOATS,
     bits,
     components,
     conjugate_via_components,
     numeric_slice_derivative,
+    per_coefficient_derivative,
+    per_coefficient_sum,
     per_point_zero_probe,
+    per_term_convolution,
     per_term_star_product,
+    poly_eval,
     pointwise_star_check,
     quaternions_with_live,
     sparse_quaternions,
+    trimmed,
+    u64,
+    u64_any_nan,
 )
 
 I = Quaternion(0, 1, 0, 0)
@@ -574,3 +583,104 @@ class TestStemSeries:
         assert report.stem_series_residual < 1e-6
         assert report.tensor_series_residual < 1e-6
         assert report.route_deviation < 1e-8
+
+
+# -- the coefficient array against per-coefficient Quaternion arithmetic -----------------------------------------------
+
+
+def _special_polys(rng) -> list[SliceRegularPoly]:
+    """Polynomials on both sides of `ARRAY_KERNEL_PAIRS`: sparse ones (signed zeros, underflowing norms), ones
+    drawn from NaN of either sign, inf, subnormal and huge values, with zero and huge trailing coefficients, and
+    the zero one."""
+    polys = [SliceRegularPoly(())]
+    for length in (1, 2, 5, 15, 17, 40):
+        polys.append(SliceRegularPoly(tuple(sparse_quaternions(length, rng))))
+        drawn = [Quaternion(*rng.choice(SPECIAL_FLOATS, 4)) for _ in range(length)]
+        polys.append(SliceRegularPoly(tuple(drawn + [Quaternion(-0.0, 0.0, -0.0, -0.0), Quaternion(1e-170)])))
+        polys.append(SliceRegularPoly(tuple(drawn[:-1] + [Quaternion(1e308, -1e308, 1.5, -0.0)])))
+    return polys
+
+
+def _leibniz_reference(a, b, n) -> list[Quaternion]:
+    acc = trimmed([Quaternion()])
+    for m in range(n + 1):
+        term = per_term_convolution(per_coefficient_derivative(a, m), per_coefficient_derivative(b, n - m))
+        acc = per_coefficient_sum(acc, trimmed([c * float(math.comb(n, m)) for c in term]))
+    return acc
+
+
+class TestPolyArrayBits:
+    """Every operation on the (K, 4) coefficient array gives the bits of per-coefficient `Quaternion` arithmetic.
+
+    Conjugation, scaling and derivatives have one operand that can be NaN, and are pinned bit for bit, NaN signs
+    included; products, sums and evaluation can meet two NaNs, and read every NaN as one (`u64_any_nan`).
+    """
+
+    def test_products_conjugate_and_symmetrization(self, rng):
+        polys = _special_polys(rng)
+        assert any(len(f.components) * len(g.components) >= ARRAY_KERNEL_PAIRS for f in polys for g in polys)
+        for f in polys:
+            a = f.coefficients
+            conjugate = trimmed([c.conjugate() for c in a])
+            assert u64(regular_conjugate(f).components) == u64(components(conjugate))
+            expected = per_term_convolution(a, conjugate)
+            assert u64_any_nan(symmetrization(f).components) == u64_any_nan(components(expected))
+            for g in polys:
+                expected = per_term_convolution(a, g.coefficients)
+                assert u64_any_nan(star_product(f, g).components) == u64_any_nan(components(expected))
+
+    def test_sum_scale_and_derivatives(self, rng):
+        polys = _special_polys(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in polys:
+                a = f.coefficients
+                for factor in (0.5, -1.0, 0.0, -0.0, 3e300, 5e-324, math.inf, 2):
+                    assert u64(f.scale(factor).components) == u64(components(trimmed([c * factor for c in a])))
+                assert u64((-f).components) == u64(components([-c for c in a]))
+                for n in range(4):
+                    expected = per_coefficient_derivative(a, n)
+                    assert u64(slice_derivative(f, n).components) == u64(components(trimmed(expected)))
+                for g in polys:
+                    expected = per_coefficient_sum(a, g.coefficients)
+                    assert u64_any_nan((f + g).components) == u64_any_nan(components(expected))
+
+    def test_leibniz(self, rng):
+        polys = [p for p in _special_polys(rng) if len(p.components) <= 17]
+        for f in polys[::2]:
+            for g in polys[1::2]:
+                for n in (0, 1, 3):
+                    expected = _leibniz_reference(f.coefficients, g.coefficients, n)
+                    assert u64_any_nan(leibniz(f, g, n).components) == u64_any_nan(components(expected))
+
+    def test_evaluation(self, rng):
+        points = [Quaternion(*rng.choice(SPECIAL_FLOATS, 4)) for _ in range(5)] + [Quaternion(*rng.uniform(-2, 2, 4))]
+        for f in _special_polys(rng):
+            for q in points:
+                assert u64_any_nan(components([f(q)])) == u64_any_nan(components([poly_eval(f.coefficients, q)]))
+
+    def test_constructor_boundary(self):
+        rows = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, -0.0, 0.0, 0.0]])
+        f = SliceRegularPoly(rows)
+        rows[0, 0] = 99.0  # the polynomial holds a copy
+        assert f.components.tolist() == [[1.0, 2.0, 3.0, 4.0]] and not f.components.flags.writeable
+        assert f == SliceRegularPoly((Quaternion(1, 2, 3, 4),)) == SliceRegularPoly(([1, 2, 3, 4], 0.0))
+        assert f.coefficients == (Quaternion(1, 2, 3, 4),)
+        assert SliceRegularPoly(()).components.tolist() == [[0.0, 0.0, 0.0, 0.0]]
+        assert SliceRegularPoly((Quaternion(-0.0),)) == SliceRegularPoly((0.0,))
+        assert SliceRegularPoly((math.nan,)) != SliceRegularPoly((math.nan,))
+        for op in (star_product(f, f), regular_conjugate(f), slice_derivative(f), f + f, f.scale(2.0), -f):
+            assert op.components.dtype == np.float64 and not op.components.flags.writeable
+        for bad in (np.zeros((2, 3)), np.zeros(4), np.zeros((1, 4, 4))):
+            with pytest.raises(ShapeMismatch):
+                SliceRegularPoly(bad)
+
+    def test_imaginary_unit_coefficient_round_trips_through_json(self):
+        f = SliceRegularPoly((UNIT_I, 1.0))
+        assert f.to_json_obj() == {"coeffs": [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]}
+        assert SliceRegularPoly.from_json_obj(f.to_json_obj()) == f
+
+    def test_json_integers_read_as_their_floats(self):
+        big = [10**30, 2**63 + 1, -(2**64) - 1, 7]
+        f = SliceRegularPoly.from_json_obj({"coeffs": [big]})
+        assert u64(f.components) == u64([float(v) for v in big])

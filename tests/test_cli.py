@@ -608,7 +608,8 @@ def test_nan_arc_radius_is_usage_error(capsys, tmp_path):
     argv = ["monodromy", "--model", "sqrt", "--path", str(target), "--units", "[1,0,0];[0,1,0]"]
     code, _, err = _run(capsys, argv)
     assert code == 2
-    assert "non-finite" in err
+    position = json.dumps(obj).index("NaN")  # the parser refuses the NaN literal itself and names where it stands
+    assert err == f"error: unexpected character: line 1 column {position + 1} (char {position})\n"
 
 
 def test_usage_error_exit_code(capsys, beta_file):
@@ -689,6 +690,26 @@ def test_malformed_path_json_is_usage_error(capsys, path):
 
 
 _BETA = beta_path().to_json()
+_ETA = eta(2, Quaternion(0, 0, 1, 0)).to_json()
+
+
+def _non_finite_inputs():
+    """(id, argv): every JSON input of the CLI with one number spelled as a literal with no finite float reading."""
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        poly = '{"coeffs":[[1,0,0,%s]]}' % literal
+        path, j = _BETA.replace('"radius":1.0', '"radius":' + literal, 1), _ETA.replace("1.0", literal, 1)
+        assert literal in path and literal in j
+        units = ["--units", "[1,0,0];[0,1,0]"]
+        yield f"f-{literal}", ["starprod", "--f", poly, "--op", "conj"]
+        yield f"g-{literal}", ["starprod", "--f", '{"coeffs":[[1,0,0,0]]}', "--g", poly]
+        yield f"coeffs-{literal}", ["monodromy", "--model", "poly", "--coeffs", poly, "--path", _BETA, *units]
+        yield f"path-{literal}", ["monodromy", "--model", "sqrt", "--path", path, *units]
+        yield f"J-{literal}", ["repformula", "--model", "sqrt", "--path", _BETA, "--J", j]
+        bad_units = ["--units", f"[{literal},0,0];[0,1,0]"]
+        yield f"units-{literal}", ["monodromy", "--model", "sqrt", "--path", _BETA, *bad_units]
+
+
+_NON_FINITE_INPUTS = list(_non_finite_inputs())
 
 
 @pytest.mark.parametrize(
@@ -705,6 +726,7 @@ _BETA = beta_path().to_json()
         ["starprod", "--f", '{"coeffs":[5]}', "--op", "conj"],
         ["starprod", "--f", '{"coeffs":[[1,0,0,NaN]]}', "--op", "conj"],
         ["monodromy", "--model", "poly", "--coeffs", "5", "--path", _BETA, "--units", "[1,0,0];[0,1,0]"],
+        *(argv for _, argv in _NON_FINITE_INPUTS),
     ],
     ids=[
         "units-a-number",
@@ -718,13 +740,38 @@ _BETA = beta_path().to_json()
         "coefficient-a-number",
         "coefficient-nan",
         "model-coeffs-a-number",
+        *(name for name, _ in _NON_FINITE_INPUTS),
     ],
 )
 def test_malformed_units_j_and_polynomial_are_usage_errors(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_integer_json_numbers_read_as_their_floats(capsys):
+    big = [10**30, 2**64 + 1, -(2**63) - 1, 7]
+    code, out, _ = _run(capsys, ["starprod", "--f", json.dumps({"coeffs": [big]}), "--op", "conj"])
+    assert code == 0
+    assert json.loads(out)["coeffs"] == [[float(big[0]), -float(big[1]), -float(big[2]), -float(big[3])]]
+
+
+@pytest.mark.parametrize("degree", [3, 40])  # 4 x 4 pairs run the loop, 41 x 41 the array kernel
+def test_starprod_builds_no_quaternion(capsys, monkeypatch, degree):
+    rng = np.random.default_rng(degree)
+    f, g = (_poly_json(rng.uniform(-1, 1, (degree + 1, 4)).tolist()) for _ in range(2))
+    built = []
+    init = Quaternion.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quaternion, "__init__", counted)
+    for op in ("star", "conj", "sym"):
+        assert _run(capsys, ["starprod", "--f", f, "--g", g, "--op", op])[0] == 0
+    assert built == []
 
 
 @pytest.mark.parametrize(

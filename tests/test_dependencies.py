@@ -1,10 +1,14 @@
-"""Every third-party module the package imports is declared in pyproject.toml; orjson is the one JSON encoder."""
+"""Every third-party module the package imports is declared in pyproject.toml; orjson is the one JSON encoder, and
+the decoder of every CLI input."""
 
 import ast
+import json
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
+import orjson
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +63,33 @@ def test_no_module_encodes_with_the_stdlib():
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json":
             found += [f"{source}:{node.lineno} json.{node.attr}"] if node.attr in encoders else []
     assert not found, f"JSON written without orjson: {found}"
+
+
+def test_only_stem_systems_decode_with_the_stdlib():
+    # orjson reads every CLI input; stems.system_from_json keeps json.loads for its lower peak memory
+    found = sorted(
+        f"{source}:{node.lineno}"
+        for source, node in _nodes()
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json"
+        and node.attr in ("load", "loads", "JSONDecoder")
+    )  # fmt: skip
+    assert [name.partition(":")[0] for name in found] == ["stems.py"]
+
+
+def test_orjson_reads_the_float_bits_json_reads():
+    rng = np.random.default_rng(20260810)
+    patterns = rng.integers(0, 2**64, 61_000, dtype=np.uint64).view(np.float64)
+    subnormals = rng.integers(1, 2**52, 10_000, dtype=np.uint64).view(np.float64)
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    doubles = np.concatenate([patterns[np.isfinite(patterns)], subnormals, -subnormals, rng.uniform(-1, 1, 20_000)])
+    doubles = doubles.tolist()[: 100_000 - len(extremes)] + extremes
+    assert len(doubles) == 100_000
+
+    def bits(values):
+        return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+    for form in (repr, "%.17g".__mod__, "%.25g".__mod__):
+        text = "[" + ",".join(map(form, doubles)) + "]"
+        assert bits(orjson.loads(text)) == bits(json.loads(text))
+    # "%.17g" writes -0.0 as -0, an integer; the other doubles read back as written in both shortest forms
+    assert bits(orjson.loads("[" + ",".join(map(repr, doubles)) + "]")) == bits(doubles)

@@ -387,10 +387,11 @@ class TestScalarFormulas:
             coeffs = [Quaternion(*rng.uniform(-2, 2, 4)) for _ in range(degree + 1)]
             points = [Quaternion(*rng.uniform(-1.5, 1.5, 4)) for _ in range(6)] + [Quaternion(-0.0, 0.0, -0.0, 0.0)]
             expected = bits([poly_eval(coeffs, q) for q in points])
+            rows = [q.to_list() for q in coeffs]
             # floats, one point at a time, and arrays of all the points at once
-            assert bits([Quaternion(*_horner(coeffs, (q.w, q.x, q.y, q.z))) for q in points]) == expected
+            assert bits([Quaternion(*_horner(rows, (q.w, q.x, q.y, q.z))) for q in points]) == expected
             table = np.array([(q.w, q.x, q.y, q.z) for q in points])
-            columns = np.stack(_horner(coeffs, tuple(table.T)), axis=-1)
+            columns = np.stack(_horner(rows, tuple(table.T)), axis=-1)
             assert bits([Quaternion(*q) for q in columns.tolist()]) == expected
             assert bits([SliceRegularPoly(tuple(coeffs))(q) for q in points]) == expected
         assert bits([Quaternion(*_horner([], (1.0, 2.0, 3.0, 4.0)))]) == bits([poly_eval([], Quaternion(1, 2, 3, 4))])

@@ -31,12 +31,14 @@ from slicekit.stemtensor import (
 )
 
 from oracles import (
+    SPECIAL_FLOATS,
     bits,
     components,
     per_term_kron_matrix,
     per_term_star_vector,
     quaternions_with_live,
     sparse_quaternions,
+    u64,
 )
 
 
@@ -334,22 +336,11 @@ class TestArrayKernel:
 
 # -- the column array against per-entry Quaternion arithmetic ---------------------------------------------------------
 
-#: signed zeros, NaN of either sign, infinities, subnormals, the smallest normal, an underflowing square, a huge value
-_SPECIALS = (
-    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-170, 1e300, -1.5,
-)  # fmt: skip
-
-
-def _u64(values) -> list[int]:
-    """The bits of float values through a uint64 view: -0.0 and 0.0 differ, and so do NaN signs and payloads."""
-    return np.asarray(values, dtype=np.float64).view(np.uint64).ravel().tolist()
-
-
 def _special_columns(n, rng) -> list[StemValue]:
     """Sparse columns (signed zeros, underflowing norms), columns drawn from NaN, inf, subnormal and huge values."""
     size = 1 << n
     columns = [sparse_quaternions(size, rng) for _ in range(3)]
-    columns += [[Quaternion(*rng.choice(_SPECIALS, 4)) for _ in range(size)] for _ in range(3)]
+    columns += [[Quaternion(*rng.choice(SPECIAL_FLOATS, 4)) for _ in range(size)] for _ in range(3)]
     columns.append([Quaternion(-0.0, -0.0, -0.0, -0.0)] * size)
     return [StemValue(n, tuple(column)) for column in columns]
 
@@ -362,47 +353,47 @@ class TestColumnArrayBits:
         columns = _special_columns(n, rng)
         for a in columns:
             for factor in (0.5, -1.0, 0.0, -0.0, 3e300, 5e-324, math.inf):
-                assert _u64(a.scale(factor).components) == _u64(components([q * factor for q in a.entries]))
-            assert _u64([a.max_norm()]) == _u64([nan_max([q.norm() for q in a.entries])])
+                assert u64(a.scale(factor).components) == u64(components([q * factor for q in a.entries]))
+            assert u64([a.max_norm()]) == u64([nan_max([q.norm() for q in a.entries])])
             for b in columns:
-                assert _u64((a + b).components) == _u64(components([x + y for x, y in zip(a.entries, b.entries)]))
-                assert _u64((a - b).components) == _u64(components([x - y for x, y in zip(a.entries, b.entries)]))
+                assert u64((a + b).components) == u64(components([x + y for x, y in zip(a.entries, b.entries)]))
+                assert u64((a - b).components) == u64(components([x - y for x, y in zip(a.entries, b.entries)]))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_padded_basis_and_slot_imaginary(self, n, rng):
         size = 1 << n
         for a in _special_columns(n, rng):
-            assert _u64(StemValue.padded(a).components) == _u64(components(a.entries + (Quaternion(),) * size))
+            assert u64(StemValue.padded(a).components) == u64(components(a.entries + (Quaternion(),) * size))
         for m in range(1, size + 1):
             expected = [Quaternion(1.0 if k == m else 0.0) for k in range(1, size + 1)]
-            assert _u64(StemValue.basis(n, m).components) == _u64(components(expected))
+            assert u64(StemValue.basis(n, m).components) == u64(components(expected))
         for slot in range(1, n + 1):
             m = next(m for m in range(1, size + 1) if stemtensor._slot_pattern(n, m) == 1 << (slot - 1))
             expected = [Quaternion(float(stemtensor._basis_sign(n, m)) if k == m else 0.0) for k in range(1, size + 1)]
-            assert _u64(slot_imaginary(n, slot).components) == _u64(components(expected))
+            assert u64(slot_imaginary(n, slot).components) == u64(components(expected))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_apply_real_matrix(self, n, rng):
         for a in _special_columns(n, rng):
             for mat in (sigma_matrix(n), sigma_matrix(n).T, rng.uniform(-1, 1, (1 << n, 1 << n))):
-                got = _u64(apply_real_matrix(mat, a).components)
+                got = u64(apply_real_matrix(mat, a).components)
                 with np.errstate(all="ignore"):  # the matrix product of the entries' components, as built per entry
-                    assert got == _u64(mat.astype(float) @ components(a.entries))
+                    assert got == u64(mat.astype(float) @ components(a.entries))
                 if mat.dtype == np.int64 and np.isfinite(a.components).all():
                     # one +-1 per row of sigma: one exact product plus zero terms, in any order of summation;
                     # which NaN a product returns is the BLAS's choice, so only finite columns are pinned here
                     rows = [[float(v) for v in row] for row in mat]
                     expected = [sum((c * q for c, q in zip(row, a.entries)), Quaternion()) for row in rows]
-                    assert got == _u64(components(expected))
+                    assert got == u64(components(expected))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_both_star_vector_paths(self, n, rng):
         columns = _special_columns(n, rng)
         for a in columns:
             for b in columns:
-                expected = _u64(components(per_term_star_vector(a, b).entries))
-                assert _u64(star_vector(a, b).components) == expected
-                assert _u64(_kernel_star_vector(a, b).components) == expected
+                expected = u64(components(per_term_star_vector(a, b).entries))
+                assert u64(star_vector(a, b).components) == expected
+                assert u64(_kernel_star_vector(a, b).components) == expected
 
     def test_constructor_boundary(self):
         column = np.arange(16.0).reshape(4, 4)
