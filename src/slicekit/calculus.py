@@ -43,7 +43,7 @@ from .monodromy import (
     _sqrt_factor,
 )
 from .paths import NPartPath, _json_number
-from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse, quaternion_rows
+from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse, quaternion_rows, row_norm2
 from .stemtensor import (
     ARRAY_KERNEL_PAIRS,
     StemValue,
@@ -57,26 +57,17 @@ from .stems import stem_derivative_family
 from .tolerances import FD_STEP, ON_AXIS_TOL, SYMMETRIZATION_ZERO_TOL
 
 
-def _is_zero(row) -> bool:
-    """The trim test of one (w, x, y, z) row of Python floats: w*w + x*x + y*y + z*z == 0.0, in that order."""
-    w, x, y, z = row
-    return w * w + x * x + y * y + z * z == 0.0
-
-
 def _trimmed(rows: np.ndarray) -> np.ndarray:
-    """A (K, 4) array without trailing rows that `_is_zero`, down to one row; one zero row for none."""
+    """A (K, 4) array without trailing rows of `row_norm2` 0.0, down to one row; one zero row for none."""
     n = len(rows)
-    while n > 1 and _is_zero(rows[n - 1].tolist()):
+    while n > 1 and row_norm2(rows[n - 1].tolist()) == 0.0:
         n -= 1
     return rows[:n] if n else np.zeros((1, 4))
 
 
 def _poly(rows: list) -> "SliceRegularPoly":
-    """The polynomial of (w, x, y, z) rows of Python floats computed inside slicekit: trimmed, then one new array."""
-    n = len(rows)
-    while n > 1 and _is_zero(rows[n - 1]):
-        n -= 1
-    return SliceRegularPoly._of(np.array(rows[:n]))
+    """The polynomial of (w, x, y, z) rows of Python floats computed inside slicekit."""
+    return SliceRegularPoly._of(_trimmed(np.array(rows)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +77,7 @@ class SliceRegularPoly:
 
     The constructor takes a (K, 4) array or K quaternion-likes (reals, 4-sequences, `Quaternion`s and
     `ImaginaryUnit`s) and copies them; another array shape is a ShapeMismatch.  Trailing coefficients with
-    w*w + x*x + y*y + z*z == 0.0 are dropped, down to one.  `coefficients` builds the `Quaternion`s on read.
+    `row_norm2` 0.0 are dropped, down to one.  `coefficients` builds the `Quaternion`s on read.
     Every operation gives the bits of per-coefficient `Quaternion` arithmetic; -0.0 == 0.0 and NaN is unequal.
     """
 
@@ -132,7 +123,7 @@ class SliceRegularPoly:
         return self + (-other)
 
     def __neg__(self) -> "SliceRegularPoly":
-        return SliceRegularPoly._of(np.negative(self.components))  # every w*w + x*x + y*y + z*z is kept: still trimmed
+        return SliceRegularPoly._of(np.negative(self.components))  # every row_norm2 is kept: still trimmed
 
     def __mul__(self, other: "SliceRegularPoly") -> "SliceRegularPoly":
         return star_product(self, other)
@@ -177,7 +168,7 @@ def star_product(f: SliceRegularPoly, g: SliceRegularPoly) -> SliceRegularPoly:
     `star_kernel` forms the same sums in one array pass.
     """
     a = f.components.tolist()
-    live = [k for k, (w, x, y, z) in enumerate(a) if w * w + x * x + y * y + z * z != 0.0]
+    live = [k for k, row in enumerate(a) if row_norm2(row) != 0.0]
     length = len(g.components)
     size = len(a) + length - 1
     if len(live) * length >= ARRAY_KERNEL_PAIRS:
@@ -199,7 +190,7 @@ def regular_conjugate(f: SliceRegularPoly) -> SliceRegularPoly:
     """Coefficientwise quaternion conjugation: x, y and z change sign, as `Quaternion.conjugate` does."""
     rows = np.negative(f.components)
     rows[:, 0] = f.components[:, 0]
-    return SliceRegularPoly._of(rows)  # every w*w + x*x + y*y + z*z is kept: still trimmed
+    return SliceRegularPoly._of(rows)  # every row_norm2 is kept: still trimmed
 
 
 def symmetrization(f: SliceRegularPoly) -> SliceRegularPoly:
@@ -367,7 +358,7 @@ def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciproc
     point below the cut-off, innermost first, is the witness.
     """
     sym = symmetrization(f)
-    norms = [math.sqrt(w * w + x * x + y * y + z * z) for w, x, y, z in sym.components.tolist()]
+    norms = [math.sqrt(row_norm2(row)) for row in sym.components.tolist()]
     if max(norms) < SYMMETRIZATION_ZERO_TOL:
         raise SymmetrizationZero("symmetrization is identically zero", witness=Quaternion())
     for root in _symmetrization_roots(sym):

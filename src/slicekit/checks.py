@@ -23,6 +23,7 @@ from .quat import (
     Quaternion,
     quat_inverse,
     random_imaginary_unit,
+    row_norm2,
 )
 from .sliceunits import (
     eta,
@@ -80,11 +81,9 @@ def _coeff_distance(f: calculus.SliceRegularPoly, g: calculus.SliceRegularPoly) 
 
 def _distances(pairs) -> list[float]:
     """(a - b).norm() of each pair of (w, x, y, z) rows, in the float operations of `Quaternion`."""
-    out = []
-    for (aw, ax, ay, az), (bw, bx, by, bz) in pairs:
-        w, x, y, z = aw - bw, ax - bx, ay - by, az - bz
-        out.append(math.sqrt(w * w + x * x + y * y + z * z))
-    return out
+    return [
+        math.sqrt(row_norm2((aw - bw, ax - bx, ay - by, az - bz))) for (aw, ax, ay, az), (bw, bx, by, bz) in pairs
+    ]
 
 
 # -- unitarity ---------------------------------------------------------------

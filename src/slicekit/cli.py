@@ -14,7 +14,7 @@ other commands raise `NonFiniteResult` before printing.  Every JSON input
 (`--f`, `--g`, `--coeffs`, `--path`, `--J` and `--units`) is read by
 `orjson.loads`, which refuses `NaN`, `Infinity` and numbers beyond the float
 range as it parses, and reads an integer outside the 64-bit range as its
-nearest float.
+nearest float; a parse error names the option it came from (`--g: ...`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from orjson import dumps, loads
+from orjson import JSONDecodeError, dumps, loads
 
 from . import checks
 from .calculus import SliceRegularPoly, regular_conjugate, star_product, symmetrization
@@ -52,20 +52,28 @@ def _read_maybe_file(arg: str) -> str | bytes:
         return handle.read()
 
 
+def _decoded(option: str, parse: Callable, text: str | bytes):
+    """`parse(text)`; a JSON syntax error in `text` becomes a usage error (exit 2) that names `option`."""
+    try:
+        return parse(text)
+    except JSONDecodeError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _parse_units(text: str, path: NPartPath) -> tuple[ImaginaryUnit, ...]:
     """One lift unit per part of `path`; a different count is a usage error (exit 2)."""
-    units = tuple(unit_from_json(loads(p)) for p in text.split(";") if p.strip())
+    units = tuple(unit_from_json(_decoded("--units", loads, p)) for p in text.split(";") if p.strip())
     if len(units) != path.parts:
         raise ValueError(f"{path.parts}-part path needs {path.parts} units, got {len(units)}")
     return units
 
 
 def _parse_path(arg: str) -> NPartPath:
-    return NPartPath.from_json(_read_maybe_file(arg))
+    return _decoded("--path", NPartPath.from_json, _read_maybe_file(arg))
 
 
-def _parse_poly(arg: str) -> SliceRegularPoly:
-    return SliceRegularPoly.from_json_obj(loads(_read_maybe_file(arg)))
+def _parse_poly(option: str, arg: str) -> SliceRegularPoly:
+    return SliceRegularPoly.from_json_obj(_decoded(option, loads, _read_maybe_file(arg)))
 
 
 def _finite_float(admissible, requirement: str):
@@ -104,7 +112,7 @@ def _build_model(args) -> SliceFunctionModel:
     if args.model in ("poly", "polynomial"):
         if not getattr(args, "coeffs", None):
             raise ValueError("--coeffs is required for the polynomial model")
-        coeffs = _parse_poly(args.coeffs).components
+        coeffs = _parse_poly("--coeffs", args.coeffs).components
     return model_by_name(args.model, coeffs)
 
 
@@ -175,7 +183,7 @@ def cmd_repformula(args) -> int:
     model = _build_model(args)
     path = _parse_path(args.path)
     if args.J:
-        j = SliceUnitMatrix.from_json(_read_maybe_file(args.J))
+        j = _decoded("--J", SliceUnitMatrix.from_json, _read_maybe_file(args.J))
     else:
         j = eta(path.parts, Quaternion(0, 1, 0, 0))
     units = _parse_units(args.units, path) if args.units else None
@@ -197,11 +205,11 @@ def cmd_repformula(args) -> int:
 
 
 def cmd_starprod(args) -> int:
-    f = _parse_poly(args.f)
+    f = _parse_poly("--f", args.f)
     if args.op == "star":
         if not args.g:
             raise ValueError("--g is required for op=star")
-        out = star_product(f, _parse_poly(args.g))
+        out = star_product(f, _parse_poly("--g", args.g))
     elif args.op == "conj":
         out = regular_conjugate(f)
     elif args.op == "sym":
@@ -209,7 +217,8 @@ def cmd_starprod(args) -> int:
     else:
         raise ValueError(f"unknown op {args.op!r}")
     payload = out.to_json_obj()
-    _require_finite(f"op={args.op}", payload["coeffs"], "coefficient {}".format)
+    if not np.isfinite(out.components).all():  # one array pass; the rows' check only names the culprit
+        _require_finite(f"op={args.op}", payload["coeffs"], "coefficient {}".format)
     print(dumps(payload).decode())
     return 0
 
@@ -314,7 +323,7 @@ def main(argv=None) -> int:
         if getattr(args, "units_required", False) and not args.units:
             raise ValueError("--units is required for this command")
         return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:  # a JSON parse error is a ValueError
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SliceKitError as exc:

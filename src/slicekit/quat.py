@@ -174,6 +174,16 @@ def quaternion_rows(values) -> np.ndarray:
     return rows
 
 
+def row_norm2(row) -> float:
+    """`Quaternion.norm2` of one (w, x, y, z) row: w*w + x*x + y*y + z*z, in that order.
+
+    Give it Python floats (an array's `tolist()` rows), which overflow to inf
+    silently as `Quaternion` does; numpy scalars would warn.
+    """
+    w, x, y, z = row
+    return w * w + x * x + y * y + z * z
+
+
 def hamilton_product(a: Quaternion, b: Quaternion) -> Quaternion:
     """Noncommutative product of H; associative and bilinear over the reals."""
     return Quaternion(

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch
-from .quat import Quaternion, hamilton_components, quaternion_rows
+from .quat import Quaternion, hamilton_components, quaternion_rows, row_norm2
 
 
 def _bit(value: int, position: int) -> int:
@@ -88,8 +88,9 @@ def nan_max(values: list[float]) -> float:
 
 @np.errstate(all="ignore")
 def max_norms(values: np.ndarray) -> list[float]:
-    """`StemValue.max_norm` of every column of a (..., 2**N, 4) array, flattened: `Quaternion.norm`'s float
-    operations, and a NaN kept as `nan_max` keeps it."""
+    """The largest entry norm of every column of a (..., 2**N, 4) array, flattened, in one array pass: the
+    value `StemValue.max_norm` gives one column, in `Quaternion.norm`'s float operations, a NaN kept as
+    `nan_max` keeps it."""
     squares = values * values  # w*w, x*x, y*y and z*z, summed in that order
     return np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2] + squares[..., 3]).max(axis=-1).ravel().tolist()
 
@@ -151,7 +152,7 @@ class StemValue:
 
     def max_norm(self) -> float:
         """Largest entry norm, in `Quaternion.norm`'s float operations; NaN when any entry holds a NaN."""
-        return nan_max([math.sqrt(w * w + x * x + y * y + z * z) for w, x, y, z in self.components.tolist()])
+        return nan_max([math.sqrt(row_norm2(row)) for row in self.components.tolist()])
 
     @classmethod
     def basis(cls, n: int, index: int) -> "StemValue":

@@ -609,7 +609,7 @@ def test_nan_arc_radius_is_usage_error(capsys, tmp_path):
     code, _, err = _run(capsys, argv)
     assert code == 2
     position = json.dumps(obj).index("NaN")  # the parser refuses the NaN literal itself and names where it stands
-    assert err == f"error: unexpected character: line 1 column {position + 1} (char {position})\n"
+    assert err == f"error: --path: unexpected character: line 1 column {position + 1} (char {position})\n"
 
 
 def test_usage_error_exit_code(capsys, beta_file):
@@ -748,6 +748,13 @@ def test_malformed_units_j_and_polynomial_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, argv", _NON_FINITE_INPUTS, ids=[name for name, _ in _NON_FINITE_INPUTS])
+def test_json_parse_error_names_its_option(capsys, name, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --{name.partition('-')[0]}: ")
 
 
 def test_integer_json_numbers_read_as_their_floats(capsys):

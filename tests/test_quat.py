@@ -14,9 +14,10 @@ from slicekit.quat import (
     hamilton_product,
     quat_inverse,
     random_imaginary_unit,
+    row_norm2,
 )
 
-from oracles import bits, sparse_quaternions, unit_exp
+from oracles import SPECIAL_FLOATS, bits, sparse_quaternions, u64_any_nan, unit_exp
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -143,3 +144,11 @@ def test_hamilton_components_match_hamilton_product_bit_for_bit(rng):
     w, x, y, z = hamilton_components(tuple(columns[:4]), tuple(columns[4:]))
     batched = [Quaternion(*c) for c in zip(w[0].tolist(), x[0].tolist(), y[0].tolist(), z[0].tolist())]
     assert bits(batched) == bits([a * b for a, b in zip(left, right)])
+
+
+def test_row_norm2_is_norm2_of_the_row(rng):
+    rows = [q.to_list() for q in sparse_quaternions(40, rng)]
+    rows += [list(rng.choice(SPECIAL_FLOATS, 4)) for _ in range(200)] + [[1e300, 1e300, 0.0, 0.0], [1e-170, 0.0, 0.0, 0.0]]
+    rows = [[float(c) for c in row] for row in rows]
+    assert u64_any_nan([row_norm2(row) for row in rows]) == u64_any_nan([Quaternion(*row).norm2() for row in rows])
+    assert row_norm2([1e300, 1e300, 0.0, 0.0]) == math.inf and row_norm2([1e-170, 0.0, 0.0, 0.0]) == 0.0
