@@ -21,7 +21,6 @@ from .paths import Arc, Chain, Line, NPartPath, beta_path, lift, make_npart_path
 from .monodromy import (
     GermKey,
     LogModel,
-    PolynomialModel,
     SqrtModel,
     continue_segment,
     evaluate_lifted,

@@ -12,6 +12,12 @@ derivatives and evaluation run on the rows as Python floats
 (`components.tolist()`), in the float operations of `Quaternion`
 arithmetic, and each result becomes an array once.
 
+`SliceRegularPoly` is both an element of the star ring and the entire
+slice function model that `monodromy` continues and `stems` and
+`stem_series_check` expand: its `derivative_values` is the one place the
+polynomial's values and slice derivatives are evaluated, with the Horner
+sum `_horner` and the derivative `_poly_derivative` defined here.
+
 `star_product` has two paths that agree bit for bit: a per-term loop below
 `stemtensor.ARRAY_KERNEL_PAIRS` (256) live pairs, nonzero left coefficients
 times right coefficients, and `stemtensor.star_kernel` from there on, which
@@ -33,17 +39,16 @@ import numpy as np
 from .errors import OutOfBall, SymmetrizationZero
 from .monodromy import (
     LogModel,
-    PolynomialModel,
     SliceFunctionModel,
     SqrtModel,
-    _horner,
+    _lift_components,
     _log_factor,
     _mapped,
-    _poly_derivative,
     _sqrt_factor,
+    _stacked,
 )
 from .paths import NPartPath, _json_number
-from .quat import Quaternion, as_quaternion, embed_slice, quat_inverse, quaternion_rows, row_norm2
+from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, quat_inverse, quaternion_rows, row_norm2
 from .stemtensor import (
     ARRAY_KERNEL_PAIRS,
     StemValue,
@@ -55,6 +60,31 @@ from .stemtensor import (
 )
 from .stems import stem_derivative_family
 from .tolerances import FD_STEP, ON_AXIS_TOL, SYMMETRIZATION_ZERO_TOL
+
+
+def _horner(rows: list, q: tuple) -> tuple:
+    """Right-coefficient Horner a0 + q*(a1 + q*(a2 + ...)) on (w, x, y, z) components, floats or arrays.
+
+    `rows` are the coefficients' (w, x, y, z) as Python floats, as `components.tolist()` gives them.
+    """
+    acc = (0.0, 0.0, 0.0, 0.0)
+    for aw, ax, ay, az in reversed(rows):
+        h = hamilton_components(q, acc)
+        acc = (h[0] + aw, h[1] + ax, h[2] + ay, h[3] + az)
+    return acc
+
+
+def _poly_derivative(rows: list, n: int) -> list:
+    """The n-th slice derivative of coefficient rows as `_horner` takes them.
+
+    Each pass drops a_0 and multiplies a_k by float(k) once, as `Quaternion * float` does;
+    once no coefficient is left, the derivative is one zero row.
+    """
+    for _ in range(n):
+        rows = [[w * k, x * k, y * k, z * k] for k, (w, x, y, z) in zip(map(float, range(1, len(rows))), rows[1:])]
+        if not rows:
+            return [[0.0, 0.0, 0.0, 0.0]]
+    return rows
 
 
 def _trimmed(rows: np.ndarray) -> np.ndarray:
@@ -71,7 +101,7 @@ def _poly(rows: list) -> "SliceRegularPoly":
 
 
 @dataclass(frozen=True, eq=False)
-class SliceRegularPoly:
+class SliceRegularPoly(SliceFunctionModel):
     """Entire slice regular polynomial q -> sum q**n * a_n, held as the read-only (K, 4) float64 array
     `components` of the (w, x, y, z) of a_0 .. a_(K-1).
 
@@ -79,9 +109,15 @@ class SliceRegularPoly:
     `ImaginaryUnit`s) and copies them; another array shape is a ShapeMismatch.  Trailing coefficients with
     `row_norm2` 0.0 are dropped, down to one.  `coefficients` builds the `Quaternion`s on read.
     Every operation gives the bits of per-coefficient `Quaternion` arithmetic; -0.0 == 0.0 and NaN is unequal.
+
+    It is also the entire model of `monodromy`: single valued, with no sheet datum, and continuable
+    from any real start.
     """
 
     components: np.ndarray
+
+    kind = "polynomial"
+    datum_kind = "none"
 
     def __post_init__(self):
         components = _trimmed(quaternion_rows(self.components))
@@ -130,6 +166,21 @@ class SliceRegularPoly:
 
     def scale(self, factor: float) -> "SliceRegularPoly":
         return _poly([[w * factor, x * factor, y * factor, z * factor] for w, x, y, z in self.components.tolist()])
+
+    def initial_datum(self) -> None:
+        return None
+
+    def accepts_start(self, x0: float) -> bool:
+        return True
+
+    def derivative_values(self, states, r, theta, n):
+        # projected points: the complex point as `SheetStates.complex_point` computes it, embedded as `embed_slice` does
+        points = [x * cmath.exp(1j * t) for x, t in zip(r.ravel().tolist(), theta.ravel().tolist())]
+        x = np.array([z.real for z in points], dtype=float).reshape(r.shape)
+        y = np.array([z.imag for z in points], dtype=float).reshape(r.shape)
+        uw, ux, uy, uz = _lift_components(states.units)
+        q = (x + y * uw, y * ux, y * uy, y * uz)
+        return _stacked(_horner(_poly_derivative(self.components.tolist(), n), q))
 
     def to_json_obj(self) -> dict:
         return {"coeffs": self.components.tolist()}
@@ -416,8 +467,6 @@ def taylor_eval(f_model, q0, q, terms: int) -> Quaternion:
     q = as_quaternion(q)
     if isinstance(f_model, SliceRegularPoly):
         derivatives = [slice_derivative(f_model, n)(q0) for n in range(terms)]
-    elif isinstance(f_model, PolynomialModel):
-        return taylor_eval(SliceRegularPoly(f_model.components), q0, q, terms)
     else:
         z0, unit0 = _slice_split(q0)
         if z0.real <= 0:
@@ -462,15 +511,6 @@ class SeriesReport:
     route_deviation: float
     terms: int
     samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "stem_series_residual": self.stem_series_residual,
-            "tensor_series_residual": self.tensor_series_residual,
-            "route_deviation": self.route_deviation,
-            "terms": self.terms,
-            "samples": self.samples,
-        }
 
 
 def stem_series_check(

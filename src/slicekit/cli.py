@@ -36,7 +36,7 @@ from .calculus import SliceRegularPoly, regular_conjugate, star_product, symmetr
 from .errors import NonFiniteResult, SliceKitError
 from .monodromy import SliceFunctionModel, final_states, germ_key, model_by_name
 from .paths import NPartPath
-from .quat import ImaginaryUnit, Quaternion, quat_inverse
+from .quat import ImaginaryUnit, Quaternion
 from .representation import evaluate_via_formula, representation_vectors
 from .sliceunits import SliceUnitMatrix, eta, unit_from_json
 from .stems import build_stem_system, system_to_json, validate_stem_system
@@ -108,12 +108,11 @@ def _require_finite(label: str, rows: list[list[float]], name: Callable[[int], s
 
 
 def _build_model(args) -> SliceFunctionModel:
-    coeffs = None
-    if args.model in ("poly", "polynomial"):
+    if args.model == "poly":
         if not getattr(args, "coeffs", None):
             raise ValueError("--coeffs is required for the polynomial model")
-        coeffs = _parse_poly("--coeffs", args.coeffs).components
-    return model_by_name(args.model, coeffs)
+        return _parse_poly("--coeffs", args.coeffs)
+    return model_by_name(args.model)
 
 
 def _seed_value(text: str) -> int:
@@ -154,13 +153,8 @@ def cmd_monodromy(args) -> int:
     }
     rows = [payload["value"], payload["germ_key"]["point"]]
     exit_code = 0
-    if args.check_analytic and path.parts == 2 and args.model in ("sqrt", "log"):
-        k1, k2 = units
-        if args.model == "sqrt":
-            expected = quat_inverse(k2) * k1
-        else:
-            expected = math.pi * k1 - math.pi * k2
-        deviation = (value - expected).norm()
+    if args.check_analytic and path.parts == 2 and args.model in checks.BETA_LOOP_VALUES:
+        deviation = (value - checks.BETA_LOOP_VALUES[args.model](*units)).norm()
         payload["analytic_deviation"] = deviation
         rows.append([deviation])
         if args.tol is not None and deviation > args.tol:

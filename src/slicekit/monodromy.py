@@ -3,11 +3,13 @@
 Instead of naming sheets explicitly, the states of L lifts keep one pair of
 universal-cover coordinates (r, theta) for the complex position together
 with each lift's current slice unit and sheet datum.  The square root
-composes its datum multiplicatively, the logarithm additively, and
-polynomials carry none.  Switching slices is only allowed at nonzero real
-points, where the coordinates snap back to theta in {0, pi} and the datum
-absorbs whatever the value requires; germ keys (projected point, value) then
-identify points of the underlying multi-sheet domain.
+composes its datum multiplicatively and the logarithm additively; the entire
+model, the polynomial `calculus.SliceRegularPoly`, carries none.  This module
+holds the continuation and the two branched models, and no polynomial
+formula.  Switching slices is only allowed at nonzero real points, where the
+coordinates snap back to theta in {0, pi} and the datum absorbs whatever the
+value requires; germ keys (projected point, value) then identify points of
+the underlying multi-sheet domain.
 
 The track (r, theta) depends on the path alone: a segment adds its argument
 increment and a junction snaps theta by its cosine, whatever the slice.  So
@@ -37,7 +39,7 @@ from .errors import (
     NotAtRealPoint,
 )
 from .paths import NPartPath, PathSegment
-from .quat import Quaternion, embed_slice, hamilton_components, inverse_components, quaternion_rows
+from .quat import Quaternion, embed_slice, hamilton_components, inverse_components
 from .tolerances import AT_CENTER_TOL, BRANCH_TOL, GERM_TOL, REAL_TOL, SEGMENT_START_TOL, START_TOL
 
 
@@ -71,18 +73,6 @@ class GermKey:
 
     def isclose(self, other: "GermKey") -> bool:
         return (self.point - other.point).norm() <= GERM_TOL and (self.value - other.value).norm() <= GERM_TOL
-
-
-def _horner(rows: list, q: tuple) -> tuple:
-    """Right-coefficient Horner a0 + q*(a1 + q*(a2 + ...)) on (w, x, y, z) components, floats or arrays.
-
-    `rows` are the coefficients' (w, x, y, z) as Python floats, as `components.tolist()` gives them.
-    """
-    acc = (0.0, 0.0, 0.0, 0.0)
-    for aw, ax, ay, az in reversed(rows):
-        h = hamilton_components(q, acc)
-        acc = (h[0] + aw, h[1] + ax, h[2] + ay, h[3] + az)
-    return acc
 
 
 def _mapped(fn, values: np.ndarray) -> np.ndarray:
@@ -128,21 +118,8 @@ def _log_factor(n: int) -> float:
     return (-1.0) ** (n - 1) * size
 
 
-def _poly_derivative(rows: list, n: int) -> list:
-    """The n-th slice derivative of coefficient rows as `_horner` takes them.
-
-    Each pass drops a_0 and multiplies a_k by float(k) once, as `Quaternion * float` does;
-    once no coefficient is left, the derivative is one zero row.
-    """
-    for _ in range(n):
-        rows = [[w * k, x * k, y * k, z * k] for k, (w, x, y, z) in zip(map(float, range(1, len(rows))), rows[1:])]
-        if not rows:
-            return [[0.0, 0.0, 0.0, 0.0]]
-    return rows
-
-
 class SliceFunctionModel:
-    """Interface of the built-in continuable models."""
+    """Interface of the continuable models: `SqrtModel`, `LogModel` and the entire `calculus.SliceRegularPoly`."""
 
     kind: str
     datum_kind: str  # multiplicative | additive | none
@@ -233,44 +210,12 @@ class LogModel(SliceFunctionModel):
         return values - np.stack((log_r + uw * theta, 0.0 + ux * theta, 0.0 + uy * theta, 0.0 + uz * theta), axis=-1)
 
 
-class PolynomialModel(SliceFunctionModel):
-    """Entire model sum q**n * a_n with right coefficients; single valued."""
-
-    kind = "polynomial"
-    datum_kind = "none"
-
-    def __init__(self, coefficients):
-        """`coefficients`: a (K, 4) array of (w, x, y, z) rows or K quaternion-likes, held as the read-only
-        float64 array `components`."""
-        components = quaternion_rows(coefficients)
-        components.setflags(write=False)
-        self.components = components
-
-    def initial_datum(self) -> None:
-        return None
-
-    def accepts_start(self, x0: float) -> bool:
-        return True
-
-    def derivative_values(self, states, r, theta, n):
-        # projected points: the complex point as `SheetStates.complex_point` computes it, embedded as `embed_slice` does
-        points = [x * cmath.exp(1j * t) for x, t in zip(r.ravel().tolist(), theta.ravel().tolist())]
-        x = np.array([z.real for z in points], dtype=float).reshape(r.shape)
-        y = np.array([z.imag for z in points], dtype=float).reshape(r.shape)
-        uw, ux, uy, uz = _lift_components(states.units)
-        q = (x + y * uw, y * ux, y * uy, y * uz)
-        return _stacked(_horner(_poly_derivative(self.components.tolist(), n), q))
-
-
-def model_by_name(name: str, coefficients=None) -> SliceFunctionModel:
+def model_by_name(name: str) -> SliceFunctionModel:
+    """The branched model `name`, "sqrt" or "log"; the polynomial model is a `calculus.SliceRegularPoly`."""
     if name == "sqrt":
         return SqrtModel()
     if name == "log":
         return LogModel()
-    if name in ("poly", "polynomial"):
-        if coefficients is None:
-            raise ValueError("polynomial model needs coefficients")
-        return PolynomialModel(coefficients)
     raise ValueError(f"unknown model {name!r}")
 
 

@@ -15,8 +15,9 @@ array of disk points through one closing-line continuation
 and one stacked product with the inverse reference matrix.  Values are
 (P, 2**N, 4) arrays of quaternion components, bit for bit the values a point
 by point evaluation gives; the export grid and every probe list of the
-validator go through one call.  `at`, `map` and the system sums and star
-products wrap columns of it as `StemValue`s, which build no `Quaternion`.
+validator go through one call.  `map` transforms that array as a whole, and
+`at` and the system sums and star products wrap columns of it as
+`StemValue`s, which build no `Quaternion`.
 
 A grid-backed stem (a JSON reload) is one read-only float64 array of shape
 (n_r, n_a, 2**N, 4).  Interpolation gathers the four corners of every point
@@ -104,14 +105,9 @@ class SampledStem:
         """Stem value at one disk point."""
         return StemValue(self.N, self.values([z])[0])
 
-    def map(self, transform: Callable[[complex, StemValue], StemValue]) -> "SampledStem":
-        """Pointwise-transformed stem on the same disk."""
-
-        def evaluator(points: list[complex]) -> np.ndarray:
-            columns = [transform(z, StemValue(self.N, v)).components for z, v in zip(points, self.values(points))]
-            return np.array(columns).reshape(len(points), 1 << self.N, 4)
-
-        return replace(self, evaluator=evaluator, samples=None)
+    def map(self, transform: Callable[[np.ndarray], np.ndarray]) -> "SampledStem":
+        """The stem on the same disk whose values are `transform` of this one's (P, 2**N, 4) value arrays."""
+        return replace(self, evaluator=lambda points: transform(self.values(points)), samples=None)
 
     # -- grid support -------------------------------------------------------
 

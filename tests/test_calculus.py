@@ -22,26 +22,38 @@ from slicekit.calculus import (
 )
 from slicekit.checks import _coeff_distance, _random_poly
 from slicekit.errors import OutOfBall, ShapeMismatch, SymmetrizationZero, ZeroDivisor
-from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_lifted
-from slicekit.paths import Line, beta_path, make_npart_path
+from slicekit.monodromy import (
+    LogModel,
+    SliceFunctionModel,
+    SqrtModel,
+    evaluate_lifted,
+    final_states,
+    germ_key,
+    model_by_name,
+)
+from slicekit.paths import Line, beta_path, half_turns, make_npart_path
 from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, random_imaginary_unit
 from slicekit.stemtensor import ARRAY_KERNEL_PAIRS, star_kernel
 
 from oracles import (
     SPECIAL_FLOATS,
+    SheetState,
     bits,
     components,
     conjugate_via_components,
     numeric_slice_derivative,
     per_coefficient_derivative,
     per_coefficient_sum,
+    per_lift_final_state,
     per_point_zero_probe,
     per_term_convolution,
     per_term_star_product,
     poly_eval,
     pointwise_star_check,
     quaternions_with_live,
+    scalar_derivative_value,
+    scalar_germ_key,
     sparse_quaternions,
     trimmed,
     u64,
@@ -549,13 +561,15 @@ class TestAxSymDomain:
 
 class TestStemSeries:
     def test_polynomial_routes_exact(self):
-        poly = PolynomialModel((J, Quaternion(1), I))
+        poly = SliceRegularPoly((J, Quaternion(1), I))
         report = stem_series_check(poly, beta_path(), radius=0.3, terms=8)
         assert report.route_deviation < 1e-8
         assert report.stem_series_residual < 1e-9
         assert report.tensor_series_residual < 1e-9
 
-    @pytest.mark.parametrize("model", [SqrtModel(), LogModel(), PolynomialModel((J, Quaternion(1), I))], ids=repr)
+    @pytest.mark.parametrize(
+        "model", [SqrtModel(), LogModel(), SliceRegularPoly((J, Quaternion(1), I))], ids=["sqrt", "log", "poly"]
+    )
     def test_stacked_orders_match_single_orders(self, model):
         family = stems.stem_derivative_family(model, beta_path(), 0.3)
         z0 = beta_path().endpoint
@@ -583,6 +597,69 @@ class TestStemSeries:
         assert report.stem_series_residual < 1e-6
         assert report.tensor_series_residual < 1e-6
         assert report.route_deviation < 1e-8
+
+
+class _ScalarPoly(SliceFunctionModel):
+    """A polynomial as a model whose `derivative_values` is `oracles.scalar_derivative_value`, point by point."""
+
+    kind = "polynomial"
+    datum_kind = "none"
+
+    def __init__(self, poly: SliceRegularPoly):
+        self.components = poly.components
+
+    def initial_datum(self):
+        return None
+
+    def accepts_start(self, x0):
+        return True
+
+    def derivative_values(self, states, r, theta, n):
+        r, theta = np.broadcast_arrays(r, theta)
+        out = np.empty((len(states), r.shape[1], 4))
+        for l, unit in enumerate(states.units.tolist()):
+            row = min(l, r.shape[0] - 1)  # a (1, P) track is shared by every lift
+            for p, (x, t) in enumerate(zip(r[row].tolist(), theta[row].tolist())):
+                state = SheetState(r=x, theta=t, unit=Quaternion(*unit), datum=None)
+                out[l, p] = scalar_derivative_value(self, state, n).to_list()
+        return out
+
+
+class TestPolynomialModel:
+    """`SliceRegularPoly` is the entire model of `monodromy`, `stems` and `stem_series_check`."""
+
+    def test_is_an_entire_slice_function_model(self):
+        poly = SliceRegularPoly((J, Quaternion(1), I))
+        assert isinstance(poly, SliceFunctionModel)
+        assert not poly.is_branched()
+        assert (poly.kind, poly.datum_kind, poly.initial_datum()) == ("polynomial", "none", None)
+        assert poly.accepts_start(-3.0) and poly.accepts_start(0.0)
+
+    def test_model_by_name_serves_only_the_branched_models(self):
+        assert isinstance(model_by_name("sqrt"), SqrtModel) and isinstance(model_by_name("log"), LogModel)
+        for name in ("poly", "polynomial"):
+            with pytest.raises(ValueError, match=f"unknown model '{name}'"):
+                model_by_name(name)
+
+    def test_trailing_zero_coefficient_continues_as_trimmed(self, rng):
+        padded, trimmed_poly = SliceRegularPoly((1.0, 0.0)), SliceRegularPoly((1.0,))
+        assert padded.components.shape == (1, 4)
+        up = half_turns(1)
+        for path in (beta_path(), make_npart_path([up, up.reversed(), up])):
+            rows = [tuple(random_imaginary_unit(rng) for _ in range(path.parts)) for _ in range(4)]
+            keys = [germ_key(model, final_states(model, path, rows)) for model in (padded, trimmed_poly)]
+            expected = [scalar_germ_key(trimmed_poly, per_lift_final_state(trimmed_poly, path, row)) for row in rows]
+            for got in keys:
+                assert [bits((k.point, k.value)) for k in got] == [bits((k.point, k.value)) for k in expected]
+
+    @pytest.mark.parametrize("terms", [2, 8])
+    def test_series_check_matches_the_scalar_formula(self, terms):
+        poly = SliceRegularPoly((J, Quaternion(1), I))
+        got = stem_series_check(poly, beta_path(), radius=0.3, terms=terms)
+        expected = stem_series_check(_ScalarPoly(poly), beta_path(), radius=0.3, terms=terms)
+        fields = ("stem_series_residual", "tensor_series_residual", "route_deviation")
+        assert [getattr(got, f).hex() for f in fields] == [getattr(expected, f).hex() for f in fields]
+        assert (got.terms, got.samples) == (expected.terms, expected.samples)
 
 
 # -- the coefficient array against per-coefficient Quaternion arithmetic -----------------------------------------------

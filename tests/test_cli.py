@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import slicekit
 from slicekit import checks, cli
+from slicekit.calculus import SliceRegularPoly
 from slicekit.cli import SEED_ENV, build_parser, main
 from slicekit.errors import NonFiniteResult
 from slicekit.monodromy import final_states, model_by_name
@@ -219,7 +220,7 @@ def test_monodromy_output_matches_the_oracle(model, parts, capsys, tmp_path, rng
     path = beta_path() if parts == 2 else make_npart_path([up, up.reversed(), up])
     path_file = tmp_path / "path.json"
     path_file.write_text(path.to_json())
-    fn = model_by_name(model, tuple(Quaternion(*c) for c in _MONODROMY_POLY))
+    fn = SliceRegularPoly(_MONODROMY_POLY) if model == "poly" else model_by_name(model)
     for _ in range(3):
         text = ";".join(json.dumps(random_imaginary_unit(rng).to_list()) for _ in range(parts))
         argv = ["monodromy", "--model", model, "--path", str(path_file), "--units", text]
@@ -622,6 +623,13 @@ def test_usage_error_exit_code(capsys, beta_file):
     assert main(["repformula", *seeded, *lifted]) == 2
     assert main(["starprod", *seeded, "--f", '{"coeffs": [[1,0,0,0]]}', "--op", "conj"]) == 2
     assert main(["stem", *seeded, "--model", "sqrt", "--path", beta_file]) == 2
+
+
+@pytest.mark.parametrize("command", ["monodromy", "repformula", "stem"])
+def test_polynomial_model_needs_coeffs(capsys, beta_file, command):
+    argv = [command, "--model", "poly", "--path", beta_file]
+    argv += ["--units", "[1,0,0];[0,1,0]"] if command != "stem" else []
+    assert _run(capsys, argv) == (2, "", "error: --coeffs is required for the polynomial model\n")
 
 
 @pytest.mark.parametrize(

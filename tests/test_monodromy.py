@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicekit.calculus import SliceRegularPoly
+from slicekit.calculus import SliceRegularPoly, _horner
 from slicekit.errors import BranchPoint, BranchPointCrossing, LengthMismatch, NotAtRealPoint, SliceKitError
 from slicekit.monodromy import (
     LogModel,
-    PolynomialModel,
     SheetStates,
     SqrtModel,
-    _horner,
     _log_factor,
     continue_closing_lines,
     continue_segment,
@@ -63,7 +61,7 @@ class TestInitialState:
             _start(LogModel(), -2.0, unit_i)
 
     def test_polynomial_any_real_start(self, unit_i):
-        model = PolynomialModel([Quaternion(1), Quaternion(0, 0, 1, 0)])
+        model = SliceRegularPoly([Quaternion(1), Quaternion(0, 0, 1, 0)])
         states = _start(model, -3.0, unit_i)
         assert (states.r, states.theta) == (3.0, PI)
         expected = Quaternion(1) + Quaternion(-3) * Quaternion(0, 0, 1, 0)
@@ -194,7 +192,7 @@ class TestEvaluateLifted:
         assert (value - (-unit_j)).norm() < 1e-12
 
     def test_positive_axis_agrees_on_all_slices(self, rng):
-        poly = PolynomialModel([Quaternion(0.5), Quaternion(0, 1, 0, 0), Quaternion(1)])
+        poly = SliceRegularPoly([Quaternion(0.5), Quaternion(0, 1, 0, 0), Quaternion(1)])
         for _ in range(20):
             unit = random_imaginary_unit(rng)
             x = float(rng.uniform(0.2, 3.0))
@@ -253,7 +251,7 @@ class TestGermKeys:
             assert (direct.value - k).norm() < 1e-12
 
 
-_POLY = PolynomialModel((Quaternion(1, 0.5, 0, 0), Quaternion(0, 0, 2, 0), Quaternion(0.25, 0, 0, -1)))
+_POLY = SliceRegularPoly((Quaternion(1, 0.5, 0, 0), Quaternion(0, 0, 2, 0), Quaternion(0.25, 0, 0, -1)))
 
 
 class TestArrayForms:
@@ -335,7 +333,7 @@ def _random_path(rng: np.random.Generator, n: int, entire: bool) -> NPartPath:
 
 def _random_model(kind: str, rng: np.random.Generator):
     if kind == "poly":
-        return PolynomialModel(tuple(Quaternion(*q) for q in rng.uniform(-1, 1, (int(rng.integers(1, 5)), 4))))
+        return SliceRegularPoly(tuple(Quaternion(*q) for q in rng.uniform(-1, 1, (int(rng.integers(1, 5)), 4))))
     return SqrtModel() if kind == "sqrt" else LogModel()
 
 

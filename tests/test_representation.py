@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicekit.errors import KeysDiffer, LengthMismatch, NotIndependent
-from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, evaluate_lifted
+from slicekit.calculus import SliceRegularPoly
+from slicekit.monodromy import LogModel, SqrtModel, evaluate_lifted
 from slicekit.paths import beta_path, constant_path, half_turns, make_npart_path
 from slicekit.qmat import qmat_inverse
 from slicekit.quat import I as UNIT_I
@@ -39,7 +40,7 @@ class TestRepresentationVector:
         assert _close(g.entries, (Quaternion(), Quaternion(PI), Quaternion(), Quaternion(PI)))
 
     def test_polynomial_constant_path(self, unit_i):
-        model = PolynomialModel([Quaternion(), Quaternion(), Quaternion(1)])  # q**2
+        model = SliceRegularPoly([Quaternion(), Quaternion(), Quaternion(1)])  # q**2
         g = representation_vector(model, constant_path(1.7), eta(1, unit_i))
         assert _close(g.entries, (Quaternion(1.7**2), Quaternion()), tol=1e-12)
 
@@ -102,7 +103,7 @@ class TestInvariance:
         assert invariance_check(LogModel(), beta_path(), j, permuted) < 1e-10
 
     def test_polynomial_model_trivial(self, rng, unit_i, unit_j):
-        model = PolynomialModel([Quaternion(0, 0, 0, 1), Quaternion(1)])
+        model = SliceRegularPoly([Quaternion(0, 0, 0, 1), Quaternion(1)])
         beta = beta_path()
         assert invariance_check(model, beta, eta(2, unit_i), eta(2, unit_j)) < 1e-10
 
@@ -158,7 +159,7 @@ class TestThreePartFormula:
         assert invariance_check(LogModel(), path, eta(3, unit_i), j) < 1e-8
 
     def test_polynomial_round_trip(self, rng, unit_i):
-        model = PolynomialModel(
+        model = SliceRegularPoly(
             (Quaternion(0.5, 0, 0, 1), Quaternion(0, 1, 0, 0), Quaternion(1))
         )
         path = self._path()

@@ -13,7 +13,8 @@ from slicekit.errors import (
     NonFiniteResult,
     OutOfDomain,
 )
-from slicekit.monodromy import LogModel, PolynomialModel, SqrtModel, continue_segment, final_states, lift_values
+from slicekit.calculus import SliceRegularPoly
+from slicekit.monodromy import LogModel, SqrtModel, continue_segment, final_states, lift_values
 from slicekit.paths import Line, beta_path, constant_path, half_turns, make_npart_path
 from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
@@ -84,7 +85,7 @@ class TestStemFromSlice:
         [
             SqrtModel(),
             LogModel(),
-            PolynomialModel((Quaternion(1, 0.5, 0, 0), Quaternion(0, 0, 2, 0), Quaternion(0.25, 0, 0, -1))),
+            SliceRegularPoly((Quaternion(1, 0.5, 0, 0), Quaternion(0, 0, 2, 0), Quaternion(0.25, 0, 0, -1))),
         ],
         ids=["sqrt", "log", "poly"],
     )
@@ -152,10 +153,10 @@ class TestCrResidual:
     def test_corrupted_stem_fails(self):
         stem = stem_from_slice(SqrtModel(), beta_path(), radius=0.5)
 
-        def flip(_z, value):
-            out = list(value.entries)
-            out[1] = -out[1]
-            return StemValue(value.N, tuple(out))
+        def flip(values):
+            out = values.copy()
+            out[:, 1] = -values[:, 1]
+            return out
 
         assert stem_cr_residual(stem.map(flip), 1.0 + 0j) > 1e-2
 
@@ -197,10 +198,10 @@ class TestValidator:
         system = _sqrt_system()
         entry = system.entry("beta[2/2-]")
 
-        def flip(_z, value):
-            out = list(value.entries)
-            out[1] = -out[1]
-            return StemValue(value.N, tuple(out))
+        def flip(values):
+            out = values.copy()
+            out[:, 1] = -values[:, 1]
+            return out
 
         report = validate_stem_system(system.with_stem("beta[2/2-]", entry.stem.map(flip)))
         assert not report.condition("holomorphy").passed
@@ -211,10 +212,10 @@ class TestValidator:
         system = _sqrt_system()
         entry = system.entry("beta[1/2]")
 
-        def pollute(_z, value):
-            out = list(value.entries)
-            out[2] = out[2] + Quaternion(0.25)
-            return StemValue(value.N, tuple(out))
+        def pollute(values):
+            out = values.copy()
+            out[:, 2] = values[:, 2] + (0.25, 0.0, 0.0, 0.0)
+            return out
 
         report = validate_stem_system(system.with_stem("beta[1/2]", entry.stem.map(pollute)))
         assert not report.condition("axial-compatibility").passed
@@ -229,10 +230,10 @@ class TestValidator:
         )
         entry = two.entry("beta[0/2]")
 
-        def shift(_z, value):
-            out = list(value.entries)
-            out[0] = out[0] + Quaternion(0.25)
-            return StemValue(value.N, tuple(out))
+        def shift(values):
+            out = values.copy()
+            out[:, 0] = values[:, 0] + (0.25, 0.0, 0.0, 0.0)
+            return out
 
         report = validate_stem_system(two.with_stem("beta[0/2]", entry.stem.map(shift)))
         assert not report.condition("initial-compatibility").passed
@@ -247,10 +248,10 @@ class TestValidator:
         system = _sqrt_system()
         entry = system.entry("beta[2/2-]")
 
-        def poison(_z, value):
-            out = list(value.entries)
-            out[1] = Quaternion(math.nan)
-            return StemValue(value.N, tuple(out))
+        def poison(values):
+            out = values.copy()
+            out[:, 1] = (math.nan, 0.0, 0.0, 0.0)
+            return out
 
         report = validate_stem_system(system.with_stem("beta[2/2-]", entry.stem.map(poison)))
         holomorphy = report.condition("holomorphy")
@@ -272,7 +273,7 @@ class TestValidator:
 class TestSystemAlgebra:
     def test_add_zero_system(self):
         base = _sqrt_system()
-        zero = build_stem_system(PolynomialModel([Quaternion()]), [("beta", beta_path())], radius=0.8)
+        zero = build_stem_system(SliceRegularPoly([Quaternion()]), [("beta", beta_path())], radius=0.8)
         summed = stem_add(base, zero)
         z = 1.1 + 0.2j
         a = base.entry("beta[2/2-]").stem.at(z)
@@ -281,7 +282,7 @@ class TestSystemAlgebra:
 
     def test_identity_star_system(self):
         base = _sqrt_system()
-        one = build_stem_system(PolynomialModel([Quaternion(1)]), [("beta", beta_path())], radius=0.8)
+        one = build_stem_system(SliceRegularPoly([Quaternion(1)]), [("beta", beta_path())], radius=0.8)
         product = stem_star(one, base)
         z = 0.9 - 0.1j
         a = base.entry("beta[2/2-]").stem.at(z)
@@ -299,7 +300,7 @@ class TestSystemAlgebra:
         s1 = _sqrt_system()
         s2 = build_stem_system(LogModel(), [("beta", beta_path())], radius=0.8)
         s3 = build_stem_system(
-            PolynomialModel([Quaternion(0, 1, 0, 0), Quaternion(1)]),
+            SliceRegularPoly([Quaternion(0, 1, 0, 0), Quaternion(1)]),
             [("beta", beta_path())],
             radius=0.8,
         )
@@ -324,9 +325,9 @@ class TestStemHomomorphism:
     def test_vector_additivity(self, unit_i):
         from slicekit.representation import representation_vector
 
-        f = PolynomialModel((Quaternion(0.5), Quaternion(0, 1, 0, 0), Quaternion(1)))
-        g = PolynomialModel((Quaternion(0, 0, 0, 1), Quaternion(-2)))
-        total = PolynomialModel(
+        f = SliceRegularPoly((Quaternion(0.5), Quaternion(0, 1, 0, 0), Quaternion(1)))
+        g = SliceRegularPoly((Quaternion(0, 0, 0, 1), Quaternion(-2)))
+        total = SliceRegularPoly(
             (
                 Quaternion(0.5, 0, 0, 1),
                 Quaternion(-2, 1, 0, 0),
@@ -392,7 +393,7 @@ class TestJsonRoundTrip:
 
 # -- batched evaluation against the per-point references -----------------------
 
-_POLY = PolynomialModel((Quaternion(1, 0.5, 0, 0), Quaternion(0, 0, 2, 0), Quaternion(0.25, 0, 0, -1)))
+_POLY = SliceRegularPoly((Quaternion(1, 0.5, 0, 0), Quaternion(0, 0, 2, 0), Quaternion(0.25, 0, 0, -1)))
 _MODELS = {"sqrt": SqrtModel(), "log": LogModel(), "poly": _POLY}
 
 

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slicekit import stemtensor
+from slicekit.calculus import SliceRegularPoly
 from slicekit.errors import ShapeMismatch
-from slicekit.monodromy import PolynomialModel
 from slicekit.paths import beta_path
 from slicekit.quat import Quaternion
 from slicekit.representation import representation_vectors
@@ -39,6 +43,7 @@ from oracles import (
     quaternions_with_live,
     sparse_quaternions,
     u64,
+    u64_any_nan,
 )
 
 
@@ -345,19 +350,38 @@ def _special_columns(n, rng) -> list[StemValue]:
     return [StemValue(n, tuple(column)) for column in columns]
 
 
+def _sum_difference_scale_and_max_norm_pins(columns):
+    """Scaling and `max_norm` bit for bit; sums and differences, which can meet two NaNs, with every NaN as one."""
+    for a in columns:
+        for factor in (0.5, -1.0, 0.0, -0.0, 3e300, 5e-324, math.inf):
+            assert u64(a.scale(factor).components) == u64(components([q * factor for q in a.entries]))
+        assert u64([a.max_norm()]) == u64([nan_max([q.norm() for q in a.entries])])
+        for b in columns:
+            summed = components([x + y for x, y in zip(a.entries, b.entries)])
+            assert u64_any_nan((a + b).components) == u64_any_nan(summed)
+            difference = components([x - y for x, y in zip(a.entries, b.entries)])
+            assert u64_any_nan((a - b).components) == u64_any_nan(difference)
+
+
+def _star_vector_path_pins(columns):
+    """Both `star_vector` paths against the per-term products, every NaN as one: a term can meet two NaNs."""
+    for a in columns:
+        for b in columns:
+            expected = u64_any_nan(components(per_term_star_vector(a, b).entries))
+            assert u64_any_nan(star_vector(a, b).components) == expected
+            assert u64_any_nan(_kernel_star_vector(a, b).components) == expected
+
+
 class TestColumnArrayBits:
-    """Every operation on the (2**N, 4) array gives the bits of its entries' `Quaternion` arithmetic."""
+    """Every operation on the (2**N, 4) array gives the bits of its entries' `Quaternion` arithmetic.
+
+    Which NaN an add or multiply of two NaNs returns in Python depends on whether CPython has specialized it
+    yet (`oracles.u64_any_nan`), so the pins of operations that can meet two NaNs read every NaN as one.
+    """
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sum_difference_scale_and_max_norm(self, n, rng):
-        columns = _special_columns(n, rng)
-        for a in columns:
-            for factor in (0.5, -1.0, 0.0, -0.0, 3e300, 5e-324, math.inf):
-                assert u64(a.scale(factor).components) == u64(components([q * factor for q in a.entries]))
-            assert u64([a.max_norm()]) == u64([nan_max([q.norm() for q in a.entries])])
-            for b in columns:
-                assert u64((a + b).components) == u64(components([x + y for x, y in zip(a.entries, b.entries)]))
-                assert u64((a - b).components) == u64(components([x - y for x, y in zip(a.entries, b.entries)]))
+        _sum_difference_scale_and_max_norm_pins(_special_columns(n, rng))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_padded_basis_and_slot_imaginary(self, n, rng):
@@ -388,12 +412,32 @@ class TestColumnArrayBits:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_both_star_vector_paths(self, n, rng):
-        columns = _special_columns(n, rng)
-        for a in columns:
-            for b in columns:
-                expected = u64(components(per_term_star_vector(a, b).entries))
-                assert u64(star_vector(a, b).components) == expected
-                assert u64(_kernel_star_vector(a, b).components) == expected
+        _star_vector_path_pins(_special_columns(n, rng))
+
+    @pytest.mark.parametrize(
+        "pins, sizes",
+        [("_sum_difference_scale_and_max_norm_pins", (1, 2, 3)), ("_star_vector_path_pins", (1, 2, 3, 4))],
+        ids=["sum", "star"],
+    )
+    def test_pins_hold_in_a_fresh_interpreter(self, pins, sizes):
+        # the NaN-drawn columns first, so the Python references meet them before CPython has specialized them
+        script = (
+            "import numpy as np\n"
+            "import test_stemtensor as t\n"
+            "rng = np.random.default_rng(20260810)  # the seed of the rng fixture\n"
+            f"for n in {sizes}:\n"
+            "    columns = t._special_columns(n, rng)\n"
+            f"    t.{pins}(columns[3:] + columns[:3])\n"
+        )
+        paths = [str(Path(stemtensor.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_constructor_boundary(self):
         column = np.arange(16.0).reshape(4, 4)
@@ -415,7 +459,7 @@ def test_column_producers_build_no_quaternion(monkeypatch, rng):
     n = 3
     a, b = _random_stem(n, rng), _random_stem(n, rng)
     # a polynomial has no initial datum: the square root's Quaternion(1.0) is built once per continuation
-    model, path = PolynomialModel((Quaternion(0, 0, 1, 0), Quaternion(1.0), Quaternion(0, 1, 0, 0))), beta_path()
+    model, path = SliceRegularPoly((Quaternion(0, 0, 1, 0), Quaternion(1.0), Quaternion(0, 1, 0, 0))), beta_path()
     js = [eta(2, Quaternion(0, 1, 0, 0)), random_slice_unit_matrix(2, rng)]
     stem = stem_from_slice(model, path, 0.5)
     built = []
