@@ -424,9 +424,8 @@ class TestColumnArrayBits:
         script = (
             "import numpy as np\n"
             "import test_stemtensor as t\n"
-            "rng = np.random.default_rng(20260810)  # the seed of the rng fixture\n"
             f"for n in {sizes}:\n"
-            "    columns = t._special_columns(n, rng)\n"
+            "    columns = t._special_columns(n, np.random.default_rng(20260810))  # the rng fixture's generator\n"
             f"    t.{pins}(columns[3:] + columns[:3])\n"
         )
         paths = [str(Path(stemtensor.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
