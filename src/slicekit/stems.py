@@ -29,14 +29,13 @@ the grid, is a view built on read, and the export writes the array itself.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from orjson import OPT_SERIALIZE_NUMPY, dumps
+from orjson import OPT_SERIALIZE_NUMPY, dumps, loads
 
 from .errors import BranchPointCrossing, IncompatibleSupports, NonFiniteResult, OutOfDomain, SliceKitError
 from .monodromy import SliceFunctionModel, continue_closing_lines, continue_segment, final_states
@@ -555,8 +554,8 @@ def _json_grid(sample, n: int) -> np.ndarray:
 
     A proper grid is a rectangle of at least 3 radii by 3 angles, the fewest
     with a central difference, whose columns hold 2**n entries of four finite
-    numbers.  Every leaf is a float or an int, never a bool, and an integer
-    gives the float that `float` gives it, beyond the int64 range too.
+    numbers.  Every leaf is a float or an int, never a bool; orjson reads an
+    integer outside the 64-bit range as a float, so no int leaf overflows.
     """
     shape, leaves = [], [sample]
     for _ in range(4):  # radii, angles, entries, components: each level a list of lists of one length
@@ -565,10 +564,7 @@ def _json_grid(sample, n: int) -> np.ndarray:
         shape.append(lengths.pop())
         leaves = list(itertools.chain.from_iterable(leaves))
     numbers = len(shape) == 4 and set(map(type, leaves)) <= {float, int}  # not bool, str, None, dict or list
-    try:
-        grid = np.array(leaves, dtype=np.float64).reshape(shape) if numbers else np.empty(0)
-    except OverflowError:  # an integer beyond the float range
-        grid = np.empty(0)
+    grid = np.array(leaves, dtype=np.float64).reshape(shape) if numbers else np.empty(0)
     shaped = numbers and min(shape[:2]) >= 3 and shape[2:] == [1 << n, 4]
     if not (shaped and np.isfinite(grid).all()):
         raise ValueError(f"stem grid must hold at least 3 x 3 columns of {1 << n} finite [w, x, y, z] entries")
@@ -578,18 +574,20 @@ def _json_grid(sample, n: int) -> np.ndarray:
 def system_from_json(text: str) -> StemSystem:
     """The system `system_to_json` wrote, grid-backed; a malformed document is a ValueError.
 
-    paths, radii and samples are lists of one length; every path object
-    holds at least one segment, a string label and anchor, a number t in
-    [0, 1] and a boolean closed, and no two share a label; its segments make
-    a path as `make_npart_path` checks it, connected with real junctions;
-    every anchor holds its whole path (t = 1); every radius is a finite
-    positive number, and every grid is checked by `_json_grid`.  A failure
-    names the label or anchor it concerns.
+    `orjson.loads` parses it, refusing NaN, Infinity and numbers beyond the
+    float range.  x0 is a number; paths, radii and samples are lists of one
+    length; every path object holds at least one segment, a string label and
+    anchor, a number t in [0, 1] and a boolean closed, and no two share a
+    label; its segments make a path as `make_npart_path` checks it, starting
+    within START_TOL of x0; every anchor holds its whole path (t = 1); every
+    radius is a positive number, and every grid is checked by `_json_grid`.
+    A failure names the label or anchor it concerns.
     """
-    data = json.loads(text)  # not orjson: on a 1.4 MB grid document it raised peak RSS by 15 MB, against 10 MB here
+    data = loads(text)
     lists = [data.get(key) if isinstance(data, dict) else None for key in ("paths", "radii", "samples")]
     if not all(isinstance(v, list) for v in lists) or len({len(v) for v in lists}) != 1:
         raise ValueError("stem system JSON needs lists paths, radii and samples of one length")
+    x0 = float(_json_number(data.get("x0")))
     entries = []
     anchors: list[str] = []
     for obj, radius, sample in zip(*lists):
@@ -602,6 +600,8 @@ def system_from_json(text: str) -> StemSystem:
             path = make_npart_path([segment_from_json_obj(o) for o in obj["segments"]])
         except SliceKitError as exc:  # DisconnectedSegments or NonRealJunction
             raise ValueError(f"stem system JSON path {obj['label']!r}: {exc}") from exc
+        if abs(path.initial_point - x0) > START_TOL:
+            raise ValueError(f"stem system JSON path {obj['label']!r} starts at {path.initial_point}, not at x0 {x0!r}")
         if not 0.0 <= _json_number(obj.get("t")) <= 1.0:
             raise ValueError(f"stem system JSON path {obj['label']!r} has t = {obj['t']!r} outside [0, 1]")
         if not _json_number(radius) > 0.0:
@@ -616,4 +616,4 @@ def system_from_json(text: str) -> StemSystem:
     for anchor in anchors:
         if not any(e.anchor == anchor and e.t == 1.0 for e in entries):
             raise ValueError(f"stem system JSON anchor {anchor!r} has no whole path (t = 1)")
-    return StemSystem(x0=float(_json_number(data.get("x0"))), entries=tuple(entries), anchors=tuple(anchors))
+    return StemSystem(x0=x0, entries=tuple(entries), anchors=tuple(anchors))

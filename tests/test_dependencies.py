@@ -1,5 +1,5 @@
 """Every third-party module the package imports is declared in pyproject.toml; orjson is the one JSON encoder, and
-the decoder of every CLI input."""
+the one decoder."""
 
 import ast
 import json
@@ -65,15 +65,16 @@ def test_no_module_encodes_with_the_stdlib():
     assert not found, f"JSON written without orjson: {found}"
 
 
-def test_only_stem_systems_decode_with_the_stdlib():
-    # orjson reads every CLI input; stems.system_from_json keeps json.loads for its lower peak memory
-    found = sorted(
-        f"{source}:{node.lineno}"
-        for source, node in _nodes()
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json"
-        and node.attr in ("load", "loads", "JSONDecoder")
-    )  # fmt: skip
-    assert [name.partition(":")[0] for name in found] == ["stems.py"]
+def test_no_module_decodes_with_the_stdlib():
+    # orjson reads every JSON input, the stem system files of stems.system_from_json too
+    decoders = {"load", "loads", "JSONDecoder"}
+    found = []
+    for source, node in _nodes():
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"{source}:{node.lineno} json.{a.name}" for a in node.names if a.name in decoders]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json":
+            found += [f"{source}:{node.lineno} json.{node.attr}"] if node.attr in decoders else []
+    assert not found, f"JSON read without orjson: {found}"
 
 
 def test_orjson_reads_the_float_bits_json_reads():

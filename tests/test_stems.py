@@ -739,6 +739,12 @@ class TestExportIsExact:
             grid = entry.stem.sample_grid()
             exported = np.array(sample, dtype=np.float64)
             assert exported.shape == grid.shape and np.array_equal(exported.view(np.uint64), grid.view(np.uint64))
+        reloaded = system_from_json(text)
+        assert len(reloaded.entries) == len(stored)
+        for sample, entry in zip(stored, reloaded.entries):
+            expected = np.array(sample, dtype=np.float64).view(np.uint64)
+            assert np.array_equal(entry.stem.samples.view(np.uint64), expected)
+        assert system_to_json(reloaded) == text
 
     def test_extreme_numbers_export_and_reload_bit_for_bit(self):
         system = system_from_json(system_to_json(_sqrt_system()))
@@ -828,6 +834,15 @@ class TestSystemFromJsonBoundary:
             lambda d: [s.__setitem__(k, math.pi / 2) for s, k in zip(d["paths"][3]["segments"], ("theta1", "theta0"))],
             # the anchor without its whole path: the validator has no t = 1 entry to compare against
             lambda d: [d[key].pop(3) for key in ("paths", "radii", "samples")],
+            # an x0 where no path starts: the validator would meet it as a point outside the first disk
+            lambda d: d.__setitem__("x0", 5.0),
+            lambda d: d.__setitem__("x0", 1.3),
+            lambda d: d.__setitem__("x0", -1.0),
+            # refused as the text is parsed: json.dumps spells these NaN, Infinity and an escaped lone surrogate
+            lambda d: d.__setitem__("x0", math.nan),
+            lambda d: d["paths"][0].__setitem__("t", math.nan),
+            lambda d: d["radii"].__setitem__(0, math.inf),
+            lambda d: d["paths"][0].__setitem__("label", "\ud800"),
         ],
     )
     def test_malformed_document_is_a_value_error(self, corrupt):
@@ -836,12 +851,20 @@ class TestSystemFromJsonBoundary:
         with pytest.raises(ValueError):
             system_from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("cut", [lambda t: t[: len(t) // 2], lambda t: t + " []"], ids=["half", "trailing"])
+    def test_malformed_text_is_a_value_error(self, cut):
+        text = json.dumps(self._document())
+        system_from_json(text)
+        with pytest.raises(ValueError):
+            system_from_json(cut(text))
+
     @pytest.mark.parametrize(
         "corrupt, named",
         [
             (lambda d: d["paths"][0].__setitem__("t", 7.5), "beta[0/2]"),
             (lambda d: d["paths"][3]["segments"][1].__setitem__("center", [5, 3]), "beta[2/2-]"),
             (lambda d: [d[key].pop(3) for key in ("paths", "radii", "samples")], "'beta'"),
+            *(pytest.param(lambda d, x=x: d.__setitem__("x0", x), "beta[0/2]", id=f"x0={x}") for x in (5.0, 1.3, -1.0)),
         ],
     )
     def test_path_errors_name_the_label(self, corrupt, named):
