@@ -31,12 +31,13 @@ import cmath
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import OutOfBall, SymmetrizationZero
+from .errors import NonFiniteResult, OutOfBall, SymmetrizationZero
 from .monodromy import (
     LogModel,
     SliceFunctionModel,
@@ -52,7 +53,8 @@ from .quat import Quaternion, as_quaternion, embed_slice, hamilton_components, q
 from .stemtensor import (
     ARRAY_KERNEL_PAIRS,
     StemValue,
-    apply_real_matrix,
+    max_norms,
+    nan_max,
     sigma_matrix,
     slot_imaginary,
     star_kernel,
@@ -406,9 +408,16 @@ def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciproc
     |f^s| < SYMMETRIZATION_ZERO_TOL: one point on each of nested spheres
     about the centre, enough because f^s has real coefficients, every point
     tested and evaluated in one array pass (`_probe_zero`), and the first
-    point below the cut-off, innermost first, is the witness.
+    point below the cut-off, innermost first, is the witness.  A
+    symmetrization that overflowed raises NonFiniteResult, its `index` the
+    first coefficient holding inf or NaN.
     """
     sym = symmetrization(f)
+    finite = np.isfinite(sym.components).all(axis=1)
+    if not finite.all():
+        index = int(np.argmin(finite))  # the first False
+        message = f"symmetrization overflowed: coefficient {index} is {sym.components[index].tolist()}"
+        raise NonFiniteResult(message, index=index)
     norms = [math.sqrt(row_norm2(row)) for row in sym.components.tolist()]
     if max(norms) < SYMMETRIZATION_ZERO_TOL:
         raise SymmetrizationZero("symmetrization is identically zero", witness=Quaternion())
@@ -529,66 +538,44 @@ def stem_series_check(
     """
     n_parts = path.parts
     family = stem_derivative_family(model, path, radius)
-
     z0 = path.endpoint
     sigma = sigma_matrix(n_parts).astype(float)
-    size = 1 << n_parts
-    # the derivatives at the disk center, orders 0..terms-1 for the series and 1, 2 for the routes: one continuation
-    at_center = [StemValue(n_parts, v) for v in family([z0], range(max(terms, 3)))[:, 0]]
-
-    # route agreement at the disk center, for the first and second derivative
     h = FD_STEP
-    route_dev = 0.0
-    slot_n = slot_imaginary(n_parts, n_parts)
-    steps = family([z0 + h, z0 - h, z0 + h * 1j, z0 - h * 1j], (0, 1))
-    for order in (1, 2):
-        east, west, north, south = (StemValue(n_parts, v) for v in steps[order - 1])
-        fx = (east - west).scale(0.5 / h)
-        fy = (north - south).scale(0.5 / h)
-        stem_route = (fx - apply_real_matrix(sigma, fy)).scale(0.5)
-        tensor_route = (fx - star_vector(slot_n, fy)).scale(0.5)
-        slice_route = at_center[order]
-        route_dev = max(
-            route_dev, (stem_route - slice_route).max_norm(), (tensor_route - slice_route).max_norm()
-        )
-
-    # series resummation on sample points
-    coeffs = at_center[:terms]
-    zero = StemValue(n_parts, np.zeros((size, 4)))
-    one = StemValue.basis(n_parts, 1)
-    stem_res = 0.0
-    tensor_res = 0.0
     angles = [2 * math.pi * k / _SERIES_SAMPLES for k in range(_SERIES_SAMPLES)]
     points = [z0 + 0.9 * radius * complex(math.cos(phi), math.sin(phi)) for phi in angles]
-    for z, direct in zip(points, (StemValue(n_parts, v) for v in family(points))):
-        dx, dy = (z - z0).real, (z - z0).imag
+    # the derivatives at the disk center, orders 0..terms-1 for the series and 1, 2 for the routes: one continuation
+    at_center = family([z0], range(max(terms, 3)))[:, 0]
+    steps = family([z0 + h, z0 - h, z0 + h * 1j, z0 - h * 1j], (0, 1))
+    direct = family(points)
+    slot_n = slot_imaginary(n_parts, n_parts)
+    one = StemValue.basis(n_parts, 1)
+    coeffs = [StemValue._of(n_parts, c) for c in at_center[:terms]]
+    with np.errstate(all="ignore"):  # overflow stays silent, as in `StemValue` arithmetic; NaN reaches the residuals
+        # route agreement at the disk center, for the first and second derivative: steps[k] is order k
+        fx = (steps[:, 0] - steps[:, 1]) * (0.5 / h)
+        fy = (steps[:, 2] - steps[:, 3]) * (0.5 / h)
+        stem_route = (fx - sigma @ fy) * 0.5
+        tensor_route = (fx - np.array([star_vector(slot_n, StemValue._of(n_parts, v)).components for v in fy])) * 0.5
+        route_dev = nan_max(max_norms(stem_route - at_center[1:3]) + max_norms(tensor_route - at_center[1:3]))
 
-        step = dx * np.eye(size) + dy * sigma
-        acc = zero
-        mat = np.eye(size)
-        factorial = 1.0
-        for n in range(terms):
+        # series resummation on sample points: x + y*sigma as a matrix, x + y*i_N through `star_vector`
+        # 1 / n! for n < terms, with n! the running float product 1.0 * 1 * 2 * ... * n
+        weights = [1.0 / f for f in itertools.accumulate(range(1, terms), operator.mul, initial=1.0)][:terms]
+        offset = np.array(points) - z0
+        step = offset.real[:, None, None] * np.eye(len(sigma)) + offset.imag[:, None, None] * sigma
+        acc, mat = np.zeros_like(direct), np.eye(len(sigma))
+        for n, weight in enumerate(weights):
             if n > 0:
                 mat = mat @ step
-                factorial *= n
-            acc = acc + apply_real_matrix(mat, coeffs[n]).scale(1.0 / factorial)
-        stem_res = max(stem_res, (acc - direct).max_norm())
-
-        z_step = one.scale(dx) + slot_n.scale(dy)
-        tacc = zero
-        tpow = one
-        factorial = 1.0
-        for n in range(terms):
-            if n > 0:
-                tpow = star_vector(tpow, z_step)
-                factorial *= n
-            tacc = tacc + star_vector(tpow, coeffs[n]).scale(1.0 / factorial)
-        tensor_res = max(tensor_res, (tacc - direct).max_norm())
-
-    return SeriesReport(
-        stem_series_residual=stem_res,
-        tensor_series_residual=tensor_res,
-        route_deviation=route_dev,
-        terms=terms,
-        samples=_SERIES_SAMPLES,
-    )
+            acc = acc + (mat @ at_center[n]) * weight
+        tensor = []
+        for x, y in zip(offset.real.tolist(), offset.imag.tolist()):
+            z_step = StemValue._of(n_parts, one.components * x + slot_n.components * y)
+            tacc, tpow = np.zeros_like(direct[0]), one
+            for n, weight in enumerate(weights):
+                if n > 0:
+                    tpow = star_vector(tpow, z_step)
+                tacc = tacc + star_vector(tpow, coeffs[n]).components * weight
+            tensor.append(tacc)
+        stem_res, tensor_res = (nan_max(max_norms(series - direct)) for series in (acc, np.array(tensor)))
+    return SeriesReport(stem_res, tensor_res, route_dev, terms, _SERIES_SAMPLES)

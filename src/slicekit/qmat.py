@@ -101,15 +101,14 @@ class QuaternionMatrix:
     def conj_transpose(self) -> "QuaternionMatrix":
         return QuaternionMatrix._of(self.a1.conj().T, -self.a2.T)
 
-    def apply_column(self, column: Sequence[Quaternion] | np.ndarray) -> tuple[Quaternion, ...] | np.ndarray:
-        """Matrix times column vector, entries multiplied in matrix-then-vector order.
+    def apply_column(self, column: np.ndarray) -> np.ndarray:
+        """Matrix times a stack of P columns, entries multiplied in matrix-then-vector order.
 
-        A stack of P columns, given as a (P, cols, 4) float array of (w, x, y, z)
-        components, gives the (P, rows, 4) array of the P products, each bit for
+        The columns are a (P, cols, 4) float array of (w, x, y, z) components;
+        the result is the (P, rows, 4) array of the P products, each bit for
         bit the product of its column alone.
         """
-        stacked = isinstance(column, np.ndarray)
-        c = np.ascontiguousarray(column, dtype=float).view(complex) if stacked else _pairs(column)[None]
+        c = np.ascontiguousarray(column, dtype=float).view(complex)
         if c.shape[1:] != (self.cols, 2):
             raise ShapeMismatch(f"column of length {c.shape[1]} against {self.rows}x{self.cols}")
         # (a1 + a2*j)(c1 + c2*j) = a1*(c1, c2) + a2*(-conj(c2), conj(c1)), as (first, second) block
@@ -123,7 +122,7 @@ class QuaternionMatrix:
             # summed left to right from +0.0 like an entrywise loop, so exact terms (eta stacks) give the same bits
             sums.append(np.add.accumulate(terms, axis=2)[:, :, -1] + 0.0)
         out = sums[0] if len(sums) == 1 else np.concatenate(sums)
-        return out.view(float) if stacked else _quaternions(out[0])
+        return out.view(float)
 
     def max_norm(self) -> float:
         """Largest entry norm; NaN when any entry holds a NaN."""

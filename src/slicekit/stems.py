@@ -16,8 +16,9 @@ and one stacked product with the inverse reference matrix.  Values are
 (P, 2**N, 4) arrays of quaternion components, bit for bit the values a point
 by point evaluation gives; the export grid and every probe list of the
 validator go through one call.  `map` transforms that array as a whole, and
-`at` and the system sums and star products wrap columns of it as
-`StemValue`s, which build no `Quaternion`.
+the system sums add two of them; `at` wraps one column as a `StemValue`, and
+the system star products hand `star_vector` views of the columns.  None of
+these builds a `Quaternion`.
 
 A grid-backed stem (a JSON reload) is one read-only float64 array of shape
 (n_r, n_a, 2**N, 4).  Interpolation gathers the four corners of every point
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -305,6 +305,12 @@ def truncation_lattice(parts: int, extra: Sequence[float] = ()) -> list[tuple[fl
     return sorted(set(ts))
 
 
+def _truncation(name: str, whole: NPartPath, t: float, closed: bool) -> tuple[str, NPartPath]:
+    """The label and the path of the truncation at (t, closed) of the anchor `name` with the whole path `whole`."""
+    path = whole.truncate_closed(t) if closed else whole.truncate(t)
+    return f"{name}[{_format_t(t, whole.parts, closed)}]", path
+
+
 def build_stem_system(
     model: SliceFunctionModel,
     anchors: Sequence[tuple[str, NPartPath]],
@@ -319,8 +325,7 @@ def build_stem_system(
         if abs(path.initial_point - x0) > START_TOL:
             raise IncompatibleSupports("anchor paths must share one initial point")
         for t, closed in truncation_lattice(path.parts, extra_truncations):
-            truncated = path.truncate_closed(t) if closed else path.truncate(t)
-            label = f"{name}[{_format_t(t, path.parts, closed)}]"
+            label, truncated = _truncation(name, path, t, closed)
             stem = stem_from_slice(model, truncated, radius, grid)
             entries.append(StemEntry(label, name, t, closed, truncated, stem))
     return StemSystem(x0=x0, entries=tuple(entries), anchors=tuple(n for n, _ in anchors))
@@ -494,6 +499,7 @@ def _check_initial_compatibility(system: StemSystem) -> ConditionResult:
 
 
 def _combine(s1: StemSystem, s2: StemSystem, op, name: str) -> StemSystem:
+    """The system whose stems evaluate `op` of the two systems' (P, 2**N, 4) value arrays at the same points."""
     if s1.labels() != s2.labels() or abs(s1.x0 - s2.x0) > SUPPORT_TOL:
         raise IncompatibleSupports(f"cannot {name} systems over different supports")
     entries = []
@@ -501,26 +507,25 @@ def _combine(s1: StemSystem, s2: StemSystem, op, name: str) -> StemSystem:
         a, b = e1.stem, e2.stem
         if (a.N, a.center, a.radius) != (b.N, b.center, b.radius):
             raise IncompatibleSupports(f"{e1.label}: disks differ")
-        combined = replace(a, evaluator=_pointwise(op, a, b), samples=None)
+        combined = replace(a, evaluator=lambda points, a=a, b=b: op(a.values(points), b.values(points)), samples=None)
         entries.append(replace(e1, stem=combined))
     return replace(s1, entries=tuple(entries))
 
 
-def _pointwise(op, a: SampledStem, b: SampledStem):
-    def evaluator(points: list[complex]) -> np.ndarray:
-        pairs = zip(a.values(points), b.values(points))
-        columns = [op(StemValue(a.N, x), StemValue(b.N, y)).components for x, y in pairs]
-        return np.array(columns).reshape(len(points), 1 << a.N, 4)
-
-    return evaluator
-
-
 def stem_add(s1: StemSystem, s2: StemSystem) -> StemSystem:
-    return _combine(s1, s2, operator.add, "add")
+    """The pointwise sum; overflow stays silent, as in `StemValue.__add__`."""
+    return _combine(s1, s2, np.errstate(all="ignore")(np.add), "add")
 
 
 def stem_star(s1: StemSystem, s2: StemSystem) -> StemSystem:
-    return _combine(s1, s2, star_vector, "star")
+    """The pointwise star product: `star_vector` once per point, on views of the two value arrays."""
+
+    def star(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        n = x.shape[1].bit_length() - 1
+        columns = [star_vector(StemValue._of(n, p), StemValue._of(n, q)).components for p, q in zip(x, y)]
+        return np.array(columns).reshape(x.shape)
+
+    return _combine(s1, s2, star, "star")
 
 
 # -- JSON interface ----------------------------------------------------------
@@ -579,8 +584,10 @@ def system_from_json(text: str) -> StemSystem:
     length; every path object holds at least one segment, a string label and
     anchor, a number t in [0, 1] and a boolean closed, and no two share a
     label; its segments make a path as `make_npart_path` checks it, starting
-    within START_TOL of x0; every anchor holds its whole path (t = 1); every
-    radius is a positive number, and every grid is checked by `_json_grid`.
+    within START_TOL of x0; every anchor holds its whole path (t = 1), and
+    every path of the anchor is the truncation of that whole path at its t and
+    closed, with the label `build_stem_system` gives it; every radius is a
+    positive number, and every grid is checked by `_json_grid`.
     A failure names the label or anchor it concerns.
     """
     data = loads(text)
@@ -589,7 +596,6 @@ def system_from_json(text: str) -> StemSystem:
         raise ValueError("stem system JSON needs lists paths, radii and samples of one length")
     x0 = float(_json_number(data.get("x0")))
     entries = []
-    anchors: list[str] = []
     for obj, radius, sample in zip(*lists):
         kinds = {"segments": list, "label": str, "anchor": str, "closed": bool}
         typed = isinstance(obj, dict) and all(isinstance(obj.get(k), kind) for k, kind in kinds.items())
@@ -608,12 +614,14 @@ def system_from_json(text: str) -> StemSystem:
             raise ValueError(f"stem radius must be a finite positive number, got {radius!r}")
         stem = SampledStem(N=path.parts, center=path.endpoint, radius=radius, samples=_json_grid(sample, path.parts))
         entries.append(StemEntry(obj["label"], obj["anchor"], obj["t"], obj["closed"], path, stem))
-        if obj["anchor"] not in anchors:
-            anchors.append(obj["anchor"])
     labels = [e.label for e in entries]
     if len(set(labels)) != len(labels):
         raise ValueError(f"stem system JSON repeats a label: {labels}")
-    for anchor in anchors:
-        if not any(e.anchor == anchor and e.t == 1.0 for e in entries):
-            raise ValueError(f"stem system JSON anchor {anchor!r} has no whole path (t = 1)")
-    return StemSystem(x0=x0, entries=tuple(entries), anchors=tuple(anchors))
+    wholes = {e.anchor: e.path for e in entries if e.t == 1.0}
+    for e in entries:
+        if e.anchor not in wholes:
+            raise ValueError(f"stem system JSON anchor {e.anchor!r} has no whole path (t = 1)")
+        label, path = _truncation(e.anchor, wholes[e.anchor], e.t, e.closed)
+        if (label, path.segments) != (e.label, e.path.segments):
+            raise ValueError(f"stem system JSON path {e.label!r} is not the truncation {label!r} its t and closed give")
+    return StemSystem(x0=x0, entries=tuple(entries), anchors=tuple(dict.fromkeys(e.anchor for e in entries)))

@@ -455,7 +455,7 @@ def per_lift_final_state(model, path, units, x0=None) -> SheetState:
 def per_lift_representation_vector(model, path, j, x0=None) -> StemValue:
     """M(J)**-1 applied to the column of `scalar_value` at the per-lift end states, one row of J at a time."""
     column = tuple(scalar_value(model, per_lift_final_state(model, path, row, x0)) for row in j.rows)
-    return StemValue(j.N, qmat_inverse(slice_matrix(j)).apply_column(column))
+    return StemValue(j.N, qmat_inverse(slice_matrix(j)).apply_column(np.array([q.to_list() for q in column])[None])[0])
 
 
 def per_point_stem_family(model, path, radius):

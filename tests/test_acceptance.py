@@ -22,7 +22,7 @@ from slicekit.paths import Line, beta_path, half_turns, make_npart_path
 from slicekit.qmat import QuaternionMatrix, qmat_mul
 from slicekit.quat import Quaternion, random_imaginary_unit
 from slicekit.sliceunits import eta, random_slice_unit_matrix, slice_diag, slice_matrix
-from slicekit.stemtensor import StemValue, apply_real_matrix, sigma_matrix, star_vector
+from slicekit.stemtensor import StemValue, apply_real_matrix, nan_max, sigma_matrix, star_vector
 
 PI = math.pi
 SEED = 20260810
@@ -220,7 +220,7 @@ def test_criterion_11_series():
         series = calculus.taylor_eval(model, Quaternion(4.0), q, terms=40)
         path = make_npart_path([Line(4.0 + 0j, complex(4.0 + dx, dy))])
         direct = monodromy.evaluate_lifted(model, path, (unit,))
-        worst_sqrt = max(worst_sqrt, (series - direct).norm())
+        worst_sqrt = nan_max([worst_sqrt, (series - direct).norm()])
     _report("11b-taylor-sqrt", worst_sqrt, 1e-6)
 
     _report_check("11c-stem-tensor-series", checks.check_series_sqrt(rng), 1e-6)

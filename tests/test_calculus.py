@@ -21,7 +21,7 @@ from slicekit.calculus import (
     taylor_eval,
 )
 from slicekit.checks import _coeff_distance, _random_poly
-from slicekit.errors import OutOfBall, ShapeMismatch, SymmetrizationZero, ZeroDivisor
+from slicekit.errors import NonFiniteResult, OutOfBall, ShapeMismatch, SymmetrizationZero, ZeroDivisor
 from slicekit.monodromy import (
     LogModel,
     SliceFunctionModel,
@@ -34,7 +34,7 @@ from slicekit.monodromy import (
 from slicekit.paths import Line, beta_path, half_turns, make_npart_path
 from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, random_imaginary_unit
-from slicekit.stemtensor import ARRAY_KERNEL_PAIRS, star_kernel
+from slicekit.stemtensor import ARRAY_KERNEL_PAIRS, nan_max, star_kernel
 
 from oracles import (
     SPECIAL_FLOATS,
@@ -353,6 +353,17 @@ class TestReciprocal:
         with pytest.raises(SymmetrizationZero):
             regular_reciprocal(SliceRegularPoly((Quaternion(),)), AxSymDomain.whole())
 
+    @pytest.mark.parametrize(
+        "coefficients, index",
+        [((1.0, 1e200), 2), ((1e200, 1.0, Quaternion(0, 1e200, 0, 0)), 0)],
+        ids=["top-coefficient", "constant-coefficient"],
+    )
+    def test_overflowing_symmetrization_is_non_finite(self, coefficients, index):
+        # finite coefficients whose f * f^c overflows: no reciprocal holding inf, and no numpy error from np.roots
+        with pytest.raises(NonFiniteResult) as excinfo:
+            regular_reciprocal(SliceRegularPoly(coefficients), AxSymDomain.ball(3.0, 1.0))
+        assert excinfo.value.index == index
+
 
 class TestZeroProbe:
     # q - 3 - i: f^s = (q - 3)**2 + 1 vanishes on the sphere 3 + S, just outside ball(3, 1), so |f^s| falls
@@ -591,6 +602,16 @@ class TestStemSeries:
         stem_series_check(SqrtModel(), beta_path(), radius=0.3, terms=30)
         # the centre (all 30 orders), the four finite-difference neighbours (orders 0 and 1), the 8 samples
         assert continued == [1, 4, 8]
+
+    def test_overflowing_family_gives_nan_residuals(self):
+        # the stem values of this finite polynomial hold inf and NaN: every residual is NaN, and a check on them fails
+        poly = SliceRegularPoly((1e308, 1e308, Quaternion(0, 1e308, 0, 0)))
+        with np.errstate(all="ignore"):
+            report = stem_series_check(poly, beta_path(), radius=0.3, terms=8)
+        residuals = [report.stem_series_residual, report.tensor_series_residual, report.route_deviation]
+        assert all(map(math.isnan, residuals))
+        assert not checks._result("series-polynomial", "series", nan_max(residuals[:2]), 1e-9).passed
+        assert not checks._result("series-derivative-routes", "series", report.route_deviation, 1e-8).passed
 
     def test_sqrt_series_on_disk(self):
         report = stem_series_check(SqrtModel(), beta_path(), radius=0.3, terms=30)

@@ -20,7 +20,7 @@ from slicekit.quat import I as UNIT_I
 from slicekit.quat import Quaternion, quat_inverse, random_imaginary_unit
 from slicekit.representation import evaluate_via_formula
 from slicekit.sliceunits import eta
-from slicekit.stemtensor import StemValue, apply_real_matrix, sigma_matrix
+from slicekit.stemtensor import StemValue, apply_real_matrix, sigma_matrix, star_vector
 from slicekit.stems import (
     SampledStem,
     _grid_cr_residual,
@@ -310,6 +310,23 @@ class TestSystemAlgebra:
         a = lhs.entry("beta[2/2-]").stem.at(z)
         b = rhs.entry("beta[2/2-]").stem.at(z)
         assert all((x - y).norm() < 1e-10 for x, y in zip(a.entries, b.entries))
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["closed-form", "reloaded"])
+    @pytest.mark.parametrize("anchor", ["beta", "loop3"])
+    def test_values_are_the_pointwise_bits(self, anchor, reload):
+        # each sum and product equals StemValue.__add__ and star_vector of the two values at its point, bit for bit
+        path = beta_path() if anchor == "beta" else _loop3()
+        s1, s2 = (build_stem_system(m, [(anchor, path)], 0.8, (5, 8), (0.7,)) for m in (SqrtModel(), LogModel()))
+        if reload:
+            s1 = system_from_json(system_to_json(s1))
+        for e1, e2, total, product in zip(s1.entries, s2.entries, stem_add(s1, s2).entries, stem_star(s1, s2).entries):
+            points = _disk_points(e1.stem.center, e1.stem.radius)
+            n = e1.stem.N
+            pairs = [(StemValue(n, x), StemValue(n, y)) for x, y in zip(e1.stem.values(points), e2.stem.values(points))]
+            expected_sum = np.array([(x + y).components for x, y in pairs])
+            expected_star = np.array([star_vector(x, y).components for x, y in pairs])
+            assert total.stem.values(points).tobytes() == expected_sum.tobytes()
+            assert product.stem.values(points).tobytes() == expected_star.tobytes()
 
     def test_incompatible_supports_rejected(self):
         s1 = _sqrt_system()
@@ -843,6 +860,11 @@ class TestSystemFromJsonBoundary:
             lambda d: d["paths"][0].__setitem__("t", math.nan),
             lambda d: d["radii"].__setitem__(0, math.inf),
             lambda d: d["paths"][0].__setitem__("label", "\ud800"),
+            # a label, t or closed that disagrees with the path's segments: each reloaded and then failed validation
+            lambda d: d["paths"][1].__setitem__("t", 0.9),
+            lambda d: d["paths"][0].__setitem__("t", 0.5),
+            lambda d: d["paths"][1].__setitem__("closed", True),
+            lambda d: d["paths"][1].__setitem__("label", "beta[0.7]"),
         ],
     )
     def test_malformed_document_is_a_value_error(self, corrupt):
@@ -865,11 +887,13 @@ class TestSystemFromJsonBoundary:
             (lambda d: d["paths"][3]["segments"][1].__setitem__("center", [5, 3]), "beta[2/2-]"),
             (lambda d: [d[key].pop(3) for key in ("paths", "radii", "samples")], "'beta'"),
             *(pytest.param(lambda d, x=x: d.__setitem__("x0", x), "beta[0/2]", id=f"x0={x}") for x in (5.0, 1.3, -1.0)),
+            pytest.param(lambda d: d["paths"][1].__setitem__("t", 0.9), "beta[1/2]", id="t=0.9"),
         ],
     )
     def test_path_errors_name_the_label(self, corrupt, named):
         data = self._document()
         assert data["paths"][3]["label"] == "beta[2/2-]" and data["paths"][3]["t"] == 1.0
+        assert (data["paths"][1]["label"], data["paths"][1]["closed"]) == ("beta[1/2]", False)
         corrupt(data)
         with pytest.raises(ValueError, match=re.escape(named)):
             system_from_json(json.dumps(data))
