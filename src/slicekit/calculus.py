@@ -535,6 +535,7 @@ def stem_series_check(
     vector directly, the tensor route multiplies by the slot-N imaginary with
     `star_vector`.  The series are then resummed with the matrix substitution
     x + y*sigma and the tensor substitution x + y * i_slotN respectively.
+    Worst cases fold with `nan_max`, so a NaN in the family gives NaN residuals.
     """
     n_parts = path.parts
     family = stem_derivative_family(model, path, radius)
