@@ -44,7 +44,6 @@ from .monodromy import (
     SqrtModel,
     _lift_components,
     _log_factor,
-    _mapped,
     _sqrt_factor,
     _stacked,
 )
@@ -302,7 +301,10 @@ class AxSymDomain:
 
     def contains(self, q: Quaternion) -> bool:
         q = as_quaternion(q)
-        z = complex(q.w, q.imag_norm())
+        return self._contains(complex(q.w, q.imag_norm()))
+
+    def _contains(self, z: complex) -> bool:
+        """Whether the complex representative z of a sphere x + y*S lies in the domain."""
         if self.kind == "whole":
             return True
         if self.kind == "ball":
@@ -324,10 +326,7 @@ class AxSymDomain:
                 out.append(Quaternion(*v))
                 continue
             z = self.center + self.radius * complex(*rng.uniform(-1, 1, 2))
-            candidate_ok = abs(z - self.center) < self.radius and (
-                self.kind == "ball" or abs(z.conjugate() - self.center) < self.radius
-            )
-            if not candidate_ok:
+            if not self._contains(z):
                 rejections += 1
                 if rejections > 10000 * (count + 1):
                     raise ValueError(f"sampling {self} keeps rejecting; domain nearly empty")
@@ -373,30 +372,15 @@ _PROBE_DIRECTION = (math.sqrt(1 - _PROBE_Z * _PROBE_Z), 0.0, _PROBE_Z)
 def _probe_zero(sym: SliceRegularPoly, domain: AxSymDomain) -> Quaternion | None:
     """The first shell point of a bounded domain where |sym| < SYMMETRIZATION_ZERO_TOL, or None.
 
-    Shell by shell outward, the points are center + Quaternion(0.0, *(r * d))
-    of a scalar loop, d = `_PROBE_DIRECTION`.  All of them are formed as
-    arrays in one pass, in the same float operations: containment as
-    `AxSymDomain.contains` decides it (Python's complex `abs`, which numpy's
-    differs from in the last bit), and the Horner sum `_horner` on their
-    components.
+    Shell by shell outward, center + Quaternion(0.0, *(r * d)) with d = `_PROBE_DIRECTION`; points outside are skipped.
     """
-    cx, cy = domain.center.real, domain.center.imag
-    radii = np.array([domain.radius * shell / _PROBE_SHELLS * 0.999 for shell in range(1, _PROBE_SHELLS + 1)])
-    x, y, z = (0.0 + radii[:, None] * np.array(_PROBE_DIRECTION)).T
-    w = np.full(len(x), cx + 0.0)
-    imag = np.sqrt(x * x + y * y + z * z)
-    offset = np.empty(len(x), dtype=complex)
-    offset.real = w - cx
-    offset.imag = imag - cy
-    inside = _mapped(abs, offset) < domain.radius
-    if domain.kind == "sigma_ball":  # the conjugate point z.conjugate() lies inside too
-        offset.imag = -imag - cy
-        inside &= _mapped(abs, offset) < domain.radius
-    point = tuple(c[inside] for c in (w, x, y, z))
-    with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow to inf and nan silently too
-        aw, ax, ay, az = _horner(sym.components.tolist(), point)
-        below = np.flatnonzero(np.sqrt(aw * aw + ax * ax + ay * ay + az * az) < SYMMETRIZATION_ZERO_TOL)
-    return Quaternion(*(float(c[below[0]]) for c in point)) if len(below) else None
+    center = Quaternion(domain.center.real)
+    for shell in range(1, _PROBE_SHELLS + 1):
+        r = domain.radius * shell / _PROBE_SHELLS * 0.999
+        q = center + Quaternion(0.0, *(r * c for c in _PROBE_DIRECTION))
+        if domain.contains(q) and sym(q).norm() < SYMMETRIZATION_ZERO_TOL:
+            return q
+    return None
 
 
 def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciprocal:
@@ -406,9 +390,8 @@ def regular_reciprocal(f: SliceRegularPoly, domain: AxSymDomain) -> StarReciproc
     the complex roots; any root inside the domain aborts.  On bounded domains
     a deterministic shell probe additionally guards the near-zero case
     |f^s| < SYMMETRIZATION_ZERO_TOL: one point on each of nested spheres
-    about the centre, enough because f^s has real coefficients, every point
-    tested and evaluated in one array pass (`_probe_zero`), and the first
-    point below the cut-off, innermost first, is the witness.  A
+    about the centre, enough because f^s has real coefficients (`_probe_zero`),
+    and the first point below the cut-off, innermost first, is the witness.  A
     symmetrization that overflowed raises NonFiniteResult, its `index` the
     first coefficient holding inf or NaN.
     """

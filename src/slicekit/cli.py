@@ -178,6 +178,8 @@ def cmd_repformula(args) -> int:
     path = _parse_path(args.path)
     if args.J:
         j = _decoded("--J", SliceUnitMatrix.from_json, _read_maybe_file(args.J))
+        if j.N != path.parts:  # a usage error (exit 2), as a wrong count of --units is
+            raise ValueError(f"--J: {path.parts}-part path needs an order-{path.parts} unit matrix, got order {j.N}")
     else:
         j = eta(path.parts, Quaternion(0, 1, 0, 0))
     units = _parse_units(args.units, path) if args.units else None

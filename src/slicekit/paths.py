@@ -4,7 +4,8 @@ An N-part path is a chain of N closed-form curve segments whose junctions sit
 on the real axis, so each part can be re-embedded into a different slice
 plane.  Segments stay symbolic (arcs with unbounded sweep, straight lines,
 and chains of those) because monodromy bookkeeping needs exact winding
-counts, not sampled point lists.
+counts, not sampled point lists: every segment kind gives its change of
+argument in closed form.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .errors import (
 )
 from .quat import Quaternion, embed_slice
 from .tolerances import JUNCTION_TOL, PARAMETER_TOL
-
-_ARGUMENT_STEPS = 64  # chords per curve in the tracked argument increment, each halved as needed
 
 
 def _require_finite(segment, *fields) -> None:
@@ -110,9 +109,16 @@ class Arc(PathSegment):
         return min(abs(self.at(0.0)), abs(self.at(1.0)))
 
     def argument_increment(self) -> float:
-        if self.center == 0:
-            return self.theta1 - self.theta0
-        return _tracked_argument_increment(self)
+        # c + R e^(it) = R e^(it) (1 + (c/R) e^(-it)) = c (1 + (R/c) e^(it)); with |w| <= 1 the factor 1 + w e^(-+it)
+        # stays in Re >= 0 and vanishes only at the origin, which `continue_segment` refuses: its phase is continuous
+        c, theta0, theta1 = self.center, self.theta0, self.theta1
+        if c == 0:
+            return theta1 - theta0
+        if abs(c) <= self.radius:
+            w, turn, sweep = c / self.radius, -1j, theta1 - theta0
+        else:
+            w, turn, sweep = self.radius / c, 1j, 0.0
+        return sweep + cmath.phase(1 + w * cmath.exp(turn * theta1)) - cmath.phase(1 + w * cmath.exp(turn * theta0))
 
     def to_json_obj(self) -> dict:
         return {
@@ -210,27 +216,10 @@ class Chain(PathSegment):
         return {"kind": "chain", "pieces": [p.to_json_obj() for p in self.pieces]}
 
 
-def _tracked_argument_increment(seg: PathSegment) -> float:
-    """Accumulate principal-argument steps along a finely sampled curve.
-
-    Each sub-step is halved until the chord stays well inside the distance to
-    the origin, which pins the winding of the true curve piece.
-    """
-    total = 0.0
-    prev = seg.at(0.0)
-    for k in range(_ARGUMENT_STEPS):
-        t0, t1 = k / _ARGUMENT_STEPS, (k + 1) / _ARGUMENT_STEPS
-        total += _step_argument(seg, t0, t1, prev, seg.at(t1), depth=0)
-        prev = seg.at(t1)
-    return total
-
-
-def _step_argument(seg, t0, t1, z0, z1, depth) -> float:
-    if abs(z1 - z0) < 0.5 * min(abs(z0), abs(z1)) or depth >= 40:
-        return cmath.phase(z1 / z0)
-    tm = 0.5 * (t0 + t1)
-    zm = seg.at(tm)
-    return _step_argument(seg, t0, tm, z0, zm, depth + 1) + _step_argument(seg, tm, t1, zm, z1, depth + 1)
+def _junction(t: float, parts: int) -> int | None:
+    """m when t * parts lies within PARAMETER_TOL of the whole number m, else None."""
+    m = round(t * parts)
+    return m if abs(t * parts - m) < PARAMETER_TOL else None
 
 
 def _json_number(value):
@@ -254,20 +243,23 @@ def segment_from_json_obj(obj: dict) -> PathSegment:
     if not isinstance(obj, dict):
         raise ValueError(f"path JSON expects a segment object, got {obj!r}")
     kind = obj.get("kind")
-    if kind == "arc":
-        return Arc(
-            _json_point(obj["center"]),
-            _json_number(obj["radius"]),
-            _json_number(obj["theta0"]),
-            _json_number(obj["theta1"]),
-        )
-    if kind == "line":
-        return Line(_json_point(obj["from"]), _json_point(obj["to"]))
-    if kind == "chain":
-        pieces = obj["pieces"]
-        if not isinstance(pieces, list):
-            raise ValueError(f"path JSON expects a list of chain pieces, got {pieces!r}")
-        return Chain(tuple(segment_from_json_obj(p) for p in pieces))
+    try:
+        if kind == "arc":
+            return Arc(
+                _json_point(obj["center"]),
+                _json_number(obj["radius"]),
+                _json_number(obj["theta0"]),
+                _json_number(obj["theta1"]),
+            )
+        if kind == "line":
+            return Line(_json_point(obj["from"]), _json_point(obj["to"]))
+        if kind == "chain":
+            pieces = obj["pieces"]
+            if not isinstance(pieces, list):
+                raise ValueError(f"path JSON expects a list of chain pieces, got {pieces!r}")
+            return Chain(tuple(segment_from_json_obj(p) for p in pieces))
+    except KeyError as missing:  # a nested piece reports its own missing field as a ValueError
+        raise ValueError(f"path JSON {kind} segment lacks the field {missing.args[0]!r}") from None
     raise ValueError(f"unknown segment kind {kind!r}")
 
 
@@ -311,13 +303,12 @@ class NPartPath:
         return NPartPath(tuple(kept))
 
     def truncate_closed(self, t: float) -> "NPartPath":
-        """Closed truncation: drops the trailing constant at exact junctions."""
+        """Closed truncation: drops the trailing constant at exact junctions past the start."""
         if not 0.0 <= t <= 1.0:
             raise OutOfRange(f"parameter {t} outside [0, 1]")
-        n = self.parts
-        scaled = t * n
-        if t > 0.0 and abs(scaled - round(scaled)) < PARAMETER_TOL:
-            return NPartPath(self.segments[: int(round(scaled))])
+        m = _junction(t, self.parts)
+        if m:  # not at junction 0, which would keep no segment
+            return NPartPath(self.segments[:m])
         return self.truncate(t)
 
     def extend_to(self, z: complex) -> "NPartPath":

@@ -39,7 +39,7 @@ from orjson import OPT_SERIALIZE_NUMPY, dumps, loads
 
 from .errors import BranchPointCrossing, IncompatibleSupports, NonFiniteResult, OutOfDomain, SliceKitError
 from .monodromy import SliceFunctionModel, continue_closing_lines, continue_segment, final_states
-from .paths import Line, NPartPath, _json_number, make_npart_path, segment_from_json_obj
+from .paths import Line, NPartPath, _json_number, _junction, make_npart_path, segment_from_json_obj
 from .quat import I as UNIT_I
 from .quat import Quaternion
 from .sliceunits import eta, eta_inverse
@@ -270,12 +270,6 @@ class StemSystem:
     def with_stem(self, label: str, stem: SampledStem) -> "StemSystem":
         out = tuple(replace(e, stem=stem) if e.label == label else e for e in self.entries)
         return replace(self, entries=out)
-
-
-def _junction(t: float, parts: int) -> int | None:
-    """m when t * parts lies within PARAMETER_TOL of the whole number m, else None."""
-    m = round(t * parts)
-    return m if abs(t * parts - m) < PARAMETER_TOL else None
 
 
 def _format_t(t: float, parts: int, closed: bool) -> str:

@@ -648,6 +648,15 @@ def test_unit_count_must_match_path_parts(capsys, beta_file, command, units):
     assert "2-part path needs 2 units" in err
 
 
+@pytest.mark.parametrize("order", [1, 3])
+def test_j_order_must_match_path_parts(capsys, beta_file, order):
+    # a usage error, as a wrong count of --units is; the library keeps its LengthMismatch (a domain error)
+    j = eta(order, Quaternion(0, 0, 1, 0)).to_json()
+    code, out, err = _run(capsys, ["repformula", "--model", "sqrt", "--path", beta_file, "--J", j])
+    assert (code, out) == (2, "")
+    assert err == f"error: --J: 2-part path needs an order-2 unit matrix, got order {order}\n"
+
+
 @pytest.mark.parametrize("extra", ["nan", "inf", "0", "1", "1.5", "-3", "0.25,nan"])
 def test_stem_extra_truncations_outside_unit_interval_are_usage_errors(capsys, beta_file, extra):
     argv = ["stem", "--model", "sqrt", "--path", beta_file, "--extra-truncations", extra]
@@ -695,6 +704,22 @@ def test_malformed_path_json_is_usage_error(capsys, path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "segment, kind, field",
+    [
+        ('{"kind": "arc", "center": [0, 0], "radius": 1}', "arc", "theta0"),
+        ('{"kind": "line", "from": [1, 0]}', "line", "to"),
+        ('{"kind": "chain"}', "chain", "pieces"),
+    ],
+    ids=["arc", "line", "chain"],
+)
+def test_segment_missing_a_field_is_a_usage_error_naming_it(capsys, segment, kind, field):
+    path = '{"segments": [%s]}' % segment
+    code, out, err = _run(capsys, ["monodromy", "--model", "sqrt", "--path", path, "--units", "[1,0,0]"])
+    assert (code, out) == (2, "")
+    assert err == f"error: path JSON {kind} segment lacks the field {field!r}\n"
 
 
 _BETA = beta_path().to_json()

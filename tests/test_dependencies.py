@@ -1,5 +1,5 @@
 """Every third-party module the package imports is declared in pyproject.toml; orjson is the one JSON encoder, and
-the one decoder."""
+the one decoder; and no module of the package imports a name it never uses."""
 
 import ast
 import json
@@ -75,6 +75,26 @@ def test_no_module_decodes_with_the_stdlib():
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json":
             found += [f"{source}:{node.lineno} json.{node.attr}"] if node.attr in decoders else []
     assert not found, f"JSON read without orjson: {found}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs on the package: an import left behind by a refactor would go unnoticed, as would a stale
+    # private cross-module import; __init__.py imports to re-export
+    unused = []
+    for source in sorted(PACKAGE.glob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text(), str(source))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name.partition(".")[0]): node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(a.asname or a.name): node.lineno for a in node.names})
+        # a use is a Name, the base of an Attribute included (ast.walk visits it as a Name)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{source.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, f"imported but never used: {unused}"
 
 
 def test_orjson_reads_the_float_bits_json_reads():

@@ -104,6 +104,14 @@ class TestTruncation:
         assert abs(open_half.at(0.75) - open_half.at(1.0)) < 1e-12
         assert abs(open_half.endpoint - closed_half.endpoint) < 1e-12
 
+    @pytest.mark.parametrize("t", [0.0, 1e-14])
+    def test_closed_truncation_at_the_start_keeps_a_segment(self, t):
+        # t * N within PARAMETER_TOL of junction 0 is the open truncation, not a path of no segments
+        beta = beta_path()
+        start = beta.truncate_closed(t)
+        assert start == beta.truncate(t)
+        assert start.parts == 1 and abs(start.initial_point - beta.initial_point) < 1e-12
+
     def test_agreement_where_defined(self):
         beta = beta_path()
         for t in (0.25, 0.5, 0.75):
@@ -157,6 +165,31 @@ class TestSegments:
             total += cmath.phase(cur / prev)
             prev = cur
         assert arc.argument_increment() == pytest.approx(total, abs=1e-9)
+
+    # (centre / radius, theta0, theta1): the origin inside, outside and on the circle, partial and multi-turn
+    # sweeps both ways; every arc keeps at least 1e-3 * radius from the origin
+    OFF_CENTER_ARCS = [
+        pytest.param(0.5 + 0.2j, 0.3, 2.0, id="inside-partial"),
+        pytest.param(-0.3 + 0.6j, 0.0, 6 * math.pi + 1.0, id="inside-3-turns"),
+        pytest.param(0.2 - 0.7j, 1.0, 1.0 - 8 * math.pi, id="inside-4-turns-back"),
+        pytest.param(2.0 + 1.0j, -1.0, 2.5, id="outside-partial"),
+        pytest.param(-1.5 + 0.4j, 0.5, 0.5 + 10 * math.pi, id="outside-5-turns"),
+        pytest.param(1.002 + 0j, 0.0, -6 * math.pi - 0.5, id="outside-near-circle-3-turns-back"),
+        pytest.param(1.0 + 0j, 0.0, math.pi - 2e-3, id="on-circle-stops-short"),
+        pytest.param(1j, -math.pi / 2 + 2e-3, 1.5 * math.pi - 2e-3, id="on-circle-both-ends-near"),
+        pytest.param(-0.6 + 0.8j, -0.9293, -0.9253 - 2 * math.pi, id="on-circle-back"),
+    ]
+
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("ratio, theta0, theta1", OFF_CENTER_ARCS)
+    def test_off_center_arc_increment_matches_dense_unwrap(self, ratio, theta0, theta1, radius):
+        arc = Arc(ratio * radius, radius, theta0, theta1)
+        assert arc.min_distance_to_origin() >= 1e-3 * radius
+        theta = np.linspace(theta0, theta1, 400_001)
+        unwrapped = np.unwrap(np.angle(arc.center + radius * np.exp(1j * theta)))
+        reference = float(unwrapped[-1] - unwrapped[0])
+        assert arc.argument_increment() == pytest.approx(reference, rel=0, abs=1e-12)
+        assert arc.reversed().argument_increment() == pytest.approx(-reference, rel=0, abs=1e-12)
 
     def test_min_distance_to_origin(self):
         assert half_turns(1).min_distance_to_origin() == 1.0

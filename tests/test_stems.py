@@ -865,6 +865,10 @@ class TestSystemFromJsonBoundary:
             lambda d: d["paths"][0].__setitem__("t", 0.5),
             lambda d: d["paths"][1].__setitem__("closed", True),
             lambda d: d["paths"][1].__setitem__("label", "beta[0.7]"),
+            # a segment without one of its fields: a ValueError, not a KeyError
+            pytest.param(lambda d: d["paths"][3]["segments"][1].pop("theta0"), id="arc-without-theta0"),
+            pytest.param(lambda d: d["paths"][0]["segments"][0].pop("to"), id="line-without-to"),
+            pytest.param(lambda d: d["paths"][0]["segments"].insert(0, {"kind": "chain"}), id="chain-without-pieces"),
         ],
     )
     def test_malformed_document_is_a_value_error(self, corrupt):
